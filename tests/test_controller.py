@@ -10,6 +10,7 @@ import archadapt as aa
 from archadapt.controller import (
     TrainerConfig,
     TrainerState,
+    arch_onehot,
     bucket_index,
     default_bucket_edges,
     objective_gradients,
@@ -182,10 +183,13 @@ class TestGreedy:
 
 
 class TestGradients:
-    def _fd_check(self, space, cfg, seed):
+    def _fd_check(self, space, cfg, seed, arch=None):
         params = aa.init_params(space, cfg, seed=seed)
         pstate = aa.embed_state(params, aa.min_arch(space), 1.0, cfg)
-        traj = aa.sample(params, pstate, np.random.default_rng(seed))
+        if arch is None:
+            traj = aa.sample(params, pstate, np.random.default_rng(seed))
+        else:
+            traj = aa.score(params, pstate, arch)
         advantage = 0.37
         grads = objective_gradients(params, traj, advantage, cfg)
         step = 1e-5
@@ -217,6 +221,18 @@ class TestGradients:
                             entropy_weight=1e-3, weight_decay=1e-3)
         self._fd_check(TINY, cfg, seed=1)
 
+    def test_matches_finite_differences_repeated_tokens(self):
+        # Two units; kernel 3 feeds three steps and the single expansion
+        # token feeds five, so several steps add into the same embedding
+        # row and the scatter must accumulate rather than overwrite.
+        cfg = TrainerConfig(hidden_size=4, encoder_hidden=4, arch_embed_dim=3,
+                            shift_embed_dim=2, token_embed_dim=3,
+                            entropy_weight=1e-3, weight_decay=1e-3)
+        arch = aa.decode("k3e3,k3e3;k5e3,k3e3,k5e3", TOY)
+        kernels = [k for unit in arch.units for k, _ in unit]
+        assert kernels.count(3) == 3
+        self._fd_check(TOY, cfg, seed=2, arch=arch)
+
     def test_rejects_nonfinite_reward(self):
         params = aa.init_params(TINY, SMALL_CFG, seed=0)
         pstate = aa.embed_state(params, aa.min_arch(TINY), 1.0, SMALL_CFG)
@@ -224,6 +240,54 @@ class TestGradients:
         with pytest.raises(aa.NumericalError):
             reinforce_step(params, traj, float("nan"), SMALL_CFG,
                            TrainerState())
+
+
+class TestNonFinite:
+    def _fixture(self):
+        meta = SnapshotMeta(t=1, n_classes=1, n_samples=500,
+                            volume_fraction=1.0, max_classes=4)
+        evaluate = aa.make_evaluator(aa.SurrogateConfig(), TOY)
+        cfg = dataclasses.replace(SMALL_CFG, iterations=3, seed=0)
+        return meta, evaluate, cfg
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_sampler_rejects_infinite_logit(self):
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        params.arrays["head_depth_b"][0] = np.inf
+        pstate = _pstate(params, SMALL_CFG)
+        with pytest.raises(aa.NumericalError):
+            aa.sample(params, pstate, np.random.default_rng(0))
+        with pytest.raises(aa.NumericalError):
+            aa.greedy_decode(params, pstate)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_train_rejects_infinite_logit(self):
+        meta, evaluate, cfg = self._fixture()
+        params = aa.init_params(TOY, cfg, seed=0)
+        params.arrays["head_kernel_w"][1, 0] = np.inf
+        with pytest.raises(aa.NumericalError):
+            aa.train(params, aa.min_arch(TOY), 1.0, meta, evaluate, cfg)
+
+    def test_train_rejects_nonfinite_gradient_before_updating(self):
+        # An unused shift bucket leaves the forward pass finite, but weight
+        # decay makes its gradient infinite: the update must refuse it.
+        meta, evaluate, cfg = self._fixture()
+        params = aa.init_params(TOY, cfg, seed=0)
+        unused = (bucket_index(1.0, cfg) + 1) % cfg.bucket_count
+        params.arrays["shift_emb"][unused, 0] = np.inf
+        before = params.flat.copy()
+        with pytest.raises(aa.NumericalError, match="shift_emb"):
+            aa.train(params, aa.min_arch(TOY), 1.0, meta, evaluate, cfg)
+        assert np.array_equal(params.flat, before)
+
+    def test_reinforce_step_rejects_nonfinite_gradient(self):
+        params = aa.init_params(TINY, SMALL_CFG, seed=0)
+        pstate = aa.embed_state(params, aa.min_arch(TINY), 1.0, SMALL_CFG)
+        traj = aa.sample(params, pstate, np.random.default_rng(0))
+        unused = (bucket_index(1.0, SMALL_CFG) + 1) % SMALL_CFG.bucket_count
+        params.arrays["shift_emb"][unused, 0] = np.inf
+        with pytest.raises(aa.NumericalError):
+            reinforce_step(params, traj, 1.0, SMALL_CFG, TrainerState())
 
 
 class TestUpdates:
@@ -325,6 +389,30 @@ class TestTrain:
             assert np.array_equal(u1.arrays[key], u2.arrays[key])
         assert [r.reward for r in t1] == [r.reward for r in t2]
 
+    def test_batch_applies_mean_gradient(self):
+        # Plain ascent without a baseline: one iteration of batch 2 moves
+        # the parameters by lr times the mean of the two trajectories'
+        # gradients, each taken at its own reward.
+        meta, evaluate = self._fixture()
+        cfg = dataclasses.replace(SMALL_CFG, iterations=1, batch_size=2, lam=0.01,
+                                  use_baseline=False, use_adam=False,
+                                  learning_rate=0.05, seed=4)
+        prev = aa.min_arch(TOY)
+        params = aa.init_params(TOY, cfg, seed=4)
+        pstate = aa.embed_state(params, prev, 1.0, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        grads = []
+        for traj in (aa.sample(params, pstate, rng), aa.sample(params, pstate, rng)):
+            r = aa.reward(evaluate(traj.arch, meta), evaluate(prev, meta),
+                          aa.madds(traj.arch, TOY), aa.madds(prev, TOY), cfg.lam, 1.0)
+            grads.append(objective_gradients(params, traj, r, cfg))
+        assert any(not np.allclose(grads[0][k], grads[1][k]) for k in grads[0])
+        before = {k: v.copy() for k, v in params.arrays.items()}
+        updated, _ = aa.train(params, prev, 1.0, meta, evaluate, cfg)
+        for key in before:
+            expected = before[key] + cfg.learning_rate * (grads[0][key] + grads[1][key]) / 2
+            assert np.allclose(updated.arrays[key], expected, rtol=0, atol=1e-15), key
+
     def test_shift_conditions_policy(self):
         # Different observed shifts land in different buckets and must
         # produce different policy state vectors.
@@ -335,6 +423,61 @@ class TestTrain:
         far = aa.embed_state(params, aa.min_arch(TOY), 50.0, cfg)
         assert near.bucket != far.bucket
         assert not np.array_equal(near.vector, far.vector)
+
+
+class TestArchEncoding:
+    def test_onehot_layout(self):
+        # Per unit: depth one-hot, then per layer slot a kernel one-hot and
+        # an expansion one-hot, each with a trailing off slot.
+        arch = aa.decode("k5e3,k3e3;k3e3,k5e3,k5e3", TOY)
+        vec = arch_onehot(arch, TOY)
+        unit0 = [1, 0] + [0, 1, 0, 1, 0] + [1, 0, 0, 1, 0] + [0, 0, 1, 0, 1]
+        unit1 = [0, 1] + [1, 0, 0, 1, 0] + [0, 1, 0, 1, 0] + [0, 1, 0, 1, 0]
+        assert vec.tolist() == unit0 + unit1
+
+    def test_wrong_unit_count_is_shape_error(self):
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        one_unit = aa.Architecture(units=(((3, 3), (3, 3)),))
+        with pytest.raises(aa.ShapeError):
+            arch_onehot(one_unit, TOY)
+        with pytest.raises(aa.ShapeError):
+            aa.score(params, _pstate(params, SMALL_CFG), one_unit)
+        with pytest.raises(aa.ShapeError):
+            aa.embed_state(params, one_unit, 1.0, SMALL_CFG)
+
+    def test_token_outside_choices_is_invalid_token(self):
+        bad = aa.Architecture(units=(((3, 3), (7, 3)), ((3, 3), (3, 3))))
+        with pytest.raises(aa.InvalidToken):
+            arch_onehot(bad, TOY)
+
+
+class TestFlatBuffer:
+    def test_arrays_are_views_of_flat(self):
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        flat = params.flat
+        assert flat.size == sum(a.size for a in params.arrays.values())
+        params.arrays["gru_wz"][0, 0] = 123.0
+        assert 123.0 in flat
+        flat[:] = 0.0
+        assert all(not a.any() for a in params.arrays.values())
+
+    def test_replaced_entry_is_repacked(self):
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        names = list(params.arrays)
+        params.arrays["gru_un"] = np.full_like(params.arrays["gru_un"], 2.0)
+        flat = params.flat
+        assert list(params.arrays) == names
+        assert np.shares_memory(params.arrays["gru_un"], flat)
+        assert np.all(params.arrays["gru_un"] == 2.0)
+        flat[:] = 0.0
+        assert not params.arrays["gru_un"].any()
+
+    def test_copy_is_independent(self):
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        other = params.copy()
+        other.flat[:] = 0.0
+        assert params.flat.any()
+        assert not np.shares_memory(params.flat, other.flat)
 
 
 class TestTraceFile:
