@@ -13,11 +13,8 @@ from .controller import (
     embed_state,
     greedy_decode,
     init_params,
-    load_params,
-    reinforce_step,
     reward,
     sample,
-    save_params,
     score,
     train,
 )

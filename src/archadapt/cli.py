@@ -1,8 +1,9 @@
 """Command-line interface. All numerics live in the library modules.
 
 Config files are flat ``key=value`` lines with dotted section prefixes
-(plan.*, space.*, surrogate.*, gate.*, trainer.*, run.*); blank lines and
-``#`` comments are ignored. ``--set key=value`` overrides file values.
+(plan.*, space.*, surrogate.*, gate.*, trainer.*, run.*), one key per
+field of RunConfig and its section dataclasses; blank lines and ``#``
+comments are ignored. ``--set key=value`` overrides file values.
 Exit codes: 0 success, 1 usage or config error, 2 runtime error.
 """
 
@@ -11,24 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+import types
+import typing
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from . import orchestrator
-from .datagen import (
-    CLASS_GROWTH,
-    VOLUME_GROWTH,
-    GrowthPlan,
-    gen_snapshot,
-    load_snapshot,
-    save_snapshot,
-)
+from .datagen import CLASS_GROWTH, VOLUME_GROWTH, gen_snapshot, load_snapshot, save_snapshot
 from .errors import ArchAdaptError, InvalidConfig
-from .evaluator import SurrogateConfig, make_evaluator, oracle_best
+from .evaluator import make_evaluator, oracle_best
 from .gaussian import fit_gaussian, js_divergence_mc, load_features_csv, wasserstein2_gaussian
-from .gate import GateConfig, accuracy_drop, should_adapt
-from .controller import TrainerConfig
-from .search_space import SpaceConfig, decode, encode, madds
+from .gate import accuracy_drop, should_adapt
+from .search_space import SpaceConfig, decode, encode
 
 __all__ = ["main", "entry", "parse_config_file", "build_run_config", "CONFIG_KEYS"]
 
@@ -73,119 +68,112 @@ def _parse_scenario(text: str) -> str:
     return aliases[key]
 
 
-# key -> (section, field, parser)
-CONFIG_KEYS = {
-    "plan.scenario": ("plan", "scenario", _parse_scenario),
-    "plan.steps": ("plan", "steps", _parse_floats),
-    "plan.feature_dim": ("plan", "feature_dim", int),
-    "plan.sigma": ("plan", "sigma", float),
-    "plan.seed": ("plan", "seed", int),
-    "plan.base_samples": ("plan", "base_samples", int),
-    "plan.n_classes": ("plan", "n_classes", int),
-    "plan.max_classes": ("plan", "max_classes", int),
-    "plan.proto_radius": ("plan", "proto_radius", float),
-    "space.n_units": ("space", "n_units", int),
-    "space.depth_choices": ("space", "depth_choices", _parse_ints),
-    "space.kernel_choices": ("space", "kernel_choices", _parse_ints),
-    "space.expansion_choices": ("space", "expansion_choices", _parse_ints),
-    "space.input_resolution": ("space", "input_resolution", int),
-    "space.stem_channels": ("space", "stem_channels", int),
-    "space.unit_out_channels": ("space", "unit_out_channels", _parse_ints),
-    "space.unit_strides": ("space", "unit_strides", _parse_ints),
-    "surrogate.peak_height": ("surrogate", "peak_height", float),
-    "surrogate.floor": ("surrogate", "floor", float),
-    "surrogate.bump_width": ("surrogate", "bump_width", float),
-    "surrogate.opt_intercept": ("surrogate", "opt_intercept", float),
-    "surrogate.opt_slope": ("surrogate", "opt_slope", float),
-    "surrogate.depth_penalty": ("surrogate", "depth_penalty", float),
-    "surrogate.reference_arch": ("surrogate", "reference_arch", str),
-    "gate.epsilon": ("gate", "epsilon", float),
-    "trainer.learning_rate": ("trainer", "learning_rate", float),
-    "trainer.weight_decay": ("trainer", "weight_decay", float),
-    "trainer.iterations": ("trainer", "iterations", int),
-    "trainer.entropy_weight": ("trainer", "entropy_weight", float),
-    "trainer.lam": ("trainer", "lam", float),
-    "trainer.baseline_decay": ("trainer", "baseline_decay", float),
-    "trainer.use_baseline": ("trainer", "use_baseline", _parse_bool),
-    "trainer.use_adam": ("trainer", "use_adam", _parse_bool),
-    "trainer.batch_size": ("trainer", "batch_size", int),
-    "trainer.bucket_count": ("trainer", "bucket_count", int),
-    "trainer.bucket_edges": ("trainer", "bucket_edges", _parse_floats),
-    "trainer.hidden_size": ("trainer", "hidden_size", int),
-    "trainer.encoder_hidden": ("trainer", "encoder_hidden", int),
-    "trainer.arch_embed_dim": ("trainer", "arch_embed_dim", int),
-    "trainer.shift_embed_dim": ("trainer", "shift_embed_dim", int),
-    "trainer.token_embed_dim": ("trainer", "token_embed_dim", int),
-    "trainer.seed": ("trainer", "seed", int),
-    "run.initial_arch": ("run", "initial_arch", str),
-    "run.master_seed": ("run", "master_seed", int),
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    tuple[int, ...]: _parse_ints,
+    tuple[float, ...]: _parse_floats,
 }
+# Fields whose type does not name their parser.
+_EXPLICIT = {
+    "plan.scenario": _parse_scenario,
+    "plan.steps": _parse_floats,
+    "surrogate.reference_arch": str,  # decoded against the space in build_run_config
+}
+# Every run overwrites it with derive_seed(master_seed, step, "train").
+_NOT_SETTABLE = {"trainer.seed"}
+_RUN_HINTS = typing.get_type_hints(orchestrator.RunConfig)
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value config; unknown keys and bad lines name their source."""
-    values: dict[str, str] = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _parser_for(hint):
+    if isinstance(hint, types.UnionType):  # X | None parses as X
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    return _PARSERS[hint]
+
+
+def _config_keys() -> dict:
+    keys = {}
+    for run_field in fields(orchestrator.RunConfig):
+        hint = _RUN_HINTS[run_field.name]
+        if is_dataclass(hint):
+            section, hints = run_field.name, typing.get_type_hints(hint)
+            leaves = [(f.name, hints[f.name]) for f in fields(hint)]
+        else:
+            section, leaves = "run", [(run_field.name, hint)]
+        for name, leaf_hint in leaves:
+            key = f"{section}.{name}"
+            if key not in _NOT_SETTABLE:
+                keys[key] = (section, name, _EXPLICIT.get(key) or _parser_for(leaf_hint))
+    return keys
+
+
+# key -> (section, field, parser), one per settable leaf field of RunConfig
+CONFIG_KEYS = _config_keys()
+
+
+def _parse_item(item: str, source: str) -> tuple[str, object]:
+    """One parsed key=value item; errors name the source (file:line or --set)."""
+    if "=" not in item:
+        raise InvalidConfig(f"{source}: expected key=value, got {item!r}")
+    key, _, text = item.partition("=")
+    key = key.strip()
+    if key not in CONFIG_KEYS:
+        raise InvalidConfig(f"{source}: unknown config key {key!r}")
+    try:
+        return key, CONFIG_KEYS[key][2](text.strip())
+    except (ValueError, TypeError) as exc:
+        raise InvalidConfig(f"{source}: config key {key}: {exc}") from exc
+
+
+def parse_config_file(path) -> dict:
+    """Flat key=value config, parsed; unknown keys and bad lines name their source."""
+    values = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidConfig(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise InvalidConfig(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        if line and not line.startswith("#"):
+            key, value = _parse_item(line, f"{path}:{lineno}")
+            values[key] = value
     return values
 
 
-def _apply_sets(values: dict[str, str], sets: list[str]) -> dict[str, str]:
+def _apply_sets(values: dict, sets: list[str]) -> dict:
     for item in sets or []:
-        if "=" not in item:
-            raise InvalidConfig(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise InvalidConfig(f"--set: unknown config key {key!r}")
-        values[key] = value.strip()
+        key, value = _parse_item(item, "--set")
+        values[key] = value
     return values
 
 
-def _collect(values: dict[str, str]) -> dict[str, dict]:
-    sections: dict[str, dict] = {"plan": {}, "space": {}, "surrogate": {}, "gate": {}, "trainer": {}, "run": {}}
-    for key, raw in values.items():
-        section, fieldname, parser = CONFIG_KEYS[key]
-        try:
-            sections[section][fieldname] = parser(raw)
-        except (ValueError, TypeError) as exc:
-            raise InvalidConfig(f"config key {key}: {exc}") from exc
-    return sections
+def _decode(key: str, text: str, space: SpaceConfig):
+    try:
+        return decode(text, space)
+    except ArchAdaptError as exc:
+        raise InvalidConfig(f"config key {key}: {exc}") from exc
 
 
-def build_run_config(values: dict[str, str], seed: int | None = None) -> orchestrator.RunConfig:
-    """Assemble a RunConfig from flat config values; --seed wins for the master seed."""
-    sections = _collect(values)
-    plan_kwargs = sections["plan"]
-    if "scenario" not in plan_kwargs or "steps" not in plan_kwargs:
+def build_run_config(values: dict, seed: int | None = None) -> orchestrator.RunConfig:
+    """Assemble a RunConfig from parsed config values; --seed wins for the master seed."""
+    sections: dict[str, dict] = {}
+    for key, value in values.items():
+        section, name, _ = CONFIG_KEYS[key]
+        sections.setdefault(section, {})[name] = value
+    run = sections.pop("run", {})
+    plan = sections.get("plan", {})
+    if "scenario" not in plan or "steps" not in plan:
         raise InvalidConfig("config must set plan.scenario and plan.steps")
-    space = SpaceConfig(**sections["space"])
-    surrogate_kwargs = dict(sections["surrogate"])
-    if "reference_arch" in surrogate_kwargs:
-        surrogate_kwargs["reference_arch"] = decode(surrogate_kwargs["reference_arch"], space)
-    run_kwargs = sections["run"]
-    cfg = orchestrator.RunConfig(
-        plan=GrowthPlan(**plan_kwargs),
-        space=space,
-        surrogate=SurrogateConfig(**surrogate_kwargs),
-        gate=GateConfig(**sections["gate"]),
-        trainer=TrainerConfig(**sections["trainer"]),
-        initial_arch=run_kwargs.get("initial_arch", "oracle"),
-        master_seed=run_kwargs.get("master_seed", 0),
-    )
     if seed is not None:
-        cfg = replace(cfg, master_seed=seed)
-    return cfg
+        run["master_seed"] = seed
+    space = SpaceConfig(**sections.pop("space", {}))
+    surrogate = sections.get("surrogate", {})
+    if "reference_arch" in surrogate:
+        surrogate["reference_arch"] = _decode(
+            "surrogate.reference_arch", surrogate["reference_arch"], space
+        )
+    if run.get("initial_arch", "oracle") != "oracle":
+        _decode("run.initial_arch", run["initial_arch"], space)
+    built = {name: _RUN_HINTS[name](**kwargs) for name, kwargs in sections.items()}
+    return orchestrator.RunConfig(space=space, **built, **run)
 
 
 def _load_config(args) -> orchestrator.RunConfig:

@@ -19,13 +19,11 @@ Adam by default or plain gradient ascent when ``use_adam`` is off. R is the
 accuracy improvement minus a shift-scaled MAdds penalty, b an optional
 exponential moving average baseline.
 
-All parameter arrays live in a ControllerParams dict in a fixed order;
-``save_params`` writes them as a little-endian binary blob (magic "AXPT",
-u32 version, then u64-length-prefixed float64 arrays in that order). Each
-array is a view into one contiguous buffer (``ControllerParams.flat``), and
-gradients use the same layout, so Adam, weight decay and batch averaging
-each run as a single vector operation. One guarded helper applies every
-update and refuses non-finite gradients.
+All parameter arrays live in a ControllerParams dict in a fixed order.
+Each array is a view into one contiguous buffer (``ControllerParams.flat``),
+and gradients use the same layout, so Adam, weight decay and batch
+averaging each run as a single vector operation. One guarded helper
+applies every update and refuses non-finite gradients.
 
 The hot path keeps the numbers of a step-by-step implementation bit for
 bit while making far fewer numpy calls:
@@ -46,7 +44,6 @@ bit while making far fewer numpy calls:
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -61,7 +58,7 @@ from .errors import (
     NumericalError,
 )
 from .evaluator import Evaluator
-from .search_space import Architecture, SpaceConfig, _validate, madds
+from .search_space import Architecture, SpaceConfig, _validate, madds, min_arch
 
 __all__ = [
     "TrainerConfig",
@@ -82,15 +79,9 @@ __all__ = [
     "reward",
     "objective_value",
     "objective_gradients",
-    "reinforce_step",
     "train",
-    "save_params",
-    "load_params",
     "write_trace",
 ]
-
-_MAGIC = b"AXPT"
-_VERSION = 1
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -162,9 +153,9 @@ def default_bucket_edges(bucket_count: int) -> tuple[float, ...]:
     return tuple(np.logspace(-3.0, 3.0, bucket_count - 1))
 
 
-@dataclass
+@dataclass(eq=False)
 class ControllerParams:
-    """Named parameter arrays in the fixed serialization order.
+    """Named parameter arrays in a fixed order.
 
     Every array is a view into one contiguous float64 buffer, ``flat``, laid
     out in the same order, so the optimizer can treat all parameters as one
@@ -213,23 +204,13 @@ class ControllerParams:
         return float(flat @ flat)
 
 
-def _onehot_length(space: SpaceConfig) -> int:
-    d_max = space.depth_choices[-1]
-    per_unit = (
-        len(space.depth_choices)
-        + d_max * (len(space.kernel_choices) + 1)
-        + d_max * (len(space.expansion_choices) + 1)
-    )
-    return space.n_units * per_unit
-
-
 def init_params(space: SpaceConfig, cfg: TrainerConfig, seed: int = 0) -> ControllerParams:
     """Fresh parameters, uniform in [-0.1, 0.1]; shapes depend only on config."""
     rng = np.random.default_rng(seed)
     n_d = len(space.depth_choices)
     n_k = len(space.kernel_choices)
     n_e = len(space.expansion_choices)
-    length = _onehot_length(space)
+    length = arch_onehot(min_arch(space), space).size
     h, eh = cfg.hidden_size, cfg.encoder_hidden
     a, s, x = cfg.arch_embed_dim, cfg.shift_embed_dim, cfg.token_embed_dim
 
@@ -324,9 +305,8 @@ def _checked_bucket(shift: float, cfg: TrainerConfig) -> int:
 
 @dataclass(frozen=True)
 class PolicyState:
-    """Embedded conditioning state plus the raw inputs it came from."""
+    """The conditioning inputs: previous architecture, shift and its bucket."""
 
-    vector: np.ndarray
     prev_arch: Architecture
     shift: float
     bucket: int
@@ -357,10 +337,10 @@ def embed_state(
     shift: float,
     cfg: TrainerConfig,
 ) -> PolicyState:
-    """Concatenate the encoded previous architecture with the shift embedding."""
+    """Validated conditioning inputs; the encoder runs with each forward pass."""
     bucket = _checked_bucket(shift, cfg)
-    enc = _encode(params.arrays, arch_onehot(prev_arch, params.space), bucket)
-    return PolicyState(vector=enc.state_vec, prev_arch=prev_arch, shift=float(shift), bucket=bucket)
+    _validate(prev_arch, params.space)
+    return PolicyState(prev_arch=prev_arch, shift=float(shift), bucket=bucket)
 
 
 @dataclass(frozen=True)
@@ -384,7 +364,7 @@ class Trajectory:
 
 @dataclass
 class TrainerState:
-    """Optimizer state carried across reinforce steps.
+    """Optimizer state carried across the updates of one training run.
 
     ``m`` and ``v`` are Adam's moments over the flat parameter vector.
     """
@@ -718,10 +698,6 @@ def _backward(
     return flat_grad
 
 
-def _rebuild_state(params: ControllerParams, traj: Trajectory, cfg: TrainerConfig) -> PolicyState:
-    return embed_state(params, traj.prev_arch, traj.shift, cfg)
-
-
 def objective_value(
     params: ControllerParams,
     traj: Trajectory,
@@ -733,7 +709,7 @@ def objective_value(
     Recomputed teacher-forced, so finite differences of this function
     validate the analytic gradients.
     """
-    pstate = _rebuild_state(params, traj, cfg)
+    pstate = embed_state(params, traj.prev_arch, traj.shift, cfg)
     rescored = score(params, pstate, traj.arch)
     value = advantage * rescored.log_prob + cfg.entropy_weight * rescored.entropy
     return value - 0.5 * cfg.weight_decay * params.l2_norm_sq()
@@ -745,7 +721,7 @@ def _trajectory_gradient(
     advantage: float,
     cfg: TrainerConfig,
 ) -> np.ndarray:
-    pstate = _rebuild_state(params, traj, cfg)
+    pstate = embed_state(params, traj.prev_arch, traj.shift, cfg)
     actions = _actions_for(traj.arch, params.space)
     return _backward(params, _forward(params, pstate, actions=actions), advantage, cfg)
 
@@ -804,22 +780,6 @@ def _advance_baseline(state: TrainerState, reward_value: float, cfg: TrainerConf
     advantage = reward_value - state.baseline
     state.baseline = cfg.baseline_decay * state.baseline + (1.0 - cfg.baseline_decay) * reward_value
     return advantage
-
-
-def reinforce_step(
-    params: ControllerParams,
-    traj: Trajectory,
-    reward_value: float,
-    cfg: TrainerConfig,
-    state: TrainerState,
-) -> tuple[ControllerParams, TrainerState]:
-    """One policy-gradient update from a single sampled trajectory.
-
-    Mutates params and state in place and returns them.
-    """
-    advantage = _advance_baseline(state, reward_value, cfg)
-    _apply_update(params, _trajectory_gradient(params, traj, advantage, cfg), cfg, state)
-    return params, state
 
 
 @dataclass(frozen=True)
@@ -893,47 +853,3 @@ def write_trace(path, rows: list[TraceRow]) -> None:
     for row in rows:
         lines.append(f"{row.iteration},{row.reward!r},{row.entropy!r},{row.madds!r}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def save_params(params: ControllerParams, path) -> None:
-    """Binary dump: magic, u32 version, then length-prefixed f64 arrays."""
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<I", _VERSION)
-    for name in params.arrays:
-        flat = np.ascontiguousarray(params.arrays[name], dtype="<f8").ravel()
-        blob += struct.pack("<Q", flat.size)
-        blob += flat.tobytes()
-    Path(path).write_bytes(bytes(blob))
-
-
-def load_params(path, space: SpaceConfig, cfg: TrainerConfig) -> ControllerParams:
-    """Read arrays back into the shapes implied by (space, cfg)."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise InvalidData(f"bad magic {raw[:4]!r} in {path}")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _VERSION:
-        raise InvalidData(f"unsupported params version {version}")
-    offset = 8
-    template = init_params(space, cfg, seed=0)
-    arrays = {}
-    for name, ref in template.arrays.items():
-        if offset + 8 > len(raw):
-            raise InvalidData(f"truncated params file {path} at array {name}")
-        (count,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        if count != ref.size:
-            raise InvalidData(
-                f"array {name} has {count} values, config implies {ref.size}"
-            )
-        end = offset + 8 * count
-        if end > len(raw):
-            raise InvalidData(f"truncated params file {path} at array {name}")
-        arrays[name] = (
-            np.frombuffer(raw[offset:end], dtype="<f8").astype(float).reshape(ref.shape)
-        )
-        offset = end
-    if offset != len(raw):
-        raise InvalidData(f"{len(raw) - offset} trailing bytes in {path}")
-    return ControllerParams(space=space, arrays=arrays)

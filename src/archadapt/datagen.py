@@ -55,7 +55,7 @@ class SnapshotMeta:
     max_classes: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Snapshot:
     features: np.ndarray
     labels: np.ndarray | None

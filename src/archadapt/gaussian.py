@@ -41,7 +41,7 @@ _PD_RTOL = 1e-14
 _LN2 = float(np.log(2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianSummary:
     """Mean, covariance and sample count of a fitted Gaussian.
 

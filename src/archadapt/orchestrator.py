@@ -93,12 +93,6 @@ def _fit_snapshots(snapshots: list[Snapshot], feature_extractor):
     return [fit_gaussian(feature_extractor(snap)) for snap in snapshots]
 
 
-def _consecutive_shifts(fits) -> list[float]:
-    return [
-        wasserstein2_gaussian(fits[i], fits[i - 1]) for i in range(1, len(fits))
-    ]
-
-
 def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> TrainerConfig:
     """Fill in bucket edges, log-spaced over the observed shift range."""
     if trainer.bucket_edges is not None or trainer.bucket_count < 2:
@@ -113,11 +107,27 @@ def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> Trainer
     return replace(trainer, bucket_edges=tuple(edges))
 
 
-def _bootstrap_arch(cfg: RunConfig, meta):
+def _setup(cfg: RunConfig, feature_extractor):
+    """What every run over the plan starts from.
+
+    Returns the snapshots, the consecutive shifts, the trainer config with
+    its bucket edges resolved, the evaluator, the bootstrap architecture
+    and the initial controller params.
+    """
+    plan = cfg.plan
+    if plan.n_steps < 2:
+        raise InvalidConfig("growth plan needs at least two steps to adapt over")
+    snapshots = [gen_snapshot(plan, i) for i in range(plan.n_steps)]
+    fits = _fit_snapshots(snapshots, feature_extractor)
+    shifts = [wasserstein2_gaussian(fits[i], fits[i - 1]) for i in range(1, len(fits))]
+    trainer = resolve_bucket_edges(cfg.trainer, shifts)
+    evaluate = make_evaluator(cfg.surrogate, cfg.space)
     if cfg.initial_arch == "oracle":
-        arch, _, _ = oracle_best(cfg.space, meta, cfg.surrogate)
-        return arch
-    return decode(cfg.initial_arch, cfg.space)
+        arch, _, _ = oracle_best(cfg.space, snapshots[0].meta, cfg.surrogate)
+    else:
+        arch = decode(cfg.initial_arch, cfg.space)
+    params = init_params(cfg.space, trainer, seed=derive_seed(cfg.master_seed, 0, "init"))
+    return snapshots, shifts, trainer, evaluate, arch, params
 
 
 def run_adaptation(
@@ -130,20 +140,9 @@ def run_adaptation(
     Deterministic given the config and master seed. When out_dir is given,
     writes records.json, per-step trace CSVs, and timings.json there.
     """
-    plan = cfg.plan
-    if plan.n_steps < 2:
-        raise InvalidConfig("growth plan needs at least two steps to adapt over")
-    snapshots = [gen_snapshot(plan, i) for i in range(plan.n_steps)]
-    fits = _fit_snapshots(snapshots, feature_extractor)
-    shifts = _consecutive_shifts(fits)
-    trainer = resolve_bucket_edges(cfg.trainer, shifts)
-
-    evaluate = make_evaluator(cfg.surrogate, cfg.space)
-    arch = _bootstrap_arch(cfg, snapshots[0].meta)
-    params = init_params(cfg.space, trainer, seed=derive_seed(cfg.master_seed, 0, "init"))
-
+    snapshots, shifts, trainer, evaluate, arch, params = _setup(cfg, feature_extractor)
     records: list[AdaptationRecord] = []
-    for i in range(1, plan.n_steps):
+    for i in range(1, cfg.plan.n_steps):
         prev_meta = snapshots[i - 1].meta
         cur_meta = snapshots[i].meta
         shift = shifts[i - 1]
@@ -262,17 +261,9 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
     the identical task; only the cost penalty differs. Returns one row per
     lambda with the greedy architecture, its V, and its MAdds.
     """
-    plan = cfg.plan
-    if plan.n_steps < 2:
-        raise InvalidConfig("lambda sweep needs a plan with at least two steps")
-    snapshots = [gen_snapshot(plan, i) for i in range(plan.n_steps)]
-    fits = _fit_snapshots(snapshots, default_feature_extractor)
-    shifts = _consecutive_shifts(fits)
-    trainer = resolve_bucket_edges(cfg.trainer, shifts)
-    evaluate = make_evaluator(cfg.surrogate, cfg.space)
-
-    arch = _bootstrap_arch(cfg, snapshots[0].meta)
-    base_params = init_params(cfg.space, trainer, seed=derive_seed(cfg.master_seed, 0, "init"))
+    snapshots, shifts, trainer, evaluate, arch, base_params = _setup(
+        cfg, default_feature_extractor
+    )
     shift = shifts[0]
     cur_meta = snapshots[1].meta
     train_seed = derive_seed(cfg.master_seed, 1, "train")

@@ -1,12 +1,23 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
 
 import archadapt as aa
-from archadapt.cli import main
+from archadapt.cli import (
+    CONFIG_KEYS,
+    _parse_bool,
+    _parse_floats,
+    _parse_ints,
+    _parse_scenario,
+    build_run_config,
+    main,
+    parse_config_file,
+)
 
 FAST_CONFIG = """\
 # toy setup small enough for test runtime
@@ -191,6 +202,7 @@ class TestErrors:
                      "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert "plan.steps" in err
+        assert "bad.cfg:2" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["adapt", "--config", str(tmp_path / "none.cfg"),
@@ -201,3 +213,161 @@ class TestErrors:
         assert main(["adapt", "--config", str(config_file),
                      "--set", "plan.scenario=shrink",
                      "--out", str(tmp_path / "x")]) == 1
+
+    def test_bad_set_value_names_key(self, tmp_path, config_file, capsys):
+        assert main(["adapt", "--config", str(config_file),
+                     "--set", "trainer.use_adam=maybe",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "--set: config key trainer.use_adam" in err
+
+    def test_trainer_seed_is_not_settable(self, tmp_path, config_file, capsys):
+        # Every adapted step trains with a seed derived from the master seed.
+        assert main(["adapt", "--config", str(config_file),
+                     "--set", "trainer.seed=12345",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "unknown config key 'trainer.seed'" in capsys.readouterr().err
+
+    def test_bad_initial_arch_is_config_error(self, tmp_path, config_file, capsys):
+        out = tmp_path / "x"
+        assert main(["adapt", "--config", str(config_file),
+                     "--set", "run.initial_arch=k3e3,k3e3",
+                     "--out", str(out)]) == 1
+        assert "run.initial_arch" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_reference_arch_is_config_error(self, tmp_path):
+        path = tmp_path / "ref.cfg"
+        path.write_text(BASE_CONFIG + "surrogate.reference_arch = k9e3,k3e3\n")
+        with pytest.raises(aa.InvalidConfig, match="surrogate.reference_arch"):
+            build_run_config(parse_config_file(path))
+
+
+# The table the keys were once kept in by hand: key order and parsers.
+HAND_TABLE = [
+    ("plan.scenario", _parse_scenario),
+    ("plan.steps", _parse_floats),
+    ("plan.feature_dim", int),
+    ("plan.sigma", float),
+    ("plan.seed", int),
+    ("plan.base_samples", int),
+    ("plan.n_classes", int),
+    ("plan.max_classes", int),
+    ("plan.proto_radius", float),
+    ("space.n_units", int),
+    ("space.depth_choices", _parse_ints),
+    ("space.kernel_choices", _parse_ints),
+    ("space.expansion_choices", _parse_ints),
+    ("space.input_resolution", int),
+    ("space.stem_channels", int),
+    ("space.unit_out_channels", _parse_ints),
+    ("space.unit_strides", _parse_ints),
+    ("surrogate.peak_height", float),
+    ("surrogate.floor", float),
+    ("surrogate.bump_width", float),
+    ("surrogate.opt_intercept", float),
+    ("surrogate.opt_slope", float),
+    ("surrogate.depth_penalty", float),
+    ("surrogate.reference_arch", str),
+    ("gate.epsilon", float),
+    ("trainer.learning_rate", float),
+    ("trainer.weight_decay", float),
+    ("trainer.iterations", int),
+    ("trainer.entropy_weight", float),
+    ("trainer.lam", float),
+    ("trainer.baseline_decay", float),
+    ("trainer.use_baseline", _parse_bool),
+    ("trainer.use_adam", _parse_bool),
+    ("trainer.batch_size", int),
+    ("trainer.bucket_count", int),
+    ("trainer.bucket_edges", _parse_floats),
+    ("trainer.hidden_size", int),
+    ("trainer.encoder_hidden", int),
+    ("trainer.arch_embed_dim", int),
+    ("trainer.shift_embed_dim", int),
+    ("trainer.token_embed_dim", int),
+    ("run.initial_arch", str),
+    ("run.master_seed", int),
+]
+
+BASE_CONFIG = "plan.scenario = class_growth\nplan.steps = 1,1\n"
+MIN_ARCH = "k3e3,k3e3;k3e3,k3e3;k3e3,k3e3;k3e3,k3e3;k3e3,k3e3"
+
+# key -> (text, value it must land as, extra lines the value needs)
+SETTINGS = {
+    "plan.scenario": ("volume", aa.VOLUME_GROWTH),
+    "plan.steps": ("1,2", (1, 2)),
+    "plan.feature_dim": ("3", 3),
+    "plan.sigma": ("0.5", 0.5),
+    "plan.seed": ("7", 7),
+    "plan.base_samples": ("50", 50),
+    "plan.n_classes": ("4", 4),
+    "plan.max_classes": ("20", 20),
+    "plan.proto_radius": ("2.5", 2.5),
+    "space.n_units": ("2", 2, "space.unit_out_channels = 16,24\nspace.unit_strides = 2,2"),
+    "space.depth_choices": ("1,2", (1, 2)),
+    "space.kernel_choices": ("3", (3,)),
+    "space.expansion_choices": ("2,4", (2, 4)),
+    "space.input_resolution": ("64", 64),
+    "space.stem_channels": ("8", 8),
+    "space.unit_out_channels": ("8,16,32,64,128", (8, 16, 32, 64, 128)),
+    "space.unit_strides": ("2,2,2,2,2", (2, 2, 2, 2, 2)),
+    "surrogate.peak_height": ("0.3", 0.3),
+    "surrogate.floor": ("0.4", 0.4),
+    "surrogate.bump_width": ("0.2", 0.2),
+    "surrogate.opt_intercept": ("0.5", 0.5),
+    "surrogate.opt_slope": ("0.5", 0.5),
+    "surrogate.depth_penalty": ("0.01", 0.01),
+    "surrogate.reference_arch": (MIN_ARCH, aa.min_arch(aa.SpaceConfig())),
+    "gate.epsilon": ("0.5", 0.5),
+    "trainer.learning_rate": ("0.01", 0.01),
+    "trainer.weight_decay": ("0.001", 0.001),
+    "trainer.iterations": ("10", 10),
+    "trainer.entropy_weight": ("0.001", 0.001),
+    "trainer.lam": ("0.5", 0.5),
+    "trainer.baseline_decay": ("0.5", 0.5),
+    "trainer.use_baseline": ("false", False),
+    "trainer.use_adam": ("no", False),
+    "trainer.batch_size": ("2", 2),
+    "trainer.bucket_count": ("3", 3),
+    "trainer.bucket_edges": ("1,2,3,4,5,6,7", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),
+    "trainer.hidden_size": ("8", 8),
+    "trainer.encoder_hidden": ("8", 8),
+    "trainer.arch_embed_dim": ("4", 4),
+    "trainer.shift_embed_dim": ("4", 4),
+    "trainer.token_embed_dim": ("4", 4),
+    "run.initial_arch": (MIN_ARCH, MIN_ARCH),
+    "run.master_seed": ("7", 7),
+}
+
+
+def _field(cfg, key):
+    section, name, _ = CONFIG_KEYS[key]
+    return getattr(cfg if section == "run" else getattr(cfg, section), name)
+
+
+class TestConfigKeys:
+    def test_matches_the_hand_table(self):
+        assert [(key, parser) for key, (_, _, parser) in CONFIG_KEYS.items()] == HAND_TABLE
+        for key, (section, name, _) in CONFIG_KEYS.items():
+            assert key == f"{section}.{name}"
+
+    def test_keys_are_the_leaf_fields_but_the_train_seed(self):
+        hints = typing.get_type_hints(aa.RunConfig)
+        leaves = set()
+        for f in dataclasses.fields(aa.RunConfig):
+            if dataclasses.is_dataclass(hints[f.name]):
+                leaves |= {f"{f.name}.{g.name}" for g in dataclasses.fields(hints[f.name])}
+            else:
+                leaves.add(f"run.{f.name}")
+        assert set(CONFIG_KEYS) == leaves - {"trainer.seed"}
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_value_lands_in_its_field(self, key, tmp_path):
+        text, expected, *extra = SETTINGS[key]
+        base = tmp_path / "base.cfg"
+        base.write_text(BASE_CONFIG)
+        path = tmp_path / "set.cfg"
+        path.write_text(BASE_CONFIG + "\n".join([f"{key} = {text}", *extra]) + "\n")
+        assert _field(build_run_config(parse_config_file(base)), key) != expected
+        assert _field(build_run_config(parse_config_file(path)), key) == expected

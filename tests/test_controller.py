@@ -1,4 +1,4 @@
-"""Tests for the policy controller: sampling, gradients, update, storage."""
+"""Tests for the policy controller: sampling, gradients, updates, training."""
 
 import dataclasses
 import itertools
@@ -10,12 +10,12 @@ import archadapt as aa
 from archadapt.controller import (
     TrainerConfig,
     TrainerState,
+    _advance_baseline,
     arch_onehot,
     bucket_index,
     default_bucket_edges,
     objective_gradients,
     objective_value,
-    reinforce_step,
     write_trace,
 )
 from archadapt.datagen import SnapshotMeta
@@ -36,6 +36,39 @@ SMALL_CFG = TrainerConfig(hidden_size=16, encoder_hidden=16, arch_embed_dim=8,
 
 def _pstate(params, cfg, space=TOY, shift=1.0):
     return aa.embed_state(params, aa.min_arch(space), shift, cfg)
+
+
+def _toy_meta():
+    return SnapshotMeta(t=1, n_classes=1, n_samples=500,
+                        volume_fraction=1.0, max_classes=4)
+
+
+def _check_ascent_step(batch_size, **overrides):
+    """One plain-ascent iteration without a baseline moves the parameters by
+    lr times the mean of the sampled trajectories' gradients, each taken at
+    its own reward. Returns those gradients."""
+    meta = _toy_meta()
+    evaluate = aa.make_evaluator(
+        aa.SurrogateConfig(bump_width=0.3, opt_intercept=0.85, depth_penalty=0.05), TOY)
+    cfg = dataclasses.replace(SMALL_CFG, iterations=1, batch_size=batch_size, lam=0.01,
+                              use_baseline=False, use_adam=False,
+                              learning_rate=0.05, seed=4, **overrides)
+    prev = aa.min_arch(TOY)
+    params = aa.init_params(TOY, cfg, seed=4)
+    pstate = aa.embed_state(params, prev, 1.0, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    grads = []
+    for _ in range(batch_size):
+        traj = aa.sample(params, pstate, rng)
+        r = aa.reward(evaluate(traj.arch, meta), evaluate(prev, meta),
+                      aa.madds(traj.arch, TOY), aa.madds(prev, TOY), cfg.lam, 1.0)
+        grads.append(objective_gradients(params, traj, r, cfg))
+    before = {k: v.copy() for k, v in params.arrays.items()}
+    updated, _ = aa.train(params, prev, 1.0, meta, evaluate, cfg)
+    for key in before:
+        expected = before[key] + cfg.learning_rate * sum(g[key] for g in grads) / batch_size
+        assert np.allclose(updated.arrays[key], expected, rtol=0, atol=1e-15), key
+    return grads
 
 
 class TestReward:
@@ -234,21 +267,20 @@ class TestGradients:
         self._fd_check(TOY, cfg, seed=2, arch=arch)
 
     def test_rejects_nonfinite_reward(self):
-        params = aa.init_params(TINY, SMALL_CFG, seed=0)
-        pstate = aa.embed_state(params, aa.min_arch(TINY), 1.0, SMALL_CFG)
-        traj = aa.sample(params, pstate, np.random.default_rng(0))
+        cfg = dataclasses.replace(SMALL_CFG, iterations=2)
+        params = aa.init_params(TINY, cfg, seed=0)
+        before = params.flat.copy()
         with pytest.raises(aa.NumericalError):
-            reinforce_step(params, traj, float("nan"), SMALL_CFG,
-                           TrainerState())
+            aa.train(params, aa.min_arch(TINY), 1.0, _toy_meta(),
+                     lambda arch, meta: float("nan"), cfg)
+        assert np.array_equal(params.flat, before)
 
 
 class TestNonFinite:
     def _fixture(self):
-        meta = SnapshotMeta(t=1, n_classes=1, n_samples=500,
-                            volume_fraction=1.0, max_classes=4)
         evaluate = aa.make_evaluator(aa.SurrogateConfig(), TOY)
         cfg = dataclasses.replace(SMALL_CFG, iterations=3, seed=0)
-        return meta, evaluate, cfg
+        return _toy_meta(), evaluate, cfg
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_sampler_rejects_infinite_logit(self):
@@ -280,67 +312,41 @@ class TestNonFinite:
             aa.train(params, aa.min_arch(TOY), 1.0, meta, evaluate, cfg)
         assert np.array_equal(params.flat, before)
 
-    def test_reinforce_step_rejects_nonfinite_gradient(self):
-        params = aa.init_params(TINY, SMALL_CFG, seed=0)
-        pstate = aa.embed_state(params, aa.min_arch(TINY), 1.0, SMALL_CFG)
-        traj = aa.sample(params, pstate, np.random.default_rng(0))
-        unused = (bucket_index(1.0, SMALL_CFG) + 1) % SMALL_CFG.bucket_count
-        params.arrays["shift_emb"][unused, 0] = np.inf
-        with pytest.raises(aa.NumericalError):
-            reinforce_step(params, traj, 1.0, SMALL_CFG, TrainerState())
-
 
 class TestUpdates:
     def test_zero_advantage_no_entropy_no_decay_is_identity(self):
+        # A constant evaluator with lam 0 gives reward 0 for every sample.
         cfg = dataclasses.replace(SMALL_CFG, entropy_weight=0.0,
                                   weight_decay=0.0, use_baseline=False,
-                                  use_adam=False)
+                                  use_adam=False, lam=0.0, iterations=3)
         params = aa.init_params(TINY, cfg, seed=2)
-        pstate = aa.embed_state(params, aa.min_arch(TINY), 1.0, cfg)
-        traj = aa.sample(params, pstate, np.random.default_rng(2))
-        before = {k: v.copy() for k, v in params.arrays.items()}
-        updated, _ = reinforce_step(params, traj, 0.0, cfg, TrainerState())
-        for key in before:
-            assert np.array_equal(updated.arrays[key], before[key])
+        before = params.flat.copy()
+        updated, _ = aa.train(params, aa.min_arch(TINY), 1.0, _toy_meta(),
+                              lambda arch, meta: 0.7, cfg)
+        assert np.array_equal(updated.flat, before)
 
     def test_plain_sgd_matches_closed_form(self):
-        # With the baseline and the adaptive rule disabled, the update is
-        # exactly lr * R * grad(log pi) (plus nothing else when entropy
-        # and weight decay are off).
-        cfg = dataclasses.replace(SMALL_CFG, entropy_weight=0.0,
-                                  weight_decay=0.0, use_baseline=False,
-                                  use_adam=False, learning_rate=0.01)
-        params = aa.init_params(TINY, cfg, seed=4)
-        pstate = aa.embed_state(params, aa.min_arch(TINY), 1.0, cfg)
-        traj = aa.sample(params, pstate, np.random.default_rng(4))
-        r = 0.8
-        grads = objective_gradients(params, traj, r, cfg)
-        before = {k: v.copy() for k, v in params.arrays.items()}
-        updated, _ = reinforce_step(params, traj, r, cfg, TrainerState())
-        for key in before:
-            assert np.allclose(updated.arrays[key],
-                               before[key] + 0.01 * grads[key],
-                               rtol=0, atol=1e-15)
+        # With the baseline, the adaptive rule, entropy and weight decay off,
+        # one sample moves the parameters by exactly lr * R * grad(log pi).
+        _check_ascent_step(1, entropy_weight=0.0, weight_decay=0.0)
 
     def test_baseline_ema(self):
         cfg = dataclasses.replace(SMALL_CFG, baseline_decay=0.9)
-        params = aa.init_params(TINY, cfg, seed=5)
-        pstate = aa.embed_state(params, aa.min_arch(TINY), 1.0, cfg)
-        traj = aa.sample(params, pstate, np.random.default_rng(5))
         state = TrainerState()
-        _, state = reinforce_step(params, traj, 1.0, cfg, state)
+        assert _advance_baseline(state, 1.0, cfg) == 0.0
         assert state.baseline == pytest.approx(1.0)  # init to first reward
-        _, state = reinforce_step(params, traj, 0.0, cfg, state)
+        assert _advance_baseline(state, 0.0, cfg) == pytest.approx(-1.0)
         assert state.baseline == pytest.approx(0.9 * 1.0 + 0.1 * 0.0)
+        no_baseline = dataclasses.replace(cfg, use_baseline=False)
+        assert _advance_baseline(state, 0.25, no_baseline) == 0.25
+        assert state.baseline == pytest.approx(0.9)
 
 
 class TestTrain:
     def _fixture(self):
-        meta = SnapshotMeta(t=1, n_classes=1, n_samples=500,
-                            volume_fraction=1.0, max_classes=4)
         scfg = aa.SurrogateConfig(bump_width=0.3, opt_intercept=0.85,
                                   depth_penalty=0.05)
-        return meta, aa.make_evaluator(scfg, TOY)
+        return _toy_meta(), aa.make_evaluator(scfg, TOY)
 
     def test_single_iteration_single_update(self):
         meta, evaluate = self._fixture()
@@ -390,39 +396,20 @@ class TestTrain:
         assert [r.reward for r in t1] == [r.reward for r in t2]
 
     def test_batch_applies_mean_gradient(self):
-        # Plain ascent without a baseline: one iteration of batch 2 moves
-        # the parameters by lr times the mean of the two trajectories'
-        # gradients, each taken at its own reward.
-        meta, evaluate = self._fixture()
-        cfg = dataclasses.replace(SMALL_CFG, iterations=1, batch_size=2, lam=0.01,
-                                  use_baseline=False, use_adam=False,
-                                  learning_rate=0.05, seed=4)
-        prev = aa.min_arch(TOY)
-        params = aa.init_params(TOY, cfg, seed=4)
-        pstate = aa.embed_state(params, prev, 1.0, cfg)
-        rng = np.random.default_rng(cfg.seed)
-        grads = []
-        for traj in (aa.sample(params, pstate, rng), aa.sample(params, pstate, rng)):
-            r = aa.reward(evaluate(traj.arch, meta), evaluate(prev, meta),
-                          aa.madds(traj.arch, TOY), aa.madds(prev, TOY), cfg.lam, 1.0)
-            grads.append(objective_gradients(params, traj, r, cfg))
+        grads = _check_ascent_step(2)
         assert any(not np.allclose(grads[0][k], grads[1][k]) for k in grads[0])
-        before = {k: v.copy() for k, v in params.arrays.items()}
-        updated, _ = aa.train(params, prev, 1.0, meta, evaluate, cfg)
-        for key in before:
-            expected = before[key] + cfg.learning_rate * (grads[0][key] + grads[1][key]) / 2
-            assert np.allclose(updated.arrays[key], expected, rtol=0, atol=1e-15), key
 
     def test_shift_conditions_policy(self):
         # Different observed shifts land in different buckets and must
-        # produce different policy state vectors.
+        # produce different policies.
         params = aa.init_params(TOY, SMALL_CFG, seed=6)
         cfg = dataclasses.replace(
             SMALL_CFG, bucket_edges=tuple(np.logspace(-2, 2, 7)))
         near = aa.embed_state(params, aa.min_arch(TOY), 0.005, cfg)
         far = aa.embed_state(params, aa.min_arch(TOY), 50.0, cfg)
         assert near.bucket != far.bucket
-        assert not np.array_equal(near.vector, far.vector)
+        arch = aa.min_arch(TOY)
+        assert aa.score(params, near, arch).log_prob != aa.score(params, far, arch).log_prob
 
 
 class TestArchEncoding:
@@ -479,13 +466,19 @@ class TestFlatBuffer:
         assert params.flat.any()
         assert not np.shares_memory(params.flat, other.flat)
 
+    def test_equality_is_a_bool(self):
+        # Array fields make field-wise == ambiguous, so params compare by
+        # identity; a policy state holds no arrays and compares by value.
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        assert (params == params.copy()) is False
+        assert (params == params) is True
+        assert _pstate(params, SMALL_CFG) == _pstate(params.copy(), SMALL_CFG)
+
 
 class TestTraceFile:
     def test_write_trace_format(self, tmp_path):
-        meta = SnapshotMeta(t=1, n_classes=1, n_samples=500,
-                            volume_fraction=1.0, max_classes=4)
-        scfg = aa.SurrogateConfig()
-        evaluate = aa.make_evaluator(scfg, TOY)
+        meta = _toy_meta()
+        evaluate = aa.make_evaluator(aa.SurrogateConfig(), TOY)
         cfg = dataclasses.replace(SMALL_CFG, iterations=3, seed=0)
         params = aa.init_params(TOY, cfg, seed=0)
         _, trace = aa.train(params, aa.min_arch(TOY), 1.0, meta, evaluate, cfg)
@@ -494,49 +487,3 @@ class TestTraceFile:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,reward,entropy,madds"
         assert len(lines) == 4
-
-
-class TestStorage:
-    def test_round_trip(self, tmp_path):
-        params = aa.init_params(TOY, SMALL_CFG, seed=8)
-        path = tmp_path / "params.bin"
-        aa.save_params(params, path)
-        back = aa.load_params(path, TOY, SMALL_CFG)
-        assert set(back.arrays) == set(params.arrays)
-        for key in params.arrays:
-            assert np.array_equal(back.arrays[key], params.arrays[key])
-
-    def test_bad_magic(self, tmp_path):
-        params = aa.init_params(TOY, SMALL_CFG, seed=8)
-        path = tmp_path / "params.bin"
-        aa.save_params(params, path)
-        blob = bytearray(path.read_bytes())
-        blob[:4] = b"NOPE"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(aa.InvalidData):
-            aa.load_params(path, TOY, SMALL_CFG)
-
-    def test_truncated(self, tmp_path):
-        params = aa.init_params(TOY, SMALL_CFG, seed=8)
-        path = tmp_path / "params.bin"
-        aa.save_params(params, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 16])
-        with pytest.raises(aa.InvalidData):
-            aa.load_params(path, TOY, SMALL_CFG)
-
-    def test_trailing_garbage(self, tmp_path):
-        params = aa.init_params(TOY, SMALL_CFG, seed=8)
-        path = tmp_path / "params.bin"
-        aa.save_params(params, path)
-        path.write_bytes(path.read_bytes() + b"extra")
-        with pytest.raises(aa.InvalidData):
-            aa.load_params(path, TOY, SMALL_CFG)
-
-    def test_shape_mismatch(self, tmp_path):
-        params = aa.init_params(TOY, SMALL_CFG, seed=8)
-        path = tmp_path / "params.bin"
-        aa.save_params(params, path)
-        other = dataclasses.replace(SMALL_CFG, hidden_size=32)
-        with pytest.raises(aa.InvalidData):
-            aa.load_params(path, TOY, other)

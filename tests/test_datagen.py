@@ -127,6 +127,14 @@ class TestDeterminism:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
+    def test_equality_is_a_bool(self):
+        # Array fields make field-wise == ambiguous, so snapshots compare
+        # by identity.
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4), seed=7)
+        a = aa.gen_snapshot(plan, 1)
+        assert (a == aa.gen_snapshot(plan, 1)) is False
+        assert (a == a) is True
+
 
 class TestPlanValidation:
     def test_unknown_scenario(self):

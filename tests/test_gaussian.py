@@ -24,6 +24,14 @@ class TestFit:
         assert np.allclose(g.cov, centered.T @ centered / 50)
         assert g.n_samples == 50
 
+    def test_equality_is_a_bool(self):
+        # Array fields make field-wise == ambiguous, so summaries compare
+        # by identity.
+        g = aa.fit_gaussian(np.random.default_rng(0).normal(size=(20, 2)))
+        copy = aa.GaussianSummary(mean=g.mean.copy(), cov=g.cov.copy(), n_samples=g.n_samples)
+        assert (g == copy) is False
+        assert (g == g) is True
+
     def test_default_ridge_scales_with_trace(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(40, 4))
