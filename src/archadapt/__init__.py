@@ -55,7 +55,6 @@ from .gaussian import (
     GaussianSummary,
     fit_gaussian,
     js_divergence_mc,
-    kl_gaussian,
     load_features_csv,
     save_features_csv,
     sqrt_spd,
@@ -81,7 +80,6 @@ from .search_space import (
     madds,
     max_arch,
     min_arch,
-    random_arch,
     space_size,
 )
 

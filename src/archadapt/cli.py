@@ -145,11 +145,12 @@ def _apply_sets(values: dict, sets: list[str]) -> dict:
     return values
 
 
-def _decode(key: str, text: str, space: SpaceConfig):
+def _checked(source: str, error: type[Exception], convert, *values):
+    """convert(*values); a library error is re-raised as error, naming its source."""
     try:
-        return decode(text, space)
+        return convert(*values)
     except ArchAdaptError as exc:
-        raise InvalidConfig(f"config key {key}: {exc}") from exc
+        raise error(f"{source}: {exc}") from exc
 
 
 def build_run_config(values: dict, seed: int | None = None) -> orchestrator.RunConfig:
@@ -167,11 +168,12 @@ def build_run_config(values: dict, seed: int | None = None) -> orchestrator.RunC
     space = SpaceConfig(**sections.pop("space", {}))
     surrogate = sections.get("surrogate", {})
     if "reference_arch" in surrogate:
-        surrogate["reference_arch"] = _decode(
-            "surrogate.reference_arch", surrogate["reference_arch"], space
+        surrogate["reference_arch"] = _checked(
+            "config key surrogate.reference_arch", InvalidConfig,
+            decode, surrogate["reference_arch"], space,
         )
     if run.get("initial_arch", "oracle") != "oracle":
-        _decode("run.initial_arch", run["initial_arch"], space)
+        _checked("config key run.initial_arch", InvalidConfig, decode, run["initial_arch"], space)
     built = {name: _RUN_HINTS[name](**kwargs) for name, kwargs in sections.items()}
     return orchestrator.RunConfig(space=space, **built, **run)
 
@@ -219,7 +221,7 @@ def _cmd_gate(args) -> int:
     cur_snap = load_snapshot(args.cur)
     evaluate = make_evaluator(cfg.surrogate, cfg.space)
     if args.arch:
-        arch = decode(args.arch, cfg.space)
+        arch = _checked("--arch", _UsageError, decode, args.arch, cfg.space)
     else:
         arch, _, _ = oracle_best(cfg.space, prev_snap.meta, cfg.surrogate)
     drop = accuracy_drop(arch, prev_snap.meta, cur_snap.meta, evaluate)
@@ -242,7 +244,7 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _load_config(args)
-    snap = gen_snapshot(cfg.plan, args.step)
+    snap = _checked("--step", _UsageError, gen_snapshot, cfg.plan, args.step)
     arch, v, cost = oracle_best(
         cfg.space, snap.meta, cfg.surrogate, lam=args.lam, shift=args.shift
     )

@@ -44,7 +44,7 @@ bit while making far fewer numpy calls:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -246,29 +246,13 @@ def init_params(space: SpaceConfig, cfg: TrainerConfig, seed: int = 0) -> Contro
     return ControllerParams(space=space, arrays=arrays)
 
 
-def _actions_for(arch: Architecture, space: SpaceConfig) -> list[int]:
-    """Choice-index sequence that deterministically reproduces arch.
-
-    Per unit: the depth index, then kernel and expansion index per layer.
-    Raises what decode raises for the same architecture: ShapeError for a
-    wrong unit count, InvalidToken for a choice outside its set.
-    """
-    _validate(arch, space)
-    actions = []
-    for unit in arch.units:
-        actions.append(space.depth_choices.index(len(unit)))
-        for k, e in unit:
-            actions += (space.kernel_choices.index(k), space.expansion_choices.index(e))
-    return actions
-
-
 def arch_onehot(arch: Architecture, space: SpaceConfig) -> np.ndarray:
     """Flat one-hot token encoding; absent layers use an explicit off slot.
 
     Per unit: a depth one-hot, then for each of the d_max layer slots a
     kernel one-hot and an expansion one-hot, each with a trailing off slot.
     """
-    actions = iter(_actions_for(arch, space))
+    actions = iter(_validate(arch, space))
     n_d, n_k, n_e = (
         len(space.depth_choices),
         len(space.kernel_choices),
@@ -345,7 +329,6 @@ def embed_state(
 
 @dataclass(frozen=True)
 class Decision:
-    decision_id: str
     kind: str
     choice: int
     log_prob: float
@@ -382,8 +365,6 @@ def _softmax_logprobs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _KINDS = ("depth", "kernel", "expansion")
-_KIND_HEAD = {"depth": "head_depth", "kernel": "head_kernel", "expansion": "head_expansion"}
-_KIND_EMB = {"depth": "depth_emb", "kernel": "kernel_emb", "expansion": "expansion_emb"}
 
 
 def _fused_gates(p: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -449,11 +430,10 @@ def _rollout(
     w, u, b = gates
     hid = enc.h0.size
     b_rz, b_n = b[: 2 * hid], b[2 * hid :]
-    heads = {k: (p[_KIND_HEAD[k] + "_w"], p[_KIND_HEAD[k] + "_b"]) for k in _KINDS}
-    choice_sets = {
-        "depth": space.depth_choices,
-        "kernel": space.kernel_choices,
-        "expansion": space.expansion_choices,
+    # Per kind: its head weights and bias, token embeddings and choice values.
+    kinds = {
+        k: (p[f"head_{k}_w"], p[f"head_{k}_b"], p[f"{k}_emb"], getattr(space, f"{k}_choices"))
+        for k in _KINDS
     }
     exp, tanh, add = np.exp, np.tanh, np.add
     out = _Rollout(enc)
@@ -475,7 +455,7 @@ def _rollout(
         n = tanh(wx[1] + rz[:hid] * unh + b_n)
         h = (1.0 - z) * h_prev + z * n
 
-        head_w, head_b = heads[kind]
+        head_w, head_b, emb, choice_values = kinds[kind]
         logits = head_w @ h + head_b
         probs, logp = _softmax_logprobs(logits)
         entropy = -float(add.reduce(probs * logp))
@@ -495,9 +475,9 @@ def _rollout(
         out.steps.append(
             _Step(kind, choice, float(logp[choice]), entropy, source, x, rz, n, unh, h, probs, logp)
         )
-        x = p[_KIND_EMB[kind]][choice]
+        x = emb[choice]
         source = (kind, choice)
-        return choice_sets[kind][choice]
+        return choice_values[choice]
 
     for _ in range(space.n_units):
         depth = consume("depth")
@@ -519,14 +499,8 @@ def _forward(
 
 
 def _make_trajectory(roll: _Rollout, pstate: PolicyState) -> Trajectory:
-    ids = []
-    for u, unit in enumerate(roll.units):
-        ids.append(f"u{u}.depth")
-        for layer in range(len(unit)):
-            ids += [f"u{u}.l{layer}.kernel", f"u{u}.l{layer}.expansion"]
     decisions = tuple(
-        Decision(did, step.kind, step.choice, step.log_prob, step.entropy)
-        for did, step in zip(ids, roll.steps)
+        Decision(step.kind, step.choice, step.log_prob, step.entropy) for step in roll.steps
     )
     return Trajectory(
         arch=Architecture(units=tuple(roll.units)),
@@ -545,7 +519,7 @@ def sample(params: ControllerParams, pstate: PolicyState, rng: np.random.Generat
 
 def score(params: ControllerParams, pstate: PolicyState, arch: Architecture) -> Trajectory:
     """Teacher-forced log-probability of producing a given architecture."""
-    actions = _actions_for(arch, params.space)
+    actions = _validate(arch, params.space)
     traj = _make_trajectory(_forward(params, pstate, actions=actions), pstate)
     assert traj.arch == arch
     return traj
@@ -625,10 +599,9 @@ def _backward(
             logp = np.array([newest_first.logp[i] for i in rows])
             entropy = np.array([newest_first.entropy[i] for i in rows])
             dlogits += we * (-probs * (logp + entropy[:, None]))
-        head = _KIND_HEAD[kind]
-        g[head + "_w"][...] = _outer_sum(dlogits, hs[rows])
-        g[head + "_b"][...] = dlogits.sum(axis=0)
-        dhead[rows] = _matvecs(p[head + "_w"].T, dlogits)
+        g[f"head_{kind}_w"][...] = _outer_sum(dlogits, hs[rows])
+        g[f"head_{kind}_b"][...] = dlogits.sum(axis=0)
+        dhead[rows] = _matvecs(p[f"head_{kind}_w"].T, dlogits)
 
     hid = hs.shape[1]
     rz = np.array(newest_first.rz)
@@ -676,7 +649,7 @@ def _backward(
     for kind in _KINDS:
         rows = [i for i, (k, _) in enumerate(sources) if k == kind]
         if rows:
-            np.add.at(g[_KIND_EMB[kind]], [sources[i][1] for i in rows], dx[rows])
+            np.add.at(g[f"{kind}_emb"], [sources[i][1] for i in rows], dx[rows])
 
     # into the initial state projection and the encoder
     dh0pre = dh_next * (1.0 - enc.h0 * enc.h0)
@@ -722,7 +695,7 @@ def _trajectory_gradient(
     cfg: TrainerConfig,
 ) -> np.ndarray:
     pstate = embed_state(params, traj.prev_arch, traj.shift, cfg)
-    actions = _actions_for(traj.arch, params.space)
+    actions = _validate(traj.arch, params.space)
     return _backward(params, _forward(params, pstate, actions=actions), advantage, cfg)
 
 
@@ -849,7 +822,8 @@ def train(
 
 
 def write_trace(path, rows: list[TraceRow]) -> None:
-    lines = ["iteration,reward,entropy,madds"]
-    for row in rows:
-        lines.append(f"{row.iteration},{row.reward!r},{row.entropy!r},{row.madds!r}")
+    """CSV with one column per TraceRow field, each value written with repr."""
+    names = [f.name for f in fields(TraceRow)]
+    lines = [",".join(names)]
+    lines += [",".join(repr(getattr(row, name)) for name in names) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")

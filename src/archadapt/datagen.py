@@ -13,7 +13,8 @@ every snapshot's rows are an exact prefix of the next snapshot's rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,10 @@ class SnapshotMeta:
     n_samples: int
     volume_fraction: float
     max_classes: int
+
+
+# Parser of each sidecar value: the field's type.
+_META_TYPES = typing.get_type_hints(SnapshotMeta)
 
 
 @dataclass(eq=False)
@@ -200,15 +205,8 @@ def meta_path_for(csv_path) -> Path:
 def save_snapshot(snapshot: Snapshot, csv_path) -> Path:
     """Write features as CSV plus a key=value sidecar; returns the sidecar path."""
     save_features_csv(csv_path, snapshot.features)
-    meta = snapshot.meta
     sidecar = meta_path_for(csv_path)
-    lines = [
-        f"t={meta.t}",
-        f"n_classes={meta.n_classes}",
-        f"n_samples={meta.n_samples}",
-        f"volume_fraction={meta.volume_fraction!r}",
-        f"max_classes={meta.max_classes}",
-    ]
+    lines = [f"{f.name}={getattr(snapshot.meta, f.name)}" for f in fields(SnapshotMeta)]
     sidecar.write_text("\n".join(lines) + "\n")
     return sidecar
 
@@ -230,11 +228,7 @@ def load_snapshot(csv_path, meta_path=None) -> Snapshot:
         values[key.strip()] = value.strip()
     try:
         meta = SnapshotMeta(
-            t=int(values["t"]),
-            n_classes=int(values["n_classes"]),
-            n_samples=int(values["n_samples"]),
-            volume_fraction=float(values["volume_fraction"]),
-            max_classes=int(values["max_classes"]),
+            **{f.name: _META_TYPES[f.name](values[f.name]) for f in fields(SnapshotMeta)}
         )
     except KeyError as exc:
         raise InvalidData(f"{sidecar}: missing meta key {exc}") from exc

@@ -117,29 +117,22 @@ def oracle_best(
     cfg: SurrogateConfig,
     lam: float = 0.0,
     shift: float = 1.0,
-    cap: int = 1_000_000,
-    tie_break: str = "madds",
 ) -> tuple[Architecture, float, float]:
     """Exhaustive maximizer of the reward objective V - (lam/shift) * madds.
 
     With lam = 0 this is the raw accuracy maximizer. Ties go to the lower
-    MAdds architecture and then to the lexicographically smaller encoding
-    (tie_break="encoding" skips the MAdds step). Returns (arch, V, madds).
+    MAdds architecture and then to the lexicographically smaller encoding.
+    Returns (arch, V, madds).
     """
-    if tie_break not in ("madds", "encoding"):
-        raise InvalidConfig(f"unknown tie_break {tie_break!r}")
     if lam != 0.0 and shift <= 0.0:
         raise DivisionByZeroShift(f"shift must be positive when lam != 0, got {shift}")
     best = None
     # enumeration is sorted by encoding, so first-seen wins lexicographic ties
-    for arch in enumerate_space(space, cap=cap):
+    for arch in enumerate_space(space):
         v = surrogate_accuracy(arch, meta, cfg, space)
         cost = madds(arch, space)
         score = v - (lam / shift) * cost if lam != 0.0 else v
-        if tie_break == "madds":
-            key = (score, -cost)
-        else:
-            key = (score,)
+        key = (score, -cost)
         if best is None or key > best[0]:
             best = (key, arch, v, cost)
     return best[1], best[2], best[3]

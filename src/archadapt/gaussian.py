@@ -7,8 +7,8 @@ closed form
 
     W2^2 = ||mu1 - mu2||^2 + tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2})
 
-Kullback-Leibler and a Monte-Carlo Jensen-Shannon estimate are provided for
-comparison experiments. All matrix roots use symmetric eigendecomposition.
+A Monte-Carlo Jensen-Shannon estimate is provided for comparison
+experiments. All matrix roots use symmetric eigendecomposition.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "fit_gaussian",
     "sqrt_spd",
     "wasserstein2_gaussian",
-    "kl_gaussian",
     "js_divergence_mc",
 ]
 
@@ -177,25 +176,6 @@ def _chol(cov: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotSPD(f"{what} is not positive definite") from exc
-
-
-def kl_gaussian(g1: GaussianSummary, g2: GaussianSummary) -> float:
-    """Closed-form KL divergence KL(g1 || g2) in nats.
-
-    0.5 * [tr(S2^-1 S1) + (m2-m1)^T S2^-1 (m2-m1) - q + ln(det S2 / det S1)]
-    """
-    q = _check_same_dim(g1, g2)
-    l1 = _chol(g1.cov, "cov of first argument")
-    l2 = _chol(g2.cov, "cov of second argument")
-    # tr(S2^-1 S1) = ||L2^-1 L1||_F^2
-    a = np.linalg.solve(l2, l1)
-    trace_term = float(np.sum(a * a))
-    dmean = g2.mean - g1.mean
-    b = np.linalg.solve(l2, dmean)
-    maha = float(b @ b)
-    logdet1 = 2.0 * float(np.sum(np.log(np.diag(l1))))
-    logdet2 = 2.0 * float(np.sum(np.log(np.diag(l2))))
-    return 0.5 * (trace_term + maha - q + logdet2 - logdet1)
 
 
 def _log_density(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:

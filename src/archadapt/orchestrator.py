@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +180,11 @@ def run_adaptation(
     return records
 
 
+# Record fields kept out of records.json: wall time, and the trace, which
+# goes to its own CSV.
+_NOT_IN_JSON = ("duration_s", "trace")
+
+
 def write_records(records: list[AdaptationRecord], out_dir) -> Path:
     """Write records.json (stable bytes), trace CSVs, and timings.json."""
     out = Path(out_dir)
@@ -191,21 +196,8 @@ def write_records(records: list[AdaptationRecord], out_dir) -> Path:
         if rec.adapted:
             trace_file = f"trace_t{rec.t}.csv"
             write_trace(out / trace_file, list(rec.trace))
-        payload.append(
-            {
-                "t": rec.t,
-                "shift": rec.shift,
-                "drop": rec.drop,
-                "adapted": rec.adapted,
-                "prev_arch": rec.prev_arch,
-                "new_arch": rec.new_arch,
-                "v_prev": rec.v_prev,
-                "v_new": rec.v_new,
-                "madds_prev": rec.madds_prev,
-                "madds_new": rec.madds_new,
-                "trace_file": trace_file,
-            }
-        )
+        row = {f.name: getattr(rec, f.name) for f in fields(rec) if f.name not in _NOT_IN_JSON}
+        payload.append({**row, "trace_file": trace_file})
         timings[f"step_{rec.t}"] = rec.duration_s
     path = out / "records.json"
     path.write_text(json.dumps({"records": payload}, indent=2, sort_keys=True) + "\n")

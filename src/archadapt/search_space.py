@@ -13,8 +13,6 @@ import itertools
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidConfig, InvalidToken, ParseError, ShapeError, SpaceTooLarge
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "madds",
     "space_size",
     "enumerate_space",
-    "random_arch",
     "min_arch",
     "max_arch",
 ]
@@ -102,17 +99,27 @@ class Architecture:
         return tuple(len(unit) for unit in self.units)
 
 
-def _validate(arch: Architecture, cfg: SpaceConfig) -> None:
+def _validate(arch: Architecture, cfg: SpaceConfig) -> list[int]:
+    """Check arch against the grammar and return its choice-index sequence.
+
+    Per unit: the depth index, then the kernel and expansion index of each
+    layer. A wrong unit count raises ShapeError, a token outside its choice
+    set InvalidToken.
+    """
     if len(arch.units) != cfg.n_units:
         raise ShapeError(f"expected {cfg.n_units} units, got {len(arch.units)}")
+    indices = []
     for u, unit in enumerate(arch.units):
         if len(unit) not in cfg.depth_choices:
             raise InvalidToken(f"unit {u} depth {len(unit)} not in {cfg.depth_choices}")
+        indices.append(cfg.depth_choices.index(len(unit)))
         for k, e in unit:
             if k not in cfg.kernel_choices:
                 raise InvalidToken(f"kernel {k} not in {cfg.kernel_choices}")
             if e not in cfg.expansion_choices:
                 raise InvalidToken(f"expansion {e} not in {cfg.expansion_choices}")
+            indices += (cfg.kernel_choices.index(k), cfg.expansion_choices.index(e))
+    return indices
 
 
 def encode(arch: Architecture) -> str:
@@ -212,31 +219,6 @@ def enumerate_space(cfg: SpaceConfig, cap: int = 1_000_000) -> list[Architecture
     ]
     archs.sort(key=encode)
     return archs
-
-
-def random_arch(cfg: SpaceConfig, seed: int | np.random.Generator) -> Architecture:
-    """Draw one architecture uniformly over the whole space.
-
-    Depth is sampled with probability proportional to the number of
-    architectures of that depth, then each layer token uniformly, which
-    makes every architecture equally likely.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    tokens = len(cfg.kernel_choices) * len(cfg.expansion_choices)
-    weights = np.array([tokens**d for d in cfg.depth_choices], dtype=float)
-    weights /= weights.sum()
-    units = []
-    for _ in range(cfg.n_units):
-        d = cfg.depth_choices[rng.choice(len(cfg.depth_choices), p=weights)]
-        layers = tuple(
-            (
-                cfg.kernel_choices[rng.integers(len(cfg.kernel_choices))],
-                cfg.expansion_choices[rng.integers(len(cfg.expansion_choices))],
-            )
-            for _ in range(d)
-        )
-        units.append(layers)
-    return Architecture(units=tuple(units))
 
 
 def min_arch(cfg: SpaceConfig) -> Architecture:

@@ -236,6 +236,19 @@ class TestErrors:
         assert "run.initial_arch" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_gate_arch_is_usage_error(self, tmp_path, config_file, capsys):
+        out = tmp_path / "snaps"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["gate", str(out / "snapshot_000.csv"), str(out / "snapshot_001.csv"),
+                     "--config", str(config_file), "--arch", "k3e3"]) == 1
+        assert "--arch: expected 2 units, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["3", "-1"])
+    def test_oracle_step_outside_plan_is_usage_error(self, config_file, capsys, step):
+        assert main(["oracle", "--config", str(config_file), "--step", step]) == 1
+        assert f"--step: step {step} outside plan of 3 steps" in capsys.readouterr().err
+
     def test_bad_reference_arch_is_config_error(self, tmp_path):
         path = tmp_path / "ref.cfg"
         path.write_text(BASE_CONFIG + "surrogate.reference_arch = k9e3,k3e3\n")

@@ -182,3 +182,24 @@ class TestSnapshotIO:
         path = tmp_path / "snap.csv"
         aa.save_snapshot(snap, path)
         assert (tmp_path / "snap.meta").exists()
+
+    def test_sidecar_text_is_pinned(self, tmp_path):
+        # Written by the hand-listed format the sidecar had before it was
+        # derived from SnapshotMeta's fields.
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.3, 1.0),
+                             base_samples=200, seed=5)
+        sidecar = aa.save_snapshot(aa.gen_snapshot(plan, 0), tmp_path / "snap.csv")
+        assert sidecar.read_text() == (
+            "t=0\nn_classes=10\nn_samples=60\nvolume_fraction=0.3\nmax_classes=10\n")
+
+    def test_sidecar_errors(self, tmp_path):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2,), base_samples=10)
+        path = tmp_path / "snap.csv"
+        sidecar = aa.save_snapshot(aa.gen_snapshot(plan, 0), path)
+        text = sidecar.read_text()
+        sidecar.write_text(text.replace("n_samples=20", "n_samples=21"))
+        with pytest.raises(aa.InvalidData, match="n_samples 21 does not match 20 CSV rows"):
+            aa.load_snapshot(path)
+        sidecar.write_text(text.replace("max_classes=2\n", ""))
+        with pytest.raises(aa.InvalidData, match="missing meta key 'max_classes'"):
+            aa.load_snapshot(path)

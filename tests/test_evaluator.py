@@ -111,13 +111,6 @@ class TestOracle:
         assert arch == aa.min_arch(TOY)
         assert v == pytest.approx(0.5)
 
-    def test_encoding_tie_break(self):
-        cfg = aa.SurrogateConfig(peak_height=0.0, depth_penalty=0.0)
-        arch, _, _ = aa.oracle_best(TOY, _meta(0.5), cfg,
-                                    tie_break="encoding")
-        encs = [aa.encode(a) for a in aa.enumerate_space(TOY)]
-        assert aa.encode(arch) == min(encs)
-
     def test_large_lambda_prefers_min_madds(self):
         cfg = aa.SurrogateConfig()
         arch, _, _ = aa.oracle_best(TOY, _meta(0.5), cfg, lam=1e6, shift=1.0)
@@ -127,11 +120,6 @@ class TestOracle:
         cfg = aa.SurrogateConfig()
         with pytest.raises(aa.DivisionByZeroShift):
             aa.oracle_best(TOY, _meta(0.5), cfg, lam=0.1, shift=0.0)
-
-    def test_bad_tie_break(self):
-        cfg = aa.SurrogateConfig()
-        with pytest.raises(aa.InvalidConfig):
-            aa.oracle_best(TOY, _meta(0.5), cfg, tie_break="random")
 
 
 class TestConfigValidation:

@@ -143,39 +143,6 @@ class TestWasserstein:
             assert aa.wasserstein2_gaussian(g1, g2) >= 0.0
 
 
-class TestKL:
-    def test_identical_is_zero(self):
-        g = _summary([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
-        assert aa.kl_gaussian(g, g) == pytest.approx(0.0, abs=1e-12)
-
-    def test_unit_mean_shift(self):
-        # Standard normals one apart: KL = 1/2 nat.
-        g1 = _summary([0.0], [[1.0]])
-        g2 = _summary([1.0], [[1.0]])
-        assert aa.kl_gaussian(g1, g2) == pytest.approx(0.5, abs=1e-12)
-
-    def test_variance_pair_is_asymmetric(self):
-        # Var 1 vs 4, zero means:
-        # KL(1||2) = (ln4 + 1/4 - 1)/2, KL(2||1) = (-ln4 + 4 - 1)/2.
-        g1 = _summary([0.0], [[1.0]])
-        g2 = _summary([0.0], [[4.0]])
-        k12 = aa.kl_gaussian(g1, g2)
-        k21 = aa.kl_gaussian(g2, g1)
-        assert k12 == pytest.approx((np.log(4.0) + 0.25 - 1.0) / 2, abs=1e-12)
-        assert k21 == pytest.approx((-np.log(4.0) + 4.0 - 1.0) / 2, abs=1e-12)
-        assert abs(k12 - k21) > 0.4
-
-    def test_nonnegative_random_pairs(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            q = int(rng.integers(1, 5))
-            a = rng.normal(size=(q, q))
-            b = rng.normal(size=(q, q))
-            g1 = _summary(rng.normal(size=q), a @ a.T + 0.1 * np.eye(q))
-            g2 = _summary(rng.normal(size=q), b @ b.T + 0.1 * np.eye(q))
-            assert aa.kl_gaussian(g1, g2) >= -1e-12
-
-
 class TestJS:
     def test_identical_near_zero(self):
         g = _summary([0.0, 1.0], [[1.0, 0.2], [0.2, 2.0]])

@@ -1,11 +1,11 @@
 """Tests for the architecture grammar, cost model, and space enumeration."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import archadapt as aa
-from archadapt.search_space import layer_madds
+from archadapt.controller import arch_onehot
+from archadapt.search_space import _validate, layer_madds
 
 TOY = aa.SpaceConfig(
     n_units=2,
@@ -72,6 +72,90 @@ class TestGrammar:
     def test_empty_string(self):
         with pytest.raises(aa.ParseError):
             aa.decode("", TOY)
+
+
+def _token_positions(arch):
+    """(unit, layer, slot) of every kernel (slot 0) and expansion (slot 1) token."""
+    return [(u, layer, slot) for u, unit in enumerate(arch.units)
+            for layer in range(len(unit)) for slot in (0, 1)]
+
+
+def _choices(cfg, slot):
+    return (cfg.kernel_choices, cfg.expansion_choices)[slot]
+
+
+def _with_token(arch, u, layer, slot, value):
+    units = [list(unit) for unit in arch.units]
+    pair = list(units[u][layer])
+    pair[slot] = value
+    units[u][layer] = tuple(pair)
+    return aa.Architecture(units=tuple(tuple(unit) for unit in units))
+
+
+def _message(call, *args):
+    with pytest.raises(aa.InvalidToken) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+SMALL_TRAINER = aa.TrainerConfig(hidden_size=8, encoder_hidden=8, arch_embed_dim=4,
+                                 shift_embed_dim=2, token_embed_dim=4)
+
+
+class TestSingleWalk:
+    """search_space._validate is the one walk of the grammar; the choice
+    indices it returns drive scoring and the one-hot encoding."""
+
+    @given(arch=_arch_strategy(TOY))
+    @settings(max_examples=200, deadline=None)
+    def test_indices_rebuild_the_arch(self, arch):
+        indices = iter(_validate(arch, TOY))
+        units = []
+        for _ in range(TOY.n_units):
+            depth = TOY.depth_choices[next(indices)]
+            units.append(tuple(
+                (TOY.kernel_choices[next(indices)], TOY.expansion_choices[next(indices)])
+                for _ in range(depth)))
+        assert next(indices, None) is None
+        assert aa.Architecture(units=tuple(units)) == arch
+
+    @given(arch=_arch_strategy(TOY))
+    @settings(max_examples=50, deadline=None)
+    def test_score_takes_one_decision_per_index(self, arch):
+        params = aa.init_params(TOY, SMALL_TRAINER, seed=0)
+        pstate = aa.embed_state(params, aa.min_arch(TOY), 1.0, SMALL_TRAINER)
+        traj = aa.score(params, pstate, arch)
+        assert traj.arch == arch
+        assert [d.choice for d in traj.decisions] == _validate(arch, TOY)
+
+    @given(arch=_arch_strategy(TOY))
+    @settings(max_examples=100, deadline=None)
+    def test_onehot_sets_one_slot_per_token(self, arch):
+        vec = arch_onehot(arch, TOY)
+        assert set(vec.tolist()) == {0.0, 1.0}
+        assert vec.sum() == TOY.n_units * (1 + 2 * TOY.depth_choices[-1])
+
+    @given(arch=_arch_strategy(DEFAULT), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_larger_token_costs_more(self, arch, data):
+        u, layer, slot = data.draw(st.sampled_from(_token_positions(arch)))
+        larger = [c for c in _choices(DEFAULT, slot) if c > arch.units[u][layer][slot]]
+        assume(larger)
+        value = data.draw(st.sampled_from(larger))
+        assert aa.madds(_with_token(arch, u, layer, slot, value), DEFAULT) > aa.madds(arch, DEFAULT)
+
+    @given(arch=_arch_strategy(TOY), data=st.data(), value=st.integers(0, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_token_outside_its_set_fails_alike(self, arch, data, value):
+        u, layer, slot = data.draw(st.sampled_from(_token_positions(arch)))
+        assume(value not in _choices(TOY, slot))
+        bad = _with_token(arch, u, layer, slot, value)
+        params = aa.init_params(TOY, SMALL_TRAINER, seed=0)
+        expected = _message(aa.decode, aa.encode(bad), TOY)
+        assert expected == f"{('kernel', 'expansion')[slot]} {value} not in {_choices(TOY, slot)}"
+        assert _message(aa.madds, bad, TOY) == expected
+        assert _message(arch_onehot, bad, TOY) == expected
+        assert _message(aa.embed_state, params, bad, 1.0, SMALL_TRAINER) == expected
 
 
 class TestCostModel:
@@ -142,39 +226,6 @@ class TestEnumerate:
             aa.enumerate_space(DEFAULT)
         with pytest.raises(aa.SpaceTooLarge):
             aa.enumerate_space(TOY, cap=100)
-
-
-class TestRandomArch:
-    def test_deterministic_for_seed(self):
-        a = aa.random_arch(TOY, 123)
-        b = aa.random_arch(TOY, 123)
-        assert a == b
-
-    def test_accepts_generator(self):
-        rng = np.random.default_rng(5)
-        arch = aa.random_arch(TOY, rng)
-        assert aa.decode(aa.encode(arch), TOY) == arch
-
-    def test_uniform_over_space(self):
-        # Chi-square against the uniform distribution over all 6400
-        # architectures would need too many draws; use the 144-point toy
-        # space. 100000 draws, expected 694.4 per cell; flag at 4 sigma.
-        toy = aa.SpaceConfig(
-            n_units=2, depth_choices=(2, 3), kernel_choices=(3, 5),
-            expansion_choices=(3,), input_resolution=32,
-            stem_channels=16, unit_out_channels=(16, 24), unit_strides=(2, 2))
-        space = aa.enumerate_space(toy)
-        index = {aa.encode(a): i for i, a in enumerate(space)}
-        rng = np.random.default_rng(5)
-        counts = np.zeros(len(space))
-        n_draws = 100000
-        for _ in range(n_draws):
-            counts[index[aa.encode(aa.random_arch(toy, rng))]] += 1
-        expected = n_draws / len(space)
-        chi2 = np.sum((counts - expected) ** 2 / expected)
-        dof = len(space) - 1
-        # Chi-square mean dof, variance 2*dof.
-        assert chi2 < dof + 4 * np.sqrt(2 * dof)
 
 
 class TestExtremes:
