@@ -19,33 +19,43 @@ Adam by default or plain gradient ascent when ``use_adam`` is off. R is the
 accuracy improvement minus a shift-scaled MAdds penalty, b an optional
 exponential moving average baseline.
 
-All parameter arrays live in a ControllerParams dict in a fixed order.
-Each array is a view into one contiguous buffer (``ControllerParams.flat``),
-and gradients use the same layout, so Adam, weight decay and batch
-averaging each run as a single vector operation. One guarded helper
-applies every update and refuses non-finite gradients.
+Parameters are stored by role: 13 arrays in a fixed order, each a view
+into one contiguous buffer (``ControllerParams.flat``) fixed at
+construction. They are the encoder (``enc_w1``, ``enc_b1``, ``enc_w2``,
+``enc_b2``), ``shift_emb``, the initial projection (``init_w``,
+``init_b``), ``token_emb`` (the start token in row 0, then the depth,
+kernel and expansion tokens), the GRU with gates r, z, n stacked by rows
+(``gru_w`` (3H, X), ``gru_u`` (3H, H), ``gru_b`` (3H,)) and one head
+(``head_w``, ``head_b``) with rows for depth, then kernel, then expansion
+choices. A decision kind is a row range s of the head, and its tokens are
+rows 1 + s of ``token_emb`` (``_kinds``). Gradients use the same layout,
+so Adam, weight decay and batch averaging each run as a single vector
+operation. One guarded helper applies every update and refuses non-finite
+gradients.
 
 The hot path keeps the numbers of a step-by-step implementation bit for
 bit while making far fewer numpy calls:
 
-- forward: the three GRU gates are computed together from fused
-  (3H, X), (3H, H) and (3H,) blocks, built from the named arrays on every
-  pass so in-place edits are seen; W @ x is computed once per token;
+- forward: the three GRU gates are computed together from the stacked
+  blocks; W @ x is computed once per token;
 - sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
   would (cumulative sum, normalize by its last entry, right-side search of
   one uniform), so the RNG stream and every sampled trajectory stay the
   same, without choice's per-call validation; non-finite logits raise
   NumericalError instead;
 - backward: head and weight gradients are computed from the stacked steps,
-  summed in the same order the per-step loop used; only the hidden-state
-  recurrence runs step by step.
+  summed in the same order the per-step loop used, and each step's input
+  gradient is scatter-added into its ``token_emb`` row; only the
+  hidden-state recurrence runs step by step.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -153,68 +163,71 @@ def default_bucket_edges(bucket_count: int) -> tuple[float, ...]:
     return tuple(np.logspace(-3.0, 3.0, bucket_count - 1))
 
 
-@dataclass(eq=False)
 class ControllerParams:
-    """Named parameter arrays in a fixed order.
+    """The controller's parameter arrays, by role, in a fixed order.
 
-    Every array is a view into one contiguous float64 buffer, ``flat``, laid
-    out in the same order, so the optimizer can treat all parameters as one
-    vector. Writing into an array updates the buffer. Replacing an entry of
-    ``arrays`` is allowed too: the next read of ``flat`` packs the arrays
-    into a fresh buffer and rebinds every entry to a view of it.
+    Every array is a view into one contiguous float64 buffer, ``flat``,
+    made at construction and laid out in the same order, so the optimizer
+    can treat all parameters as one vector. Writing into an array writes
+    the buffer; ``arrays`` itself is read-only, so an entry cannot be
+    replaced. Equality is identity.
     """
 
-    space: SpaceConfig
-    arrays: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        self._pack()
-
-    def _pack(self) -> None:
-        self._flat = np.concatenate([np.ravel(a) for a in self.arrays.values()], dtype=float)
-        self._views = self.unflatten(self._flat)
-        self.arrays.update(self._views)
+    def __init__(self, space: SpaceConfig, arrays: Mapping[str, np.ndarray]):
+        self.space = space
+        self._shapes = {name: np.shape(a) for name, a in arrays.items()}
+        self._flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=float)
+        self.arrays = MappingProxyType(self.unflatten(self._flat))
 
     @property
     def flat(self) -> np.ndarray:
-        views = self._views
-        if views.keys() != self.arrays.keys() or any(
-            self.arrays[k] is not v for k, v in views.items()
-        ):
-            self._pack()
         return self._flat
 
     def unflatten(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Views of a flat vector, shaped and named like the arrays."""
         out = {}
         offset = 0
-        for name, arr in self.arrays.items():
-            out[name] = vector[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            out[name] = vector[offset : offset + size].reshape(shape)
+            offset += size
         return out
 
     def copy(self) -> "ControllerParams":
-        return ControllerParams(
-            space=self.space,
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-        )
+        return ControllerParams(self.space, self.arrays)
 
     def l2_norm_sq(self) -> float:
-        flat = self.flat
-        return float(flat @ flat)
+        return float(self._flat @ self._flat)
+
+
+def _kinds(space: SpaceConfig) -> dict[str, tuple[slice, tuple[int, ...]]]:
+    """Each decision kind's rows s of ``head_w``/``head_b`` and its choice values.
+
+    The kinds' tokens are rows 1 + s of ``token_emb``; row 0 is the start token.
+    """
+    out = {}
+    start = 0
+    choices = (space.depth_choices, space.kernel_choices, space.expansion_choices)
+    for kind, values in zip(("depth", "kernel", "expansion"), choices):
+        out[kind] = (slice(start, start + len(values)), values)
+        start += len(values)
+    return out
 
 
 def init_params(space: SpaceConfig, cfg: TrainerConfig, seed: int = 0) -> ControllerParams:
-    """Fresh parameters, uniform in [-0.1, 0.1]; shapes depend only on config."""
+    """Fresh parameters, uniform in [-0.1, 0.1]; shapes depend only on config.
+
+    The draws are made piece by piece in a fixed order: the encoder, shift
+    embedding and initial projection; the start, depth, kernel and expansion
+    token embeddings; for each GRU gate r, z, n its W, U and bias; for each
+    kind its head weights and bias. Pieces of one array are stacked by rows.
+    """
     rng = np.random.default_rng(seed)
-    n_d = len(space.depth_choices)
-    n_k = len(space.kernel_choices)
-    n_e = len(space.expansion_choices)
     length = arch_onehot(min_arch(space), space).size
     h, eh = cfg.hidden_size, cfg.encoder_hidden
     a, s, x = cfg.arch_embed_dim, cfg.shift_embed_dim, cfg.token_embed_dim
-
-    shapes = [
+    counts = [len(values) for _, values in _kinds(space).values()]
+    pieces = [
         ("enc_w1", (eh, length)),
         ("enc_b1", (eh,)),
         ("enc_w2", (a, eh)),
@@ -222,28 +235,15 @@ def init_params(space: SpaceConfig, cfg: TrainerConfig, seed: int = 0) -> Contro
         ("shift_emb", (cfg.bucket_count, s)),
         ("init_w", (h, a + s)),
         ("init_b", (h,)),
-        ("start_emb", (x,)),
-        ("depth_emb", (n_d, x)),
-        ("kernel_emb", (n_k, x)),
-        ("expansion_emb", (n_e, x)),
-        ("gru_wr", (h, x)),
-        ("gru_ur", (h, h)),
-        ("gru_br", (h,)),
-        ("gru_wz", (h, x)),
-        ("gru_uz", (h, h)),
-        ("gru_bz", (h,)),
-        ("gru_wn", (h, x)),
-        ("gru_un", (h, h)),
-        ("gru_bn", (h,)),
-        ("head_depth_w", (n_d, h)),
-        ("head_depth_b", (n_d,)),
-        ("head_kernel_w", (n_k, h)),
-        ("head_kernel_b", (n_k,)),
-        ("head_expansion_w", (n_e, h)),
-        ("head_expansion_b", (n_e,)),
+        ("token_emb", (1, x)),
+        *[("token_emb", (n, x)) for n in counts],
+        *[piece for _ in "rzn" for piece in (("gru_w", (h, x)), ("gru_u", (h, h)), ("gru_b", (h,)))],
+        *[piece for n in counts for piece in (("head_w", (n, h)), ("head_b", (n,)))],
     ]
-    arrays = {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes}
-    return ControllerParams(space=space, arrays=arrays)
+    drawn: dict[str, list[np.ndarray]] = {}
+    for name, shape in pieces:
+        drawn.setdefault(name, []).append(rng.uniform(-0.1, 0.1, size=shape))
+    return ControllerParams(space, {name: np.concatenate(parts) for name, parts in drawn.items()})
 
 
 def arch_onehot(arch: Architecture, space: SpaceConfig) -> np.ndarray:
@@ -364,22 +364,6 @@ def _softmax_logprobs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(logp), logp
 
 
-_KINDS = ("depth", "kernel", "expansion")
-
-
-def _fused_gates(p: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """GRU weights as one (3H, X), one (3H, H) and one (3H,) block, gates r, z, n.
-
-    Built from the named arrays on every call, so in-place edits of those
-    arrays are always seen.
-    """
-    return (
-        np.concatenate((p["gru_wr"], p["gru_wz"], p["gru_wn"])),
-        np.concatenate((p["gru_ur"], p["gru_uz"], p["gru_un"])),
-        np.concatenate((p["gru_br"], p["gru_bz"], p["gru_bn"])),
-    )
-
-
 @dataclass
 class _Rollout:
     """One pass over the decision sequence plus what the backward pass needs.
@@ -397,8 +381,7 @@ class _Step(NamedTuple):
     choice: int
     log_prob: float  # of the chosen index
     entropy: float
-    source: tuple[str, int]  # the token whose embedding x fed this step
-    x: np.ndarray
+    source: int  # the token_emb row fed to this step
     rz: np.ndarray  # r and z gate activations, concatenated
     n: np.ndarray
     unh: np.ndarray  # U_n @ h_prev
@@ -410,7 +393,6 @@ class _Step(NamedTuple):
 def _rollout(
     params: ControllerParams,
     enc: _Encoded,
-    gates: tuple[np.ndarray, np.ndarray, np.ndarray],
     wx_cache: dict,
     actions: list[int] | None = None,
     rng: np.random.Generator | None = None,
@@ -423,29 +405,27 @@ def _rollout(
     otherwise: ancestral sampling with rng.
 
     W @ x depends only on the input token, so it is computed once per
-    token and kept in wx_cache, which is valid for one set of weights.
+    token row and kept in wx_cache, which is valid for one set of weights.
     """
     p = params.arrays
-    space = params.space
-    w, u, b = gates
+    w, u, b, tokens = p["gru_w"], p["gru_u"], p["gru_b"], p["token_emb"]
     hid = enc.h0.size
     b_rz, b_n = b[: 2 * hid], b[2 * hid :]
-    # Per kind: its head weights and bias, token embeddings and choice values.
+    # Per kind: its head weights and bias, first token row and choice values.
     kinds = {
-        k: (p[f"head_{k}_w"], p[f"head_{k}_b"], p[f"{k}_emb"], getattr(space, f"{k}_choices"))
-        for k in _KINDS
+        kind: (p["head_w"][rows], p["head_b"][rows], 1 + rows.start, values)
+        for kind, (rows, values) in _kinds(params.space).items()
     }
     exp, tanh, add = np.exp, np.tanh, np.add
     out = _Rollout(enc)
     h = enc.h0
-    source = ("start", 0)
-    x = p["start_emb"]
+    source = 0
 
     def consume(kind: str) -> int:
-        nonlocal h, x, source
+        nonlocal h, source
         wx = wx_cache.get(source)
         if wx is None:
-            wx = w @ x
+            wx = w @ tokens[source]
             wx_cache[source] = wx = (wx[: 2 * hid], wx[2 * hid :])
         h_prev = h
         uh = u @ h_prev
@@ -455,7 +435,7 @@ def _rollout(
         n = tanh(wx[1] + rz[:hid] * unh + b_n)
         h = (1.0 - z) * h_prev + z * n
 
-        head_w, head_b, emb, choice_values = kinds[kind]
+        head_w, head_b, first_token, choice_values = kinds[kind]
         logits = head_w @ h + head_b
         probs, logp = _softmax_logprobs(logits)
         entropy = -float(add.reduce(probs * logp))
@@ -473,13 +453,12 @@ def _rollout(
             cdf /= cdf[-1]
             choice = int(cdf.searchsorted(rng.random(), "right"))
         out.steps.append(
-            _Step(kind, choice, float(logp[choice]), entropy, source, x, rz, n, unh, h, probs, logp)
+            _Step(kind, choice, float(logp[choice]), entropy, source, rz, n, unh, h, probs, logp)
         )
-        x = emb[choice]
-        source = (kind, choice)
+        source = first_token + choice
         return choice_values[choice]
 
-    for _ in range(space.n_units):
+    for _ in range(params.space.n_units):
         depth = consume("depth")
         out.units.append(tuple((consume("kernel"), consume("expansion")) for _ in range(depth)))
     return out
@@ -493,9 +472,8 @@ def _forward(
     greedy: bool = False,
 ) -> _Rollout:
     """Encode pstate with the current params, then roll the GRU out once."""
-    p = params.arrays
-    enc = _encode(p, arch_onehot(pstate.prev_arch, params.space), pstate.bucket)
-    return _rollout(params, enc, _fused_gates(p), {}, actions=actions, rng=rng, greedy=greedy)
+    enc = _encode(params.arrays, arch_onehot(pstate.prev_arch, params.space), pstate.bucket)
+    return _rollout(params, enc, {}, actions=actions, rng=rng, greedy=greedy)
 
 
 def _make_trajectory(roll: _Rollout, pstate: PolicyState) -> Trajectory:
@@ -582,13 +560,13 @@ def _backward(
     g = params.unflatten(flat_grad)
     we = cfg.entropy_weight
     newest_first = _Step(*zip(*reversed(roll.steps)))
-    kinds, choices, sources = newest_first.kind, newest_first.choice, newest_first.source
+    kinds, choices, sources = newest_first.kind, newest_first.choice, list(newest_first.source)
     hs = np.array(newest_first.h)
 
     # Heads: d/dlogits of logp[choice] is onehot - probs; of entropy is
     # -probs * (logp + H).
     dhead = np.empty_like(hs)
-    for kind in _KINDS:
+    for kind, (head_rows, _) in _kinds(params.space).items():
         rows = [i for i, k in enumerate(kinds) if k == kind]
         if not rows:
             continue
@@ -599,9 +577,9 @@ def _backward(
             logp = np.array([newest_first.logp[i] for i in rows])
             entropy = np.array([newest_first.entropy[i] for i in rows])
             dlogits += we * (-probs * (logp + entropy[:, None]))
-        g[f"head_{kind}_w"][...] = _outer_sum(dlogits, hs[rows])
-        g[f"head_{kind}_b"][...] = dlogits.sum(axis=0)
-        dhead[rows] = _matvecs(p[f"head_{kind}_w"].T, dlogits)
+        g["head_w"][head_rows] = _outer_sum(dlogits, hs[rows])
+        g["head_b"][head_rows] = dlogits.sum(axis=0)
+        dhead[rows] = _matvecs(p["head_w"][head_rows].T, dlogits)
 
     hid = hs.shape[1]
     rz = np.array(newest_first.rz)
@@ -609,7 +587,8 @@ def _backward(
     n = np.array(newest_first.n)
     h_prev = np.concatenate((hs[1:], enc.h0[None]))
     unh = np.array(newest_first.unh)
-    ur_t, uz_t, un_t = p["gru_ur"].T, p["gru_uz"].T, p["gru_un"].T
+    w, u = p["gru_w"], p["gru_u"]
+    ur_t, uz_t, un_t = u[:hid].T, u[hid : 2 * hid].T, u[2 * hid :].T
     da_r, da_z, da_n, dunh = [], [], [], []
     dh_next = np.zeros(hid)
     # Products and sums associate left to right, as the step-by-step pass
@@ -630,26 +609,16 @@ def _backward(
         da_z.append(daz)
     da_r, da_z, da_n, dunh = (np.array(stack) for stack in (da_r, da_z, da_n, dunh))
 
-    xs = np.array(newest_first.x)
-    gw = _outer_sum(np.concatenate((da_r, da_z, da_n), axis=1), xs)
-    gu = _outer_sum(np.concatenate((da_r, da_z, dunh), axis=1), h_prev)
-    for j, gate in enumerate("rzn"):
-        block = slice(j * hid, (j + 1) * hid)
-        g["gru_w" + gate][...] = gw[block]
-        g["gru_u" + gate][...] = gu[block]
-    g["gru_br"][...] = da_r.sum(axis=0)
-    g["gru_bz"][...] = da_z.sum(axis=0)
-    g["gru_bn"][...] = da_n.sum(axis=0)
+    da = np.concatenate((da_r, da_z, da_n), axis=1)
+    g["gru_w"][...] = _outer_sum(da, p["token_emb"][sources])
+    g["gru_u"][...] = _outer_sum(np.concatenate((da_r, da_z, dunh), axis=1), h_prev)
+    g["gru_b"][...] = da.sum(axis=0)
 
-    # Token embeddings: rows fed by the same token add up, newest first.
-    dx = _matvecs(p["gru_wn"].T, da_n)
-    dx += _matvecs(p["gru_wr"].T, da_r)
-    dx += _matvecs(p["gru_wz"].T, da_z)
-    g["start_emb"][...] = dx[-1]
-    for kind in _KINDS:
-        rows = [i for i, (k, _) in enumerate(sources) if k == kind]
-        if rows:
-            np.add.at(g[f"{kind}_emb"], [sources[i][1] for i in rows], dx[rows])
+    # Token embeddings: steps fed by the same token row add up, newest first.
+    dx = _matvecs(w[2 * hid :].T, da_n)
+    dx += _matvecs(w[:hid].T, da_r)
+    dx += _matvecs(w[hid : 2 * hid].T, da_z)
+    np.add.at(g["token_emb"], sources, dx)
 
     # into the initial state projection and the encoder
     dh0pre = dh_next * (1.0 - enc.h0 * enc.h0)
@@ -688,17 +657,6 @@ def objective_value(
     return value - 0.5 * cfg.weight_decay * params.l2_norm_sq()
 
 
-def _trajectory_gradient(
-    params: ControllerParams,
-    traj: Trajectory,
-    advantage: float,
-    cfg: TrainerConfig,
-) -> np.ndarray:
-    pstate = embed_state(params, traj.prev_arch, traj.shift, cfg)
-    actions = _validate(traj.arch, params.space)
-    return _backward(params, _forward(params, pstate, actions=actions), advantage, cfg)
-
-
 def objective_gradients(
     params: ControllerParams,
     traj: Trajectory,
@@ -706,7 +664,9 @@ def objective_gradients(
     cfg: TrainerConfig,
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of objective_value w.r.t. every parameter array."""
-    return params.unflatten(_trajectory_gradient(params, traj, advantage, cfg))
+    pstate = embed_state(params, traj.prev_arch, traj.shift, cfg)
+    roll = _forward(params, pstate, actions=_validate(traj.arch, params.space))
+    return params.unflatten(_backward(params, roll, advantage, cfg))
 
 
 def _apply_update(
@@ -787,15 +747,13 @@ def train(
     trace: list[TraceRow] = []
 
     for it in range(cfg.iterations):
-        # The weights are fixed within an iteration, so the encoder, the
-        # fused gate blocks and W @ x per token are shared by the batch.
-        p = params.arrays
-        enc = _encode(p, onehot, bucket)
-        gates = _fused_gates(p)
+        # The weights are fixed within an iteration, so the encoder and
+        # W @ x per token are shared by the batch.
+        enc = _encode(params.arrays, onehot, bucket)
         wx_cache: dict = {}
         batch = []
         for _ in range(cfg.batch_size):
-            roll = _rollout(params, enc, gates, wx_cache, rng=rng)
+            roll = _rollout(params, enc, wx_cache, rng=rng)
             arch = Architecture(units=tuple(roll.units))
             v_new = evaluate(arch, meta)
             c_new = madds(arch, space)

@@ -37,6 +37,10 @@ __all__ = [
 # Relative eigenvalue floor below which a matrix is treated as not PD.
 _PD_RTOL = 1e-14
 
+# W2's trace term at or below this fraction of tr S1 + tr S2 is roundoff:
+# the self-distance of fits with q = 1..128 leaves at most about 1.6e-14.
+_W2_TRACE_RTOL = 1e-12
+
 _LN2 = float(np.log(2.0))
 
 
@@ -156,8 +160,10 @@ def _check_same_dim(g1: GaussianSummary, g2: GaussianSummary) -> int:
 def wasserstein2_gaussian(g1: GaussianSummary, g2: GaussianSummary) -> float:
     """Squared 2-Wasserstein distance between two Gaussians.
 
-    Nonnegative, symmetric, and zero only for identical summaries. Tiny
-    negative roundoff in the trace term is clamped to zero.
+    Nonnegative, symmetric, and zero for identical summaries. The trace
+    term tr S1 + tr S2 - 2 tr(cross) is snapped to zero when its magnitude
+    is at most _W2_TRACE_RTOL * (tr S1 + tr S2): below that it is roundoff
+    of the matrix roots, not shift. The mean term is never snapped.
     """
     _check_same_dim(g1, g2)
     dmean = g1.mean - g2.mean
@@ -165,10 +171,11 @@ def wasserstein2_gaussian(g1: GaussianSummary, g2: GaussianSummary) -> float:
     inner = root2 @ g1.cov @ root2
     inner = (inner + inner.T) / 2.0
     cross = sqrt_spd(inner)
-    value = float(dmean @ dmean) + float(
-        np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * np.trace(cross)
-    )
-    return max(value, 0.0)
+    trace_sum = np.trace(g1.cov) + np.trace(g2.cov)
+    trace_term = float(trace_sum - 2.0 * np.trace(cross))
+    if abs(trace_term) <= _W2_TRACE_RTOL * trace_sum:
+        trace_term = 0.0
+    return max(float(dmean @ dmean) + trace_term, 0.0)
 
 
 def _chol(cov: np.ndarray, what: str) -> np.ndarray:

@@ -32,7 +32,7 @@ from .controller import (
     write_trace,
 )
 from .datagen import GrowthPlan, Snapshot, default_feature_extractor, gen_snapshot
-from .errors import InvalidConfig
+from .errors import DivisionByZeroShift, InvalidConfig
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
 from .gaussian import fit_gaussian, js_divergence_mc, wasserstein2_gaussian
 from .gate import GateConfig, accuracy_drop, should_adapt
@@ -139,6 +139,8 @@ def run_adaptation(
 
     Deterministic given the config and master seed. When out_dir is given,
     writes records.json, per-step trace CSVs, and timings.json there.
+    A step whose gate fires with a zero shift raises DivisionByZeroShift
+    naming the step: the reward scales the cost penalty by 1 / d_t.
     """
     snapshots, shifts, trainer, evaluate, arch, params = _setup(cfg, feature_extractor)
     records: list[AdaptationRecord] = []
@@ -150,6 +152,10 @@ def run_adaptation(
         adapted = should_adapt(drop, cfg.gate)
         started = time.perf_counter()
         if adapted:
+            if shift == 0.0:
+                raise DivisionByZeroShift(
+                    f"step {i}: the gate fired (drop {drop:g}) but the shift is 0"
+                )
             step_cfg = replace(trainer, seed=derive_seed(cfg.master_seed, i, "train"))
             params, trace = train(params, arch, shift, cur_meta, evaluate, step_cfg)
             new_arch = greedy_decode(params, embed_state(params, arch, shift, step_cfg))

@@ -153,8 +153,7 @@ def test_criterion_03_policy_normalization():
                        for arch in space)
 
         uniform = aa.init_params(TOY, cfg, seed=0)
-        for key in uniform.arrays:
-            uniform.arrays[key] = np.zeros_like(uniform.arrays[key])
+        uniform.flat[:] = 0.0
         assert abs(total_mass(uniform) - 1.0) <= 1e-9
 
         for seed in range(5):

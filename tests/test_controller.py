@@ -190,8 +190,7 @@ class TestGreedy:
     def test_uniform_params_tie_break_to_minimal(self):
         params = aa.init_params(TOY, SMALL_CFG, seed=0)
         zeroed = params.copy()
-        for key in zeroed.arrays:
-            zeroed.arrays[key] = np.zeros_like(zeroed.arrays[key])
+        zeroed.flat[:] = 0.0
         arch = aa.greedy_decode(zeroed, _pstate(zeroed, SMALL_CFG))
         assert arch == aa.min_arch(TOY)
 
@@ -285,7 +284,7 @@ class TestNonFinite:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_sampler_rejects_infinite_logit(self):
         params = aa.init_params(TOY, SMALL_CFG, seed=0)
-        params.arrays["head_depth_b"][0] = np.inf
+        params.arrays["head_b"][0] = np.inf  # first depth choice
         pstate = _pstate(params, SMALL_CFG)
         with pytest.raises(aa.NumericalError):
             aa.sample(params, pstate, np.random.default_rng(0))
@@ -296,7 +295,8 @@ class TestNonFinite:
     def test_train_rejects_infinite_logit(self):
         meta, evaluate, cfg = self._fixture()
         params = aa.init_params(TOY, cfg, seed=0)
-        params.arrays["head_kernel_w"][1, 0] = np.inf
+        n_d = len(TOY.depth_choices)
+        params.arrays["head_w"][n_d + 1, 0] = np.inf  # second kernel choice
         with pytest.raises(aa.NumericalError):
             aa.train(params, aa.min_arch(TOY), 1.0, meta, evaluate, cfg)
 
@@ -443,21 +443,50 @@ class TestFlatBuffer:
         params = aa.init_params(TOY, SMALL_CFG, seed=0)
         flat = params.flat
         assert flat.size == sum(a.size for a in params.arrays.values())
-        params.arrays["gru_wz"][0, 0] = 123.0
+        params.arrays["gru_w"][0, 0] = 123.0
         assert 123.0 in flat
         flat[:] = 0.0
         assert all(not a.any() for a in params.arrays.values())
 
-    def test_replaced_entry_is_repacked(self):
+    def test_replacing_an_entry_raises(self):
         params = aa.init_params(TOY, SMALL_CFG, seed=0)
-        names = list(params.arrays)
-        params.arrays["gru_un"] = np.full_like(params.arrays["gru_un"], 2.0)
         flat = params.flat
-        assert list(params.arrays) == names
-        assert np.shares_memory(params.arrays["gru_un"], flat)
-        assert np.all(params.arrays["gru_un"] == 2.0)
-        flat[:] = 0.0
-        assert not params.arrays["gru_un"].any()
+        with pytest.raises(TypeError):
+            params.arrays["gru_u"] = np.full_like(params.arrays["gru_u"], 2.0)
+        params.arrays["gru_u"][...] = 2.0
+        assert params.flat is flat
+        assert np.shares_memory(params.arrays["gru_u"], flat)
+        assert np.count_nonzero(flat == 2.0) == params.arrays["gru_u"].size
+
+    def test_init_keeps_the_draw_order(self):
+        # The pieces of each array are drawn in the order documented by
+        # init_params and stacked by rows.
+        cfg = dataclasses.replace(SMALL_CFG, bucket_count=3)
+        params = aa.init_params(TOY, cfg, seed=7)
+        rng = np.random.default_rng(7)
+
+        def draw(*shape):
+            return rng.uniform(-0.1, 0.1, size=shape)
+
+        n_d, n_k, n_e = 2, 2, 1
+        h, eh, a, s, x = 16, 16, 8, 4, 8
+        expected = {
+            "enc_w1": draw(eh, arch_onehot(aa.min_arch(TOY), TOY).size),
+            "enc_b1": draw(eh),
+            "enc_w2": draw(a, eh),
+            "enc_b2": draw(a),
+            "shift_emb": draw(3, s),
+            "init_w": draw(h, a + s),
+            "init_b": draw(h),
+            "token_emb": np.vstack([draw(1, x), draw(n_d, x), draw(n_k, x), draw(n_e, x)]),
+        }
+        gates = [(draw(h, x), draw(h, h), draw(h)) for _ in "rzn"]
+        heads = [(draw(n, h), draw(n)) for n in (n_d, n_k, n_e)]
+        expected["gru_w"], expected["gru_u"], expected["gru_b"] = map(np.concatenate, zip(*gates))
+        expected["head_w"], expected["head_b"] = map(np.concatenate, zip(*heads))
+        assert list(params.arrays) == list(expected)
+        for name, arr in expected.items():
+            assert np.array_equal(params.arrays[name], arr), name
 
     def test_copy_is_independent(self):
         params = aa.init_params(TOY, SMALL_CFG, seed=0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import archadapt as aa
 
@@ -113,6 +114,37 @@ class TestClassGrowth:
         g = aa.fit_gaussian(snap.features, ridge=0.0)
         assert np.abs(g.mean - mu).max() < 0.05
         assert np.abs(g.cov - cov).max() < 0.15
+
+
+@st.composite
+def _plans(draw):
+    """A random volume-growth or class-growth plan with sorted steps."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    n_steps = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        fractions = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
+        steps = sorted(draw(st.lists(fractions, min_size=n_steps, max_size=n_steps)))
+        return aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=steps, feature_dim=dim,
+                             seed=seed, base_samples=draw(st.integers(2, 300)),
+                             n_classes=draw(st.integers(1, 6)))
+    steps = sorted(draw(st.lists(st.integers(1, 6), min_size=n_steps, max_size=n_steps)))
+    return aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=steps, feature_dim=dim,
+                         seed=seed, base_samples=draw(st.integers(2, 40)))
+
+
+class TestPrefixStability:
+    @given(plan=_plans())
+    @settings(max_examples=100, deadline=None)
+    def test_earlier_rows_are_a_prefix(self, plan):
+        snaps = [aa.gen_snapshot(plan, i) for i in range(plan.n_steps)]
+        for i, early in enumerate(snaps):
+            n = early.meta.n_samples
+            assert early.features.shape == (n, plan.feature_dim)
+            for late in snaps[i:]:
+                assert late.meta.n_samples >= n
+                assert np.array_equal(late.features[:n], early.features)
+                assert np.array_equal(late.labels[:n], early.labels)
 
 
 class TestDeterminism:

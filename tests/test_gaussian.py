@@ -14,6 +14,22 @@ def _summary(mean, cov, n=10):
     return aa.GaussianSummary(mean=mean, cov=cov, n_samples=n)
 
 
+@st.composite
+def _summary_pairs(draw, max_dim=5):
+    """Two Gaussians of one random dimension, covariances A A^T + 0.1 I."""
+    q = draw(st.integers(min_value=1, max_value=max_dim))
+    entries = st.floats(min_value=-3.0, max_value=3.0,
+                        allow_nan=False, allow_infinity=False)
+
+    def one():
+        mean = draw(st.lists(entries, min_size=q, max_size=q))
+        a = np.array(draw(st.lists(entries, min_size=q * q, max_size=q * q)))
+        a = a.reshape(q, q)
+        return _summary(mean, a @ a.T + 0.1 * np.eye(q))
+
+    return one(), one()
+
+
 class TestFit:
     def test_mle_moments(self):
         rng = np.random.default_rng(0)
@@ -86,7 +102,26 @@ class TestSqrtSpd:
 class TestWasserstein:
     def test_identical_is_zero(self):
         g = _summary([0.0, 0.0], np.eye(2))
-        assert aa.wasserstein2_gaussian(g, g) == pytest.approx(0.0, abs=1e-12)
+        assert aa.wasserstein2_gaussian(g, g) == 0.0
+        # A fitted snapshot: the matrix roots leave roundoff in the trace
+        # term, which must not read as shift.
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.2,))
+        fit = aa.fit_gaussian(aa.gen_snapshot(plan, 0).features)
+        assert aa.wasserstein2_gaussian(fit, fit) == 0.0
+
+    def test_steps_rounding_to_the_same_rows_are_zero(self):
+        # 0.2 and 0.2004 of 1000 rows both round to the same 200 rows.
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.2, 0.2004),
+                             base_samples=1000)
+        fits = [aa.fit_gaussian(aa.gen_snapshot(plan, i).features) for i in range(2)]
+        assert aa.wasserstein2_gaussian(fits[1], fits[0]) == 0.0
+        assert aa.wasserstein2_gaussian(fits[0], fits[1]) == 0.0
+
+    def test_small_real_shift_is_not_snapped(self):
+        # A mean gap far below the trace-term floor is kept.
+        g1 = _summary([0.0, 0.0], 100.0 * np.eye(2))
+        g2 = _summary([1e-6, 0.0], 100.0 * np.eye(2))
+        assert aa.wasserstein2_gaussian(g1, g2) == pytest.approx(1e-12, rel=1e-6)
 
     def test_mean_shift_only(self):
         # Equal covariances: W2^2 reduces to the squared mean distance.
@@ -142,6 +177,17 @@ class TestWasserstein:
             g2 = _summary(rng.normal(size=q), b @ b.T + 0.1 * np.eye(q))
             assert aa.wasserstein2_gaussian(g1, g2) >= 0.0
 
+    @given(pair=_summary_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_and_nonnegative(self, pair):
+        g1, g2 = pair
+        d12 = aa.wasserstein2_gaussian(g1, g2)
+        d21 = aa.wasserstein2_gaussian(g2, g1)
+        assert d12 >= 0.0 and d21 >= 0.0
+        # The absolute floor is the roundoff scale of the trace term.
+        floor = 2e-12 * (np.trace(g1.cov) + np.trace(g2.cov))
+        assert d12 == pytest.approx(d21, rel=1e-9, abs=floor)
+
 
 class TestJS:
     def test_identical_near_zero(self):
@@ -162,6 +208,15 @@ class TestJS:
         a = aa.js_divergence_mc(g1, g2, n_samples=10000, seed=42)
         b = aa.js_divergence_mc(g2, g1, n_samples=10000, seed=42)
         assert abs(a - b) <= 0.02
+
+    @given(pair=_summary_pairs(max_dim=3),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_mirrored_sampling_is_exactly_symmetric(self, pair, seed):
+        g1, g2 = pair
+        a = aa.js_divergence_mc(g1, g2, n_samples=500, seed=seed)
+        assert a == aa.js_divergence_mc(g2, g1, n_samples=500, seed=seed)
+        assert 0.0 <= a <= 1.0
 
     def test_1d_quadrature_oracle(self):
         # Independent route: numerical integration of the JS integrand.

@@ -61,6 +61,17 @@ class TestRunAdaptation:
         assert rec.new_arch == rec.prev_arch
         assert not rec.trace
 
+    def test_adapted_zero_shift_raises_naming_the_step(self):
+        # 0.2 and 0.2004 of 1000 rows give the same 200 rows, so d_t = 0,
+        # while the volume fraction moves the surrogate by about 4e-6.
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.2, 0.2004))
+        cfg = _run_config(plan, surrogate=aa.SurrogateConfig(),
+                          gate=aa.GateConfig(epsilon=0.0))
+        with pytest.raises(aa.DivisionByZeroShift, match="step 1"):
+            aa.run_adaptation(cfg)
+        held = aa.run_adaptation(dataclasses.replace(cfg, gate=aa.GateConfig(epsilon=1e-3)))
+        assert held[0].shift == 0.0 and not held[0].adapted
+
     def test_infinite_epsilon_never_adapts(self):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), seed=2)
         cfg = _run_config(plan, gate=aa.GateConfig(epsilon=float("inf")))
