@@ -27,6 +27,7 @@ from .datagen import (
     gen_prototypes,
     gen_snapshot,
     load_snapshot,
+    prefix_snapshot,
     save_snapshot,
 )
 from .errors import (

@@ -8,7 +8,10 @@ around the prototypes with isotropic spread sigma.
 Two growth scenarios are supported. VolumeGrowth keeps the class count
 fixed and reveals an increasing fraction of a fixed sample pool.
 ClassGrowth keeps per-class volume fixed and adds whole classes. In both,
-every snapshot's rows are an exact prefix of the next snapshot's rows.
+every snapshot's rows are an exact prefix of the next snapshot's rows, so
+``prefix_snapshot`` cuts an earlier step out of a later one as read-only
+views. A volume snapshot draws only its own rows: the generator fills
+row-major, so these are the first rows of the whole pool's draw.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "GrowthPlan",
     "gen_prototypes",
     "gen_snapshot",
+    "prefix_snapshot",
     "save_snapshot",
     "load_snapshot",
     "meta_path_for",
@@ -156,45 +160,56 @@ def _class_block(plan: GrowthPlan, protos: np.ndarray, c: int) -> np.ndarray:
     return protos[c] + plan.sigma * rng.standard_normal((plan.base_samples, plan.feature_dim))
 
 
+def _meta(plan: GrowthPlan, step_index: int) -> SnapshotMeta:
+    """One step's meta, its row count included."""
+    step = plan.steps[step_index]
+    if plan.scenario == VOLUME_GROWTH:
+        n = max(int(round(step * plan.base_samples)), 1)
+        n_classes, fraction = min(n, plan.n_classes), float(step)  # labels cycle
+    else:
+        n_classes, fraction = int(step), 1.0
+        n = n_classes * plan.base_samples
+    return SnapshotMeta(t=step_index, n_classes=n_classes, n_samples=n,
+                        volume_fraction=fraction, max_classes=plan.normalizer())
+
+
 def gen_snapshot(plan: GrowthPlan, step_index: int) -> Snapshot:
     """Materialize one snapshot of the plan.
 
-    Rows of step i are an exact prefix of the rows of any step j >= i.
-    Raises InvalidStep for an index outside the plan.
+    Rows of step i are an exact prefix of the rows of any step j >= i. A
+    volume step draws only its own rows of the pool's noise. Raises
+    InvalidStep for an index outside the plan.
     """
     if not (0 <= step_index < plan.n_steps):
         raise InvalidStep(f"step {step_index} outside plan of {plan.n_steps} steps")
-
+    meta = _meta(plan, step_index)
     if plan.scenario == VOLUME_GROWTH:
         protos = gen_prototypes(plan.n_classes, plan.feature_dim, plan.seed, plan.proto_radius)
-        labels_full = np.arange(plan.base_samples) % plan.n_classes
+        labels = np.arange(meta.n_samples) % plan.n_classes
         rng = np.random.default_rng([plan.seed, _VOLUME_TAG])
-        noise = plan.sigma * rng.standard_normal((plan.base_samples, plan.feature_dim))
-        n = int(round(plan.steps[step_index] * plan.base_samples))
-        n = max(n, 1)
-        features = protos[labels_full[:n]] + noise[:n]
-        labels = labels_full[:n]
-        meta = SnapshotMeta(
-            t=step_index,
-            n_classes=int(np.unique(labels).size),
-            n_samples=n,
-            volume_fraction=float(plan.steps[step_index]),
-            max_classes=plan.normalizer(),
-        )
-        return Snapshot(features=features, labels=labels, meta=meta)
+        features = plan.sigma * rng.standard_normal((meta.n_samples, plan.feature_dim))
+        features += protos[labels]
+    else:
+        protos = gen_prototypes(meta.n_classes, plan.feature_dim, plan.seed, plan.proto_radius)
+        features = np.vstack([_class_block(plan, protos, c) for c in range(meta.n_classes)])
+        labels = np.repeat(np.arange(meta.n_classes), plan.base_samples)
+    return Snapshot(features=features, labels=labels, meta=meta)
 
-    n_classes = int(plan.steps[step_index])
-    protos = gen_prototypes(n_classes, plan.feature_dim, plan.seed, plan.proto_radius)
-    blocks = [_class_block(plan, protos, c) for c in range(n_classes)]
-    features = np.vstack(blocks)
-    labels = np.repeat(np.arange(n_classes), plan.base_samples)
-    meta = SnapshotMeta(
-        t=step_index,
-        n_classes=n_classes,
-        n_samples=features.shape[0],
-        volume_fraction=1.0,
-        max_classes=plan.normalizer(),
-    )
+
+def prefix_snapshot(snapshot: Snapshot, plan: GrowthPlan, step_index: int) -> Snapshot:
+    """Step step_index of the plan, cut out of a later step's snapshot.
+
+    The features and labels are read-only views of the first rows of
+    ``snapshot`` (from ``gen_snapshot`` on the same plan), byte-equal to
+    ``gen_snapshot(plan, step_index)``. Raises InvalidStep for a step past
+    the snapshot's own.
+    """
+    last = snapshot.meta.t
+    if not (0 <= step_index <= last < plan.n_steps):
+        raise InvalidStep(f"step {step_index} is not a prefix of step {last} of {plan.n_steps}")
+    meta = _meta(plan, step_index)
+    features, labels = snapshot.features[: meta.n_samples], snapshot.labels[: meta.n_samples]
+    features.flags.writeable = labels.flags.writeable = False
     return Snapshot(features=features, labels=labels, meta=meta)
 
 

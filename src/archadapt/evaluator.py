@@ -87,15 +87,14 @@ def target_depth(s: float) -> int:
     return int(math.floor(2.0 + 2.0 * s + 0.5))
 
 
-def surrogate_accuracy(
-    arch: Architecture,
-    meta: SnapshotMeta,
-    cfg: SurrogateConfig,
-    space: SpaceConfig,
-) -> float:
+def _reference_madds(cfg: SurrogateConfig, space: SpaceConfig) -> float:
     ref = cfg.reference_arch if cfg.reference_arch is not None else max_arch(space)
-    cap = madds(arch, space) / madds(ref, space)
-    s = complexity_score(meta)
+    return madds(ref, space)
+
+
+def _value(arch: Architecture, cost: float, ref_cost: float, s: float, cfg: SurrogateConfig) -> float:
+    """V of an architecture priced at cost MAdds, at complexity score s."""
+    cap = cost / ref_cost
     c_star = target_capacity(s, cfg)
     d_star = target_depth(s)
     bump = cfg.peak_height * math.exp(-((cap - c_star) ** 2) / (2.0 * cfg.bump_width**2))
@@ -104,9 +103,25 @@ def surrogate_accuracy(
     return min(max(v, 0.0), 1.0)
 
 
+def surrogate_accuracy(
+    arch: Architecture,
+    meta: SnapshotMeta,
+    cfg: SurrogateConfig,
+    space: SpaceConfig,
+    ref_cost: float | None = None,
+) -> float:
+    """V of arch on the snapshot; ref_cost, if given, is the reference's MAdds."""
+    cost = madds(arch, space)
+    ref_cost = _reference_madds(cfg, space) if ref_cost is None else ref_cost
+    return _value(arch, cost, ref_cost, complexity_score(meta), cfg)
+
+
 def make_evaluator(cfg: SurrogateConfig, space: SpaceConfig) -> Evaluator:
+    """surrogate_accuracy bound to cfg and space; prices the reference once."""
+    ref_cost = _reference_madds(cfg, space)
+
     def evaluate(arch: Architecture, meta: SnapshotMeta) -> float:
-        return surrogate_accuracy(arch, meta, cfg, space)
+        return surrogate_accuracy(arch, meta, cfg, space, ref_cost)
 
     return evaluate
 
@@ -126,11 +141,13 @@ def oracle_best(
     """
     if lam != 0.0 and shift <= 0.0:
         raise DivisionByZeroShift(f"shift must be positive when lam != 0, got {shift}")
+    ref_cost = _reference_madds(cfg, space)
+    s = complexity_score(meta)
     best = None
     # enumeration is sorted by encoding, so first-seen wins lexicographic ties
     for arch in enumerate_space(space):
-        v = surrogate_accuracy(arch, meta, cfg, space)
         cost = madds(arch, space)
+        v = _value(arch, cost, ref_cost, s, cfg)
         score = v - (lam / shift) * cost if lam != 0.0 else v
         key = (score, -cost)
         if best is None or key > best[0]:

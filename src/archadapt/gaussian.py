@@ -185,13 +185,11 @@ def _chol(cov: np.ndarray, what: str) -> np.ndarray:
         raise NotSPD(f"{what} is not positive definite") from exc
 
 
-def _log_density(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Gaussian log-density of rows of x, given a Cholesky factor of cov."""
-    q = mean.size
-    sol = np.linalg.solve(chol, (x - mean).T)
-    maha = np.sum(sol * sol, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (maha + logdet + q * np.log(2.0 * np.pi))
+def _log_density(x: np.ndarray, mean: np.ndarray, inv: np.ndarray, logdet: float) -> np.ndarray:
+    """Gaussian log-density of rows of x from log det cov and inverse Cholesky factor."""
+    sol = (x - mean) @ inv.T
+    maha = np.sum(sol * sol, axis=1)
+    return -0.5 * (maha + logdet + mean.size * np.log(2.0 * np.pi))
 
 
 def js_divergence_mc(
@@ -216,13 +214,15 @@ def js_divergence_mc(
     z = rng.standard_normal((n_samples, q))
     x1 = g1.mean + z @ l1.T
     x2 = g2.mean + z @ l2.T
+    dens1 = (g1.mean, np.linalg.inv(l1), 2.0 * np.sum(np.log(np.diag(l1))))
+    dens2 = (g2.mean, np.linalg.inv(l2), 2.0 * np.sum(np.log(np.diag(l2))))
 
-    def expected_log_ratio(x, own_mean, own_chol, other_mean, other_chol):
-        lp_own = _log_density(x, own_mean, own_chol)
-        lp_other = _log_density(x, other_mean, other_chol)
+    def expected_log_ratio(x, own, other):
+        lp_own = _log_density(x, *own)
+        lp_other = _log_density(x, *other)
         lp_mix = np.logaddexp(lp_own, lp_other) - _LN2
         return float(np.mean(lp_own - lp_mix)) / _LN2
 
-    term1 = expected_log_ratio(x1, g1.mean, l1, g2.mean, l2)
-    term2 = expected_log_ratio(x2, g2.mean, l2, g1.mean, l1)
+    term1 = expected_log_ratio(x1, dens1, dens2)
+    term2 = expected_log_ratio(x2, dens2, dens1)
     return float(np.clip(0.5 * (term1 + term2), 0.0, 1.0))

@@ -8,7 +8,8 @@ from the previous round) and greedily decode the new architecture.
 Every random purpose gets its own seed derived from the master seed and
 a (step, purpose) tag, so runs are reproducible record for record; the
 records JSON is byte-identical across repeated runs. Wall-clock timings
-are volatile and therefore live in a separate timings file.
+are volatile and therefore live in a separate timings file. Each plan is
+drawn once: earlier steps are read-only row-prefix views of the last one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .controller import (
     train,
     write_trace,
 )
-from .datagen import GrowthPlan, Snapshot, default_feature_extractor, gen_snapshot
+from .datagen import GrowthPlan, Snapshot, default_feature_extractor, gen_snapshot, prefix_snapshot
 from .errors import DivisionByZeroShift, InvalidConfig
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
 from .gaussian import fit_gaussian, js_divergence_mc, wasserstein2_gaussian
@@ -89,8 +90,10 @@ def derive_seed(master: int, *tags) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _fit_snapshots(snapshots: list[Snapshot], feature_extractor):
-    return [fit_gaussian(feature_extractor(snap)) for snap in snapshots]
+def _snapshots(plan: GrowthPlan) -> list[Snapshot]:
+    """Every step of the plan, drawn once, as read-only views of the last."""
+    last = gen_snapshot(plan, plan.n_steps - 1)
+    return [prefix_snapshot(last, plan, i) for i in range(plan.n_steps)]
 
 
 def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> TrainerConfig:
@@ -117,8 +120,8 @@ def _setup(cfg: RunConfig, feature_extractor):
     plan = cfg.plan
     if plan.n_steps < 2:
         raise InvalidConfig("growth plan needs at least two steps to adapt over")
-    snapshots = [gen_snapshot(plan, i) for i in range(plan.n_steps)]
-    fits = _fit_snapshots(snapshots, feature_extractor)
+    snapshots = _snapshots(plan)
+    fits = [fit_gaussian(feature_extractor(snap)) for snap in snapshots]
     shifts = [wasserstein2_gaussian(fits[i], fits[i - 1]) for i in range(1, len(fits))]
     trainer = resolve_bucket_edges(cfg.trainer, shifts)
     evaluate = make_evaluator(cfg.surrogate, cfg.space)
@@ -234,8 +237,8 @@ def compare_distance_metrics(
     js_sums = {j: 0.0 for j in later}
     for seed in seeds:
         seeded = replace(plan, seed=seed)
-        snapshots = [gen_snapshot(seeded, i) for i in range(seeded.n_steps)]
-        fits = _fit_snapshots(snapshots, default_feature_extractor)
+        snapshots = _snapshots(seeded)
+        fits = [fit_gaussian(snap.features) for snap in snapshots]
         base = fits[base_step]
         for j in later:
             wd_sums[j] += wasserstein2_gaussian(fits[j], base)
@@ -257,12 +260,15 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
 
     Adaptation is forced (the gate is bypassed) so that every lambda sees
     the identical task; only the cost penalty differs. Returns one row per
-    lambda with the greedy architecture, its V, and its MAdds.
+    lambda with the greedy architecture, its V, and its MAdds. A zero first
+    shift raises DivisionByZeroShift naming step 1.
     """
     snapshots, shifts, trainer, evaluate, arch, base_params = _setup(
         cfg, default_feature_extractor
     )
     shift = shifts[0]
+    if shift == 0.0:
+        raise DivisionByZeroShift("step 1: lambda_sweep forces adaptation but the shift is 0")
     cur_meta = snapshots[1].meta
     train_seed = derive_seed(cfg.master_seed, 1, "train")
 

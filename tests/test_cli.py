@@ -204,16 +204,27 @@ class TestErrors:
         assert "plan.steps" in err
         assert "bad.cfg:2" in err
 
-    def test_adapted_zero_shift_exits_2(self, tmp_path, capsys):
+    ZERO_SHIFT_CONFIG = (
         # Both steps round to the same 200 rows: d_t = 0, yet the gate fires.
+        "plan.scenario = volume_growth\nplan.steps = 0.2,0.2004\n"
+        "gate.epsilon = 0.0\nspace.n_units = 2\n"
+        "space.depth_choices = 2,3\nspace.kernel_choices = 3,5\n"
+        "space.expansion_choices = 3\nspace.input_resolution = 32\n"
+        "space.unit_out_channels = 16,24\nspace.unit_strides = 2,2\n")
+
+    def test_adapted_zero_shift_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"
-        cfg.write_text("plan.scenario = volume_growth\nplan.steps = 0.2,0.2004\n"
-                       "gate.epsilon = 0.0\nspace.n_units = 2\n"
-                       "space.depth_choices = 2,3\nspace.kernel_choices = 3,5\n"
-                       "space.expansion_choices = 3\nspace.input_resolution = 32\n"
-                       "space.unit_out_channels = 16,24\nspace.unit_strides = 2,2\n")
+        cfg.write_text(self.ZERO_SHIFT_CONFIG)
         assert main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "step 1" in capsys.readouterr().err
+
+    def test_sweep_lambda_zero_shift_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(self.ZERO_SHIFT_CONFIG)
+        assert main(["sweep-lambda", "--config", str(cfg), "--lambdas", "0,0.001"]) == 2
+        captured = capsys.readouterr()
+        assert "step 1" in captured.err
+        assert captured.out == ""
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["adapt", "--config", str(tmp_path / "none.cfg"),

@@ -147,6 +147,38 @@ class TestPrefixStability:
                 assert np.array_equal(late.labels[:n], early.labels)
 
 
+class TestPrefixSnapshot:
+    @given(plan=_plans())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_drawing_the_step(self, plan):
+        last = aa.gen_snapshot(plan, plan.n_steps - 1)
+        for i in range(plan.n_steps):
+            cut = aa.prefix_snapshot(last, plan, i)
+            alone = aa.gen_snapshot(plan, i)
+            assert cut.features.tobytes() == alone.features.tobytes()
+            assert cut.features.shape == alone.features.shape
+            assert cut.labels.tobytes() == alone.labels.tobytes()
+            assert cut.meta == alone.meta
+            assert alone.meta.n_classes == np.unique(alone.labels).size
+
+    def test_views_are_read_only(self):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 3), base_samples=5)
+        last = aa.gen_snapshot(plan, 1)
+        cut = aa.prefix_snapshot(last, plan, 0)
+        assert np.shares_memory(cut.features, last.features)
+        with pytest.raises(ValueError, match="read-only"):
+            cut.features[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            cut.labels[0] = 1
+        assert last.features.flags.writeable
+
+    @pytest.mark.parametrize("step", [2, 3, -1])
+    def test_past_the_snapshot_raises(self, step):
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.2, 0.5, 1.0), seed=1)
+        with pytest.raises(aa.InvalidStep):
+            aa.prefix_snapshot(aa.gen_snapshot(plan, 1), plan, step)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("scenario,steps", [
         (aa.VOLUME_GROWTH, (0.5, 1.0)),

@@ -3,6 +3,7 @@
 import pytest
 
 import archadapt as aa
+from archadapt import evaluator
 from archadapt.datagen import SnapshotMeta
 from archadapt.evaluator import surrogate_accuracy, target_capacity, target_depth
 
@@ -120,6 +121,64 @@ class TestOracle:
         cfg = aa.SurrogateConfig()
         with pytest.raises(aa.DivisionByZeroShift):
             aa.oracle_best(TOY, _meta(0.5), cfg, lam=0.1, shift=0.0)
+
+
+class TestOracleBruteForce:
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    @pytest.mark.parametrize("reference", [None, "k3e3,k5e3;k5e3,k3e3,k3e3"])
+    def test_equals_brute_force_max(self, lam, reference, tied):
+        ref = aa.decode(reference, TOY) if reference is not None else None
+        cfg = aa.SurrogateConfig(reference_arch=ref)
+        meta, shift = _meta(0.4), 0.7
+        if tied:
+            # V depends on MAdds and depths only, so centering the bump on
+            # this arch ties it with its twin whose last two layers swap.
+            peak = aa.decode("k3e3,k3e3;k5e3,k5e3,k3e3", TOY)
+            cap = aa.madds(peak, TOY) / aa.madds(ref or aa.max_arch(TOY), TOY)
+            cfg = aa.SurrogateConfig(reference_arch=ref, opt_intercept=cap,
+                                     opt_slope=0.0, depth_penalty=0.0)
+
+        def rank(arch):
+            v = surrogate_accuracy(arch, meta, cfg, TOY)
+            cost = aa.madds(arch, TOY)
+            # max of (objective, -madds), then the smaller encoding
+            return (-(v - lam / shift * cost), cost, aa.encode(arch))
+
+        ranked = sorted(aa.enumerate_space(TOY), key=rank)
+        best = ranked[0]
+        assert (rank(ranked[1])[:2] == rank(best)[:2]) is tied
+        arch, v, cost = aa.oracle_best(TOY, meta, cfg, lam=lam, shift=shift)
+        assert arch == best
+        assert v == surrogate_accuracy(best, meta, cfg, TOY)
+        assert cost == aa.madds(best, TOY)
+
+
+class TestPricing:
+    def _count_madds(self, monkeypatch):
+        calls = []
+
+        def counted(arch, space):
+            calls.append(arch)
+            return aa.madds(arch, space)
+
+        monkeypatch.setattr(evaluator, "madds", counted)
+        return calls
+
+    def test_evaluator_prices_the_reference_once(self, monkeypatch):
+        calls = self._count_madds(monkeypatch)
+        evaluate = aa.make_evaluator(aa.SurrogateConfig(), TOY)
+        assert calls == [aa.max_arch(TOY)]
+        archs = aa.enumerate_space(TOY)[:5]
+        values = [evaluate(a, _meta(0.5)) for a in archs]
+        assert calls[1:] == archs
+        assert values == [surrogate_accuracy(a, _meta(0.5), aa.SurrogateConfig(), TOY)
+                          for a in archs]
+
+    def test_oracle_prices_each_arch_once(self, monkeypatch):
+        calls = self._count_madds(monkeypatch)
+        aa.oracle_best(TOY, _meta(0.5), aa.SurrogateConfig(), lam=0.01)
+        assert calls == [aa.max_arch(TOY)] + aa.enumerate_space(TOY)
 
 
 class TestConfigValidation:

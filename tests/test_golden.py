@@ -6,7 +6,10 @@ against files written by an earlier commit instead:
 
 - ``archadapt adapt`` on the criteria 7/9/10 toy config at two seeds:
   ``records.json`` and every ``trace_t*.csv``, byte for byte;
-- ``lambda_sweep`` on the default space at 20 iterations: the rows.
+- ``lambda_sweep`` on the default space at 20 iterations: the rows;
+- ``archadapt adapt`` on a small volume-growth plan whose gate holds at
+  every step: ``records.json``, and the sha256 of each ``gen_snapshot``
+  step's feature bytes.
 
 An intended change to these bytes re-pins them with
 
@@ -15,6 +18,7 @@ An intended change to these bytes re-pins them with
 and says why in CHANGES.md.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -57,12 +61,34 @@ trainer.shift_embed_dim = 4
 trainer.token_embed_dim = 8
 """
 
+VOLUME_SEED = 3
 
-def _run_adapt(seed, work_dir):
+# Volume growth on the toy space; epsilon 1 holds at every step (V lies in
+# [0, 1] and the gate is strict), so the records pin the data side: row
+# counts, shifts, drops and the bootstrap oracle.
+VOLUME_CONFIG = """\
+plan.scenario = volume_growth
+plan.steps = 0.2,0.333,0.7,1.0
+plan.feature_dim = 6
+plan.base_samples = 400
+plan.n_classes = 5
+space.n_units = 2
+space.depth_choices = 2,3
+space.kernel_choices = 3,5
+space.expansion_choices = 3
+space.input_resolution = 128
+space.stem_channels = 16
+space.unit_out_channels = 16,24
+space.unit_strides = 2,2
+gate.epsilon = 1.0
+"""
+
+
+def _run_adapt(seed, work_dir, config_text=TOY_CONFIG, name="adapt"):
     """Pinned outputs of one ``archadapt adapt`` run, by file name."""
-    config = work_dir / "run.cfg"
-    config.write_text(TOY_CONFIG)
-    out = work_dir / f"adapt_seed{seed}"
+    config = work_dir / f"{name}.cfg"
+    config.write_text(config_text)
+    out = work_dir / f"{name}_seed{seed}"
     code = cli_main(["adapt", "--config", str(config), "--seed", str(seed), "--out", str(out)])
     assert code == 0
     names = ["records.json"] + sorted(p.name for p in out.glob("trace_t*.csv"))
@@ -102,8 +128,32 @@ def test_adapt_matches_golden(seed, tmp_path):
         assert produced[name] == (golden_dir / name).read_bytes(), name
 
 
+def _snapshot_digests():
+    """One ``step sha256`` line per step of the volume plan's snapshots."""
+    plan = aa.GrowthPlan(
+        scenario=aa.VOLUME_GROWTH, steps=(0.2, 0.333, 0.7, 1.0), feature_dim=6,
+        base_samples=400, n_classes=5, seed=VOLUME_SEED,
+    )
+    lines = []
+    for i in range(plan.n_steps):
+        features = aa.gen_snapshot(plan, i).features
+        assert features.dtype == "float64"
+        lines.append(f"{i} {hashlib.sha256(features.tobytes()).hexdigest()}\n")
+    return "".join(lines).encode()
+
+
 def test_lambda_sweep_matches_golden():
     assert _run_sweep() == (DATA / f"sweep_seed{SWEEP_SEED}.json").read_bytes()
+
+
+def test_volume_growth_matches_golden(tmp_path):
+    golden_dir = DATA / f"volume_seed{VOLUME_SEED}"
+    produced = _run_adapt(VOLUME_SEED, tmp_path, VOLUME_CONFIG, "volume")
+    assert sorted(produced) == ["records.json"]
+    records = json.loads(produced["records.json"])["records"]
+    assert [r["adapted"] for r in records] == [False] * 3
+    assert produced["records.json"] == (golden_dir / "records.json").read_bytes()
+    assert _snapshot_digests() == (golden_dir / "snapshots.sha256").read_bytes()
 
 
 def regenerate():
@@ -119,6 +169,11 @@ def regenerate():
                 old.unlink()
             for name, raw in _run_adapt(seed, Path(tmp)).items():
                 (target / name).write_bytes(raw)
+        volume = DATA / f"volume_seed{VOLUME_SEED}"
+        volume.mkdir(exist_ok=True)
+        produced = _run_adapt(VOLUME_SEED, Path(tmp), VOLUME_CONFIG, "volume")
+        (volume / "records.json").write_bytes(produced["records.json"])
+    (volume / "snapshots.sha256").write_bytes(_snapshot_digests())
     (DATA / f"sweep_seed{SWEEP_SEED}.json").write_bytes(_run_sweep())
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import archadapt as aa
+from archadapt import orchestrator
 from archadapt.orchestrator import load_records
 
 TOY = aa.SpaceConfig(
@@ -119,6 +120,27 @@ class TestRunAdaptation:
             assert ra.v_new == rb.v_new
 
 
+class TestSnapshotsDrawnOnce:
+    def test_in_place_write_raises_and_leaves_steps_intact(self):
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.25, 0.5, 1.0),
+                             base_samples=80, seed=2)
+
+        def scale_in_place(snap):
+            snap.features *= 2.0
+            return snap.features
+
+        with pytest.raises(ValueError, match="read-only"):
+            aa.run_adaptation(_run_config(plan), feature_extractor=scale_in_place)
+        snapshots = orchestrator._snapshots(plan)
+        for snap in snapshots:
+            with pytest.raises(ValueError, match="read-only"):
+                scale_in_place(snap)
+        for i, snap in enumerate(snapshots):
+            alone = aa.gen_snapshot(plan, i)
+            assert snap.features.tobytes() == alone.features.tobytes()
+            assert np.array_equal(snap.labels, alone.labels) and snap.meta == alone.meta
+
+
 class TestRecordsFile:
     def _records(self, tmp_path, sub):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), seed=5)
@@ -185,6 +207,14 @@ class TestLambdaSweep:
             aa.decode(row["arch"], TOY)
             assert 0.0 <= row["v"] <= 1.0
             assert row["madds"] > 0.0
+
+    def test_zero_first_shift_raises_before_training(self, monkeypatch):
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.2, 0.2004))
+        trained = []
+        monkeypatch.setattr(orchestrator, "train", lambda *a: trained.append(a))
+        with pytest.raises(aa.DivisionByZeroShift, match="step 1"):
+            aa.lambda_sweep(_run_config(plan), (0.0, 1e-3))
+        assert trained == []
 
     def test_duplicate_lambda_identical_rows(self):
         # Same lambda twice must reuse the same training seed and params
