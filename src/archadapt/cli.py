@@ -145,10 +145,10 @@ def _apply_sets(values: dict, sets: list[str]) -> dict:
     return values
 
 
-def _checked(source: str, error: type[Exception], convert, *values):
-    """convert(*values); a library error is re-raised as error, naming its source."""
+def _checked(source: str, error: type[Exception], convert, *values, **named):
+    """convert(*values, **named); a library error is re-raised as error, naming its source."""
     try:
-        return convert(*values)
+        return convert(*values, **named)
     except ArchAdaptError as exc:
         raise error(f"{source}: {exc}") from exc
 
@@ -165,7 +165,7 @@ def build_run_config(values: dict, seed: int | None = None) -> orchestrator.RunC
         raise InvalidConfig("config must set plan.scenario and plan.steps")
     if seed is not None:
         run["master_seed"] = seed
-    space = SpaceConfig(**sections.pop("space", {}))
+    space = _checked("config section space", InvalidConfig, SpaceConfig, **sections.pop("space", {}))
     surrogate = sections.get("surrogate", {})
     if "reference_arch" in surrogate:
         surrogate["reference_arch"] = _checked(
@@ -174,7 +174,10 @@ def build_run_config(values: dict, seed: int | None = None) -> orchestrator.RunC
         )
     if run.get("initial_arch", "oracle") != "oracle":
         _checked("config key run.initial_arch", InvalidConfig, decode, run["initial_arch"], space)
-    built = {name: _RUN_HINTS[name](**kwargs) for name, kwargs in sections.items()}
+    built = {
+        name: _checked(f"config section {name}", InvalidConfig, _RUN_HINTS[name], **kwargs)
+        for name, kwargs in sections.items()
+    }
     return orchestrator.RunConfig(space=space, **built, **run)
 
 

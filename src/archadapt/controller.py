@@ -33,11 +33,46 @@ so Adam, weight decay and batch averaging each run as a single vector
 operation. One guarded helper applies every update and refuses non-finite
 gradients.
 
+Lockstep runs. ``_train_many`` trains K independent runs (same snapshot,
+prev arch, shift and config up to ``lam`` and ``seed``) together: their
+parameter sets are the rows of one (K, P) buffer, each role a (K, *shape)
+view of it, and every pass works on all K at once. ``train`` is the K = 1
+case, and ``sample``, ``score``, ``greedy_decode`` and
+``objective_gradients`` run the same code on a (1, P) view of one
+parameter set, so there is one GRU step and one backward pass. Each run's
+numbers are bit for bit those of training it alone, because only
+operations that give the same bits stacked as one at a time are stacked
+(checked with numpy 2.4 on scipy-openblas 0.3.31):
+
+- per-element arithmetic on (K, ...) arrays: gates, Adam, weight decay;
+- stacked matrix-vector products ``np.matmul(M, x)`` with x a (K, n, 1)
+  column stack, against one ``M[k] @ x[k]`` each, plain or transposed (the
+  backward pass stacks the three gates' U^T as (3, K, H, H), one product
+  per step); W @ x for every token row at once is
+  ``np.matmul(W[:, None], token_emb[..., None])``, while the matrix product
+  ``W @ token_emb.T`` would differ in the last bits;
+- a head per decision kind, ``np.matmul(head_w[:, rows], h)`` over the
+  runs at that kind; slicing one full-head product by kind would differ;
+- softmax, entropy and cumulative-sum reductions over each run's logits
+  as one column of a (n, k) array (a single run's as a 1-D row), against
+  the 1-D ones;
+- sums over steps, zero-padded: the head gradients, ``gru_b`` and the
+  token-embedding scatter cover the same number of rows for every run, its
+  own newest first and then zero rows. The zeros leave every sum unchanged
+  except possibly the sign of an exact zero, and the batch sum in
+  ``_train_many`` (0 + gradient) turns -0.0 into 0.0, so the updates are
+  the same. A single run has no padding. ``gru_w`` and ``gru_u`` are
+  summed one run at a time, over its own steps only.
+
+What stays per run: its ``rng`` and draws, baseline, rewards, and
+evaluator and ``madds`` calls. A run whose trajectory ends early is
+retired from the heads and draws.
+
 The hot path keeps the numbers of a step-by-step implementation bit for
 bit while making far fewer numpy calls:
 
 - forward: the three GRU gates are computed together from the stacked
-  blocks; W @ x is computed once per token;
+  blocks; W @ x is computed once per token row and rollout;
 - sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
   would (cumulative sum, normalize by its last entry, right-side search of
   one uniform), so the RNG stream and every sampled trajectory stay the
@@ -46,14 +81,19 @@ bit while making far fewer numpy calls:
 - backward: head and weight gradients are computed from the stacked steps,
   summed in the same order the per-step loop used, and each step's input
   gradient is scatter-added into its ``token_emb`` row; only the
-  hidden-state recurrence runs step by step.
+  hidden-state recurrence runs step by step, for all runs at once, each
+  aligned newest step first.
+
+A single run's logits stay a 1-D row, whose reductions give numpy scalars:
+that, and slicing its one input row of W @ x, keep its decisions about as
+cheap as a loop written for one run.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -126,6 +166,9 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "entropy_weight", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise InvalidConfig(f"learning_rate must be positive, got {self.learning_rate}")
         if self.iterations < 1 or self.batch_size < 1:
@@ -176,6 +219,8 @@ class ControllerParams:
     def __init__(self, space: SpaceConfig, arrays: Mapping[str, np.ndarray]):
         self.space = space
         self._shapes = {name: np.shape(a) for name, a in arrays.items()}
+        ends = np.cumsum([math.prod(shape) for shape in self._shapes.values()]).tolist()
+        self._spans = list(zip(self._shapes.items(), [0, *ends], ends))
         self._flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=float)
         self.arrays = MappingProxyType(self.unflatten(self._flat))
 
@@ -184,14 +229,11 @@ class ControllerParams:
         return self._flat
 
     def unflatten(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of a flat vector, shaped and named like the arrays."""
-        out = {}
-        offset = 0
-        for name, shape in self._shapes.items():
-            size = math.prod(shape)
-            out[name] = vector[offset : offset + size].reshape(shape)
-            offset += size
-        return out
+        """Views of a flat vector, shaped and named like the arrays.
+
+        A (K, P) stack of flat vectors gives (K, *shape) views.
+        """
+        return _views(vector, self._spans)
 
     def copy(self) -> "ControllerParams":
         return ControllerParams(self.space, self.arrays)
@@ -200,15 +242,47 @@ class ControllerParams:
         return float(self._flat @ self._flat)
 
 
+def _views(vector: np.ndarray, spans: list[tuple]) -> dict[str, np.ndarray]:
+    lead = vector.shape[:-1]
+    return {name: vector[..., start:stop].reshape(lead + shape) for (name, shape), start, stop in spans}
+
+
+class _Stack(NamedTuple):
+    """K parameter sets of one layout: a (K, P) buffer and views of it.
+
+    ``heads[code]`` is decision kind code's (K, n, H) head weights, its
+    (K, n, 1) bias and its first token row.
+    """
+
+    space: SpaceConfig
+    spans: list[tuple]
+    flat: np.ndarray
+    arrays: dict[str, np.ndarray]
+    heads: list[tuple]
+
+    @classmethod
+    def of(cls, layout: ControllerParams, flat: np.ndarray, arrays: dict[str, np.ndarray]) -> "_Stack":
+        """The stack over flat, whose (K, *shape) views by role are arrays."""
+        heads = [
+            (arrays["head_w"][:, rows], arrays["head_b"][:, rows, None], 1 + rows.start)
+            for rows, _ in _kinds(layout.space).values()
+        ]
+        return cls(layout.space, layout._spans, flat, arrays, heads)
+
+
+_KIND_NAMES = ("depth", "kernel", "expansion")
+
+
 def _kinds(space: SpaceConfig) -> dict[str, tuple[slice, tuple[int, ...]]]:
     """Each decision kind's rows s of ``head_w``/``head_b`` and its choice values.
 
     The kinds' tokens are rows 1 + s of ``token_emb``; row 0 is the start token.
+    Kind codes 0, 1, 2 are the entries' positions.
     """
     out = {}
     start = 0
     choices = (space.depth_choices, space.kernel_choices, space.expansion_choices)
-    for kind, values in zip(("depth", "kernel", "expansion"), choices):
+    for kind, values in zip(_KIND_NAMES, choices):
         out[kind] = (slice(start, start + len(values)), values)
         start += len(values)
     return out
@@ -296,9 +370,14 @@ class PolicyState:
     bucket: int
 
 
+def _mv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m[i] @ x[i] for every leading index i, as one stacked matrix-vector call."""
+    return np.matmul(m, x[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class _Encoded:
-    """Encoder activations for one (prev_arch, shift bucket) condition."""
+    """Encoder activations of K runs for one (prev_arch, shift bucket) condition."""
 
     onehot: np.ndarray
     bucket: int
@@ -308,10 +387,10 @@ class _Encoded:
 
 
 def _encode(p: dict[str, np.ndarray], onehot: np.ndarray, bucket: int) -> _Encoded:
-    e1 = np.tanh(p["enc_w1"] @ onehot + p["enc_b1"])
-    arch_emb = p["enc_w2"] @ e1 + p["enc_b2"]
-    state_vec = np.concatenate([arch_emb, p["shift_emb"][bucket]])
-    h0 = np.tanh(p["init_w"] @ state_vec + p["init_b"])
+    e1 = np.tanh(_mv(p["enc_w1"], onehot) + p["enc_b1"])
+    arch_emb = _mv(p["enc_w2"], e1) + p["enc_b2"]
+    state_vec = np.concatenate([arch_emb, p["shift_emb"][:, bucket]], axis=1)
+    h0 = np.tanh(_mv(p["init_w"], state_vec) + p["init_b"])
     return _Encoded(onehot, bucket, e1, state_vec, h0)
 
 
@@ -349,7 +428,9 @@ class Trajectory:
 class TrainerState:
     """Optimizer state carried across the updates of one training run.
 
-    ``m`` and ``v`` are Adam's moments over the flat parameter vector.
+    ``m`` and ``v`` are Adam's moments over the flat parameter vector; in
+    lockstep training they are (K, P), one row per run, and each run keeps
+    its own state for its baseline.
     """
 
     step: int = 0
@@ -359,108 +440,153 @@ class TrainerState:
 
 
 def _softmax_logprobs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and log-probabilities of each column of logits."""
     z = logits - np.maximum.reduce(logits)
     logp = z - np.log(np.add.reduce(np.exp(z)))
     return np.exp(logp), logp
 
 
-@dataclass
-class _Rollout:
-    """One pass over the decision sequence plus what the backward pass needs.
+class _Rollout(NamedTuple):
+    """K runs' passes over their decision sequences, plus what backward needs.
 
-    ``steps`` holds one _Step tuple per decision, in decision order.
+    ``steps[t]`` holds step t of every run: the rows of W @ x fed to it
+    (row k * n_tokens + s for run k's token s), the r and z gate
+    activations (concatenated), n, U_n @ h_prev and h, each (K, ., 1).
+    Run k takes ``lengths[k]`` steps and its later entries are unused.
+    ``heads[code]`` holds, for each step at which some runs made a
+    decision of that kind, (t, those runs, their probs and logp, one
+    column per run, and their entropies); a single run's are 1-D and a
+    scalar.
     """
 
     enc: _Encoded
-    units: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
+    archs: list[Architecture]
+    lengths: list[int]
+    choices: list[list[int]]
+    entropies: list[list[float]]
+    steps: list[tuple]
+    heads: list[list[tuple]]
 
 
-class _Step(NamedTuple):
-    kind: str
-    choice: int
-    log_prob: float  # of the chosen index
-    entropy: float
-    source: int  # the token_emb row fed to this step
-    rz: np.ndarray  # r and z gate activations, concatenated
-    n: np.ndarray
-    unh: np.ndarray  # U_n @ h_prev
-    h: np.ndarray
-    probs: np.ndarray
-    logp: np.ndarray
+def _grammar(space: SpaceConfig):
+    """Walk the decision grammar: yield each decision's kind code, receive
+    its choice index, and return the architecture the choices spell."""
+    units = []
+    for _ in range(space.n_units):
+        layers = []
+        for _ in range(space.depth_choices[(yield 0)]):
+            kernel = space.kernel_choices[(yield 1)]
+            layers.append((kernel, space.expansion_choices[(yield 2)]))
+        units.append(layers)
+    return Architecture(units=units)
 
 
 def _rollout(
-    params: ControllerParams,
+    stack: _Stack,
     enc: _Encoded,
-    wx_cache: dict,
-    actions: list[int] | None = None,
-    rng: np.random.Generator | None = None,
+    rngs: Sequence[np.random.Generator] | None = None,
+    actions: Sequence[list[int]] | None = None,
     greedy: bool = False,
 ) -> _Rollout:
-    """Run the GRU from enc.h0 through one architecture's decisions.
+    """Run the GRU of every run from enc.h0 through one architecture's decisions.
 
-    actions given: teacher-forced scoring of that choice sequence.
+    actions given: teacher-forced scoring of each run's choice sequence.
     greedy: argmax decoding (ties go to the lowest index via argmax).
-    otherwise: ancestral sampling with rng.
+    otherwise: ancestral sampling, run k drawing from rngs[k].
 
-    W @ x depends only on the input token, so it is computed once per
-    token row and kept in wx_cache, which is valid for one set of weights.
+    All runs take a GRU step together; a decision's head is computed per
+    kind for the runs at that kind. A run is retired after its last unit.
     """
-    p = params.arrays
-    w, u, b, tokens = p["gru_w"], p["gru_u"], p["gru_b"], p["token_emb"]
-    hid = enc.h0.size
-    b_rz, b_n = b[: 2 * hid], b[2 * hid :]
-    # Per kind: its head weights and bias, first token row and choice values.
-    kinds = {
-        kind: (p["head_w"][rows], p["head_b"][rows], 1 + rows.start, values)
-        for kind, (rows, values) in _kinds(params.space).items()
-    }
-    exp, tanh, add = np.exp, np.tanh, np.add
-    out = _Rollout(enc)
-    h = enc.h0
-    source = 0
+    # Hidden states are (K, H, 1) columns, so each stacked matrix-vector
+    # product is one np.matmul call.
+    p, space = stack.arrays, stack.space
+    h = enc.h0[:, :, None]
+    n_runs, hid, _ = h.shape
+    runs = range(n_runs)
+    w, u, b, tokens = p["gru_w"], p["gru_u"], p["gru_b"][..., None], p["token_emb"]
+    b_rz, b_n = b[:, : 2 * hid], b[:, 2 * hid :]
+    n_tokens = tokens.shape[1]
+    # W @ x for every run and token row, computed once and split by gate;
+    # row k * n_tokens + s is run k's token s.
+    wx_all = np.matmul(w[:, None], tokens[..., None]).reshape(n_runs * n_tokens, 3 * hid, 1)
+    wx_rz_all, wx_n_all = wx_all[:, : 2 * hid], wx_all[:, 2 * hid :]
+    exp, tanh, add, matmul = np.exp, np.tanh, np.add, np.matmul
+    out = _Rollout(
+        enc=enc,
+        archs=[None] * n_runs,
+        lengths=[0] * n_runs,
+        choices=[[] for _ in runs],
+        entropies=[[] for _ in runs],
+        steps=[],
+        heads=[[], [], []],
+    )
+    offsets = [k * n_tokens for k in runs]
+    source = offsets[:]  # each run's next input row of wx_all
+    walks = [_grammar(space) for _ in runs]
+    kind = [next(walk) for walk in walks]  # next decision kind per run
+    active = list(runs)
+    t = 0
 
-    def consume(kind: str) -> int:
-        nonlocal h, source
-        wx = wx_cache.get(source)
-        if wx is None:
-            wx = w @ tokens[source]
-            wx_cache[source] = wx = (wx[: 2 * hid], wx[2 * hid :])
-        h_prev = h
-        uh = u @ h_prev
-        rz = 1.0 / (1.0 + exp(-(wx[0] + uh[: 2 * hid] + b_rz)))
-        z = rz[hid:]
-        unh = uh[2 * hid :]
-        n = tanh(wx[1] + rz[:hid] * unh + b_n)
-        h = (1.0 - z) * h_prev + z * n
+    # Array operands of 1.0: cheaper than the scalar on these shapes, same values.
+    one_rz = np.ones((n_runs, 2 * hid, 1))
+    one_h = one_rz[:, :hid]
 
-        head_w, head_b, first_token, choice_values = kinds[kind]
-        logits = head_w @ h + head_b
-        probs, logp = _softmax_logprobs(logits)
-        entropy = -float(add.reduce(probs * logp))
-        if not math.isfinite(entropy):
-            # NaN here means a non-finite logit somewhere in this head.
-            raise NumericalError(f"non-finite {kind} logits at decision {len(out.steps)}")
-        if actions is not None:
-            choice = actions[len(out.steps)]
-        elif greedy:
-            choice = int(logits.argmax())
+    while active:
+        if n_runs == 1:  # a slice: cheaper than take on the per-decision path
+            wx_rz, wx_n = wx_rz_all[source[0] : source[0] + 1], wx_n_all[source[0] : source[0] + 1]
         else:
-            # The draw Generator.choice(n, p=probs / probs.sum()) makes,
-            # without its validation passes: same uniform, same result.
-            cdf = add.accumulate(probs / add.reduce(probs))
-            cdf /= cdf[-1]
-            choice = int(cdf.searchsorted(rng.random(), "right"))
-        out.steps.append(
-            _Step(kind, choice, float(logp[choice]), entropy, source, rz, n, unh, h, probs, logp)
-        )
-        source = first_token + choice
-        return choice_values[choice]
+            wx_rz, wx_n = wx_rz_all.take(source, axis=0), wx_n_all.take(source, axis=0)
+        h_prev = h
+        uh = matmul(u, h_prev)
+        rz = one_rz / (one_rz + exp(-(wx_rz + uh[:, : 2 * hid] + b_rz)))
+        z = rz[:, hid:]
+        unh = uh[:, 2 * hid :]
+        n = tanh(wx_n + rz[:, :hid] * unh + b_n)
+        h = (one_h - z) * h_prev + z * n
+        out.steps.append((source[:], rz, n, unh, h))
 
-    for _ in range(params.space.n_units):
-        depth = consume("depth")
-        out.units.append(tuple((consume("kernel"), consume("expansion")) for _ in range(depth)))
+        groups: dict[int, list[int]] = {}
+        for k in active:
+            groups.setdefault(kind[k], []).append(k)
+        for code, idx in groups.items():
+            head_w, head_b, first_token = stack.heads[code]
+            if len(idx) == n_runs:
+                logits = matmul(head_w, h) + head_b
+            else:
+                logits = matmul(head_w[idx], h[idx]) + head_b[idx]
+            # Each run's logits form a column (one run: a plain 1-D row,
+            # whose reductions give numpy scalars, the cheapest case), so
+            # every reduction runs down axis 0 and gives the bits of that
+            # run's head alone.
+            one = len(idx) == 1
+            cols = logits[0, :, 0] if one else logits[:, :, 0].T
+            probs, logp = _softmax_logprobs(cols)
+            entropy = -add.reduce(probs * logp)
+            if actions is None and not greedy:
+                # The draw Generator.choice(n, p=probs / probs.sum()) makes,
+                # without its validation passes: same uniform, same result.
+                cdf = add.accumulate(probs / add.reduce(probs))
+                cdf /= cdf[-1]
+            out.heads[code].append((t, idx, probs, logp, entropy))
+            for i, (k, e) in enumerate(zip(idx, [float(entropy)] if one else entropy.tolist())):
+                if not math.isfinite(e):
+                    # NaN here means a non-finite logit somewhere in this head.
+                    raise NumericalError(f"non-finite {_KIND_NAMES[code]} logits at decision {t}")
+                if actions is not None:
+                    c = actions[k][t]
+                elif greedy:
+                    c = int((cols if one else cols[:, i]).argmax())
+                else:
+                    c = int((cdf if one else cdf[:, i]).searchsorted(rngs[k].random(), "right"))
+                out.choices[k].append(c)
+                out.entropies[k].append(e)
+                source[k] = offsets[k] + first_token + c
+                try:
+                    kind[k] = walks[k].send(c)
+                except StopIteration as done:
+                    out.archs[k], out.lengths[k] = done.value, t + 1
+                    active.remove(k)
+        t += 1
     return out
 
 
@@ -470,21 +596,33 @@ def _forward(
     actions: list[int] | None = None,
     rng: np.random.Generator | None = None,
     greedy: bool = False,
-) -> _Rollout:
+) -> tuple[_Stack, _Rollout]:
     """Encode pstate with the current params, then roll the GRU out once."""
-    enc = _encode(params.arrays, arch_onehot(pstate.prev_arch, params.space), pstate.bucket)
-    return _rollout(params, enc, {}, actions=actions, rng=rng, greedy=greedy)
+    # One parameter set as a stack of one: (1, *shape) views of its arrays.
+    stack = _Stack.of(params, params.flat[None], {name: a[None] for name, a in params.arrays.items()})
+    enc = _encode(stack.arrays, arch_onehot(pstate.prev_arch, params.space), pstate.bucket)
+    roll = _rollout(
+        stack,
+        enc,
+        rngs=None if rng is None else [rng],
+        actions=None if actions is None else [actions],
+        greedy=greedy,
+    )
+    return stack, roll
 
 
 def _make_trajectory(roll: _Rollout, pstate: PolicyState) -> Trajectory:
-    decisions = tuple(
-        Decision(step.kind, step.choice, step.log_prob, step.entropy) for step in roll.steps
-    )
+    """The one run of a single-run rollout as a Trajectory."""
+    choices = roll.choices[0]
+    decisions = [None] * len(choices)
+    for code, taken in enumerate(roll.heads):
+        for t, _, _, logp, entropy in taken:
+            decisions[t] = Decision(_KIND_NAMES[code], choices[t], float(logp[choices[t]]), float(entropy))
     return Trajectory(
-        arch=Architecture(units=tuple(roll.units)),
-        decisions=decisions,
-        log_prob=float(sum(step.log_prob for step in roll.steps)),
-        entropy=float(sum(step.entropy for step in roll.steps)),
+        arch=roll.archs[0],
+        decisions=tuple(decisions),
+        log_prob=float(sum(d.log_prob for d in decisions)),
+        entropy=float(sum(d.entropy for d in decisions)),
         prev_arch=pstate.prev_arch,
         shift=pstate.shift,
     )
@@ -492,20 +630,22 @@ def _make_trajectory(roll: _Rollout, pstate: PolicyState) -> Trajectory:
 
 def sample(params: ControllerParams, pstate: PolicyState, rng: np.random.Generator) -> Trajectory:
     """Draw one architecture from the current policy."""
-    return _make_trajectory(_forward(params, pstate, rng=rng), pstate)
+    _, roll = _forward(params, pstate, rng=rng)
+    return _make_trajectory(roll, pstate)
 
 
 def score(params: ControllerParams, pstate: PolicyState, arch: Architecture) -> Trajectory:
     """Teacher-forced log-probability of producing a given architecture."""
-    actions = _validate(arch, params.space)
-    traj = _make_trajectory(_forward(params, pstate, actions=actions), pstate)
+    _, roll = _forward(params, pstate, actions=_validate(arch, params.space))
+    traj = _make_trajectory(roll, pstate)
     assert traj.arch == arch
     return traj
 
 
 def greedy_decode(params: ControllerParams, pstate: PolicyState) -> Architecture:
     """Argmax decoding; equal logits resolve to the lowest choice index."""
-    return Architecture(units=tuple(_forward(params, pstate, greedy=True).units))
+    _, roll = _forward(params, pstate, greedy=True)
+    return roll.archs[0]
 
 
 def reward(
@@ -530,114 +670,179 @@ def reward(
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_t outer(a[t], b[t]), added in row order like a += loop.
 
-    Not a.T @ b: a matrix product groups the sums its own way, and the
-    last-bit differences it leaves grow over training into different
-    trace values.
+    Leading axes after the first are batch axes. Not a.T @ b: a matrix
+    product groups the sums its own way, and the last-bit differences it
+    leaves grow over training into different trace values. The longer
+    vector runs along the last axis, numpy's inner loop; the products and
+    their order are the same either way.
     """
-    return (b[:, :, None] * a[:, None, :]).sum(axis=0).T
-
-
-def _matvecs(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """m @ rows[t] for every t, as one call of the same matrix-vector kernel."""
-    return np.matmul(m, rows[:, :, None])[:, :, 0]
+    if a.shape[-1] > b.shape[-1]:
+        return (b[..., :, None] * a[..., None, :]).sum(axis=0).swapaxes(-1, -2)
+    return (a[..., :, None] * b[..., None, :]).sum(axis=0)
 
 
 def _backward(
-    params: ControllerParams,
+    stack: _Stack,
     roll: _Rollout,
-    advantage: float,
+    advantages: Sequence[float],
     cfg: TrainerConfig,
 ) -> np.ndarray:
-    """Flat gradient of advantage*logpi + w_e*entropy - wd*||theta||^2/2.
+    """(K, P) gradients of advantage*logpi + w_e*entropy - wd*||theta||^2/2.
 
-    Every per-step quantity is stacked newest first, so each sum over steps
-    adds in the order a step-by-step backward pass would, and the result is
-    bit for bit the same. Only the hidden-state recurrence runs per step.
+    Row k is run k's flat gradient at its own advantage. Every per-step
+    quantity is stacked newest first, so each sum over a run's steps adds
+    in the order a step-by-step backward pass would, and the result is bit
+    for bit the same. A run shorter than the longest is padded with zero
+    rows after its own, so most sums cover every run in one operation (see
+    the module docstring). Only the hidden-state recurrence runs per step,
+    for all runs at once.
     """
-    p = params.arrays
+    p = stack.arrays
     enc = roll.enc
-    flat_grad = np.zeros(params.flat.size)
-    g = params.unflatten(flat_grad)
+    grad = np.zeros_like(stack.flat)
+    g = _views(grad, stack.spans)
     we = cfg.entropy_weight
-    newest_first = _Step(*zip(*reversed(roll.steps)))
-    kinds, choices, sources = newest_first.kind, newest_first.choice, list(newest_first.source)
-    hs = np.array(newest_first.h)
+    sources, rz, n, unh, hs = zip(*roll.steps)
+    n_steps, (n_runs, hid) = len(roll.steps), enc.h0.shape
+    runs = range(n_runs)
+    short = [(k, length) for k, length in enumerate(roll.lengths) if length < n_steps]
+
+    def newest_first(per_step: list) -> np.ndarray:
+        """Row j holds run k's step lengths[k] - 1 - j; rows past a run's length are unused."""
+        out = np.array(per_step[::-1])
+        for k, length in short:
+            out[:length, k] = out[n_steps - length :, k]
+        return out
+
+    hs = newest_first(hs)
+    # The state each step started from: the next older step's, h0 at a run's first.
+    h_prev = np.concatenate((hs[1:], enc.h0[None, :, :, None]))
+    for k, length in short:
+        h_prev[length - 1, k] = enc.h0[k, :, None]
 
     # Heads: d/dlogits of logp[choice] is onehot - probs; of entropy is
-    # -probs * (logp + H).
-    dhead = np.empty_like(hs)
-    for kind, (head_rows, _) in _kinds(params.space).items():
-        rows = [i for i, k in enumerate(kinds) if k == kind]
-        if not rows:
+    # -probs * (logp + H). Per kind, row i of run k is its i-th newest
+    # decision of that kind; a padding row's dhead goes to the spare step
+    # n_steps.
+    dhead = np.zeros((n_steps + 1, n_runs, hid, 1))
+    flat_hs, flat_dhead = hs.reshape(n_steps * n_runs, hid), dhead.reshape(-1, hid)
+    adv = np.array(advantages)[:, None]
+    for (head_rows, values), entries in zip(_kinds(stack.space).values(), roll.heads):
+        if not entries:
             continue
-        probs = np.array([newest_first.probs[i] for i in rows])
-        dlogits = advantage * (-probs)
-        dlogits[np.arange(len(rows)), [choices[i] for i in rows]] += advantage
+        # Each run's (step, probs, logp, entropy), newest first.
+        rows_of: list[list[tuple]] = [[] for _ in runs]
+        for t, idx, probs, logp, entropy in reversed(entries):
+            if len(idx) == 1:
+                rows_of[idx[0]].append((t, probs, logp, entropy))
+            else:
+                for k, *row in zip(idx, probs.T, logp.T, entropy):
+                    rows_of[k].append((t, *row))
+        n_choices, depth = len(values), max(map(len, rows_of))
+        zero = np.zeros(n_choices)
+        probs, logp, entropy, hit, gain, at, to = [], [], [], [], [], [], []
+        for i in range(depth):
+            for k, rows in enumerate(rows_of):
+                if i < len(rows):
+                    t, pr, lp, en = rows[i]
+                    hit.append(len(probs) * n_choices + roll.choices[k][t])
+                    gain.append(advantages[k])
+                    at.append((roll.lengths[k] - 1 - t) * n_runs + k)
+                    to.append(at[-1])
+                else:
+                    pr = lp = zero
+                    en = 0.0
+                    at.append(k)
+                    to.append(n_steps * n_runs + k)
+                probs.append(pr)
+                logp.append(lp)
+                entropy.append(en)
+        probs = np.array(probs).reshape(depth, n_runs, n_choices)
+        dlogits = adv * (-probs)
+        dlogits.reshape(-1)[hit] += gain
         if we != 0.0:
-            logp = np.array([newest_first.logp[i] for i in rows])
-            entropy = np.array([newest_first.entropy[i] for i in rows])
-            dlogits += we * (-probs * (logp + entropy[:, None]))
-        g["head_w"][head_rows] = _outer_sum(dlogits, hs[rows])
-        g["head_b"][head_rows] = dlogits.sum(axis=0)
-        dhead[rows] = _matvecs(p["head_w"][head_rows].T, dlogits)
+            logp = np.array(logp).reshape(depth, n_runs, n_choices)
+            entropy = np.array(entropy).reshape(depth, n_runs, 1)
+            dlogits += we * (-probs * (logp + entropy))
+        g["head_w"][:, head_rows] = _outer_sum(dlogits, flat_hs[at].reshape(depth, n_runs, hid))
+        g["head_b"][:, head_rows] = dlogits.sum(axis=0)
+        flat_dhead[to] = _mv(p["head_w"][:, head_rows].transpose(0, 2, 1), dlogits).reshape(-1, hid)
+    dhead = dhead[:n_steps]
 
-    hid = hs.shape[1]
-    rz = np.array(newest_first.rz)
-    r, z = rz[:, :hid], rz[:, hid:]
-    n = np.array(newest_first.n)
-    h_prev = np.concatenate((hs[1:], enc.h0[None]))
-    unh = np.array(newest_first.unh)
-    w, u = p["gru_w"], p["gru_u"]
-    ur_t, uz_t, un_t = u[:hid].T, u[hid : 2 * hid].T, u[2 * hid :].T
-    da_r, da_z, da_n, dunh = [], [], [], []
-    dh_next = np.zeros(hid)
+    rz, n, unh = newest_first(rz), newest_first(n), newest_first(unh)
+    r, z = rz[:, :, :hid], rz[:, :, hid:]
+    # U_r^T, U_z^T and U_n^T of every run, (3, K, H, H): one stacked product
+    # per step back-propagates all three gates.
+    u_t = p["gru_u"].reshape(n_runs, 3, hid, hid).transpose(1, 0, 3, 2)
+    finishing: list[list[int]] = [[] for _ in range(n_steps)]
+    for k, length in enumerate(roll.lengths):
+        finishing[length - 1].append(k)
+    dh_final = np.empty((n_runs, hid, 1))
+    da_n, da_rzu = [], []
+    dh_next = np.zeros((n_runs, hid, 1))
+    multiply = np.multiply
     # Products and sums associate left to right, as the step-by-step pass
     # wrote them; regrouping them changes the last bits.
-    for dh_head, n_minus_h, z_t, one_minus_z, one_minus_n2, unh_t, r_t, one_minus_r in zip(
-        dhead, n - h_prev, z, 1.0 - z, 1.0 - n * n, unh, r, 1.0 - r
+    for dh_head, n_minus_h, z_t, one_minus_z, one_minus_n2, unh_t, r_t, one_minus_r, done in zip(
+        dhead, n - h_prev, z, 1.0 - z, 1.0 - n * n, unh, r, 1.0 - r, finishing
     ):
         dh = dh_head + dh_next
         dz = dh * n_minus_h
         dan = dh * z_t * one_minus_n2
-        du = dan * r_t
-        dar = dan * unh_t * r_t * one_minus_r
-        daz = dz * z_t * one_minus_z
-        dh_next = dh * one_minus_z + un_t @ du + ur_t @ dar + uz_t @ daz
+        # Gradients at the r and z pre-activations and at U_n @ h_prev.
+        rzu = np.empty((3, n_runs, hid, 1))
+        multiply(dan * unh_t * r_t, one_minus_r, out=rzu[0])
+        multiply(dz * z_t, one_minus_z, out=rzu[1])
+        multiply(dan, r_t, out=rzu[2])
+        back = np.matmul(u_t, rzu)
+        dh_next = dh * one_minus_z + back[2] + back[0] + back[1]
         da_n.append(dan)
-        dunh.append(du)
-        da_r.append(dar)
-        da_z.append(daz)
-    da_r, da_z, da_n, dunh = (np.array(stack) for stack in (da_r, da_z, da_n, dunh))
+        da_rzu.append(rzu)
+        for k in done:
+            # Run k is through its first step; zeros keep its row finite
+            # for the rest of the loop.
+            dh_final[k] = dh_next[k]
+            dh_next[k] = 0.0
+    da_n = np.array(da_n)[..., 0]
+    da_rzu = np.array(da_rzu)[..., 0]
+    da_r, da_z, dunh = da_rzu[:, 0], da_rzu[:, 1], da_rzu[:, 2]
 
-    da = np.concatenate((da_r, da_z, da_n), axis=1)
-    g["gru_w"][...] = _outer_sum(da, p["token_emb"][sources])
-    g["gru_u"][...] = _outer_sum(np.concatenate((da_r, da_z, dunh), axis=1), h_prev)
+    # A run's rows past its length are zeros: dh_next was cleared there.
+    w, tokens = p["gru_w"], p["token_emb"]
+    run, token = np.divmod(newest_first(sources), tokens.shape[1])
+    da = np.concatenate((da_r, da_z, da_n), axis=2)
     g["gru_b"][...] = da.sum(axis=0)
-
+    x = tokens[run, token]
+    du = np.concatenate((da_r, da_z, dunh), axis=2)
+    for k, length in enumerate(roll.lengths):
+        # One run at a time keeps each product at most (steps, 3H, X) or
+        # (steps, 3H, H), the size of a single run's.
+        g["gru_w"][k] = _outer_sum(da[:length, k], x[:length, k])
+        g["gru_u"][k] = _outer_sum(du[:length, k], h_prev[:length, k, :, 0])
     # Token embeddings: steps fed by the same token row add up, newest first.
-    dx = _matvecs(w[2 * hid :].T, da_n)
-    dx += _matvecs(w[:hid].T, da_r)
-    dx += _matvecs(w[hid : 2 * hid].T, da_z)
-    np.add.at(g["token_emb"], sources, dx)
+    dx = _mv(w[:, 2 * hid :].transpose(0, 2, 1), da_n)
+    dx += _mv(w[:, :hid].transpose(0, 2, 1), da_r)
+    dx += _mv(w[:, hid : 2 * hid].transpose(0, 2, 1), da_z)
+    np.add.at(g["token_emb"], (run, token), dx)
 
     # into the initial state projection and the encoder
-    dh0pre = dh_next * (1.0 - enc.h0 * enc.h0)
-    g["init_w"][...] = np.outer(dh0pre, enc.state_vec)
+    dh0pre = dh_final[..., 0] * (1.0 - enc.h0 * enc.h0)
+    g["init_w"][...] = dh0pre[:, :, None] * enc.state_vec[:, None, :]
     g["init_b"][...] = dh0pre
-    dstate = p["init_w"].T @ dh0pre
-    a_dim = p["enc_w2"].shape[0]
-    darch_emb = dstate[:a_dim]
-    g["shift_emb"][enc.bucket] = dstate[a_dim:]
-    g["enc_w2"][...] = np.outer(darch_emb, enc.e1)
+    dstate = _mv(p["init_w"].transpose(0, 2, 1), dh0pre)
+    a_dim = p["enc_w2"].shape[1]
+    darch_emb = dstate[:, :a_dim]
+    g["shift_emb"][:, enc.bucket] = dstate[:, a_dim:]
+    g["enc_w2"][...] = darch_emb[:, :, None] * enc.e1[:, None, :]
     g["enc_b2"][...] = darch_emb
-    de1 = p["enc_w2"].T @ darch_emb
+    de1 = _mv(p["enc_w2"].transpose(0, 2, 1), darch_emb)
     de1pre = de1 * (1.0 - enc.e1 * enc.e1)
-    g["enc_w1"][...] = np.outer(de1pre, enc.onehot)
+    g["enc_w1"][...] = de1pre[:, :, None] * enc.onehot
     g["enc_b1"][...] = de1pre
 
     if cfg.weight_decay != 0.0:
-        flat_grad -= cfg.weight_decay * params.flat
-    return flat_grad
+        grad -= cfg.weight_decay * stack.flat
+    return grad
 
 
 def objective_value(
@@ -665,25 +870,25 @@ def objective_gradients(
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of objective_value w.r.t. every parameter array."""
     pstate = embed_state(params, traj.prev_arch, traj.shift, cfg)
-    roll = _forward(params, pstate, actions=_validate(traj.arch, params.space))
-    return params.unflatten(_backward(params, roll, advantage, cfg))
+    stack, roll = _forward(params, pstate, actions=_validate(traj.arch, params.space))
+    return params.unflatten(_backward(stack, roll, [advantage], cfg)[0])
 
 
 def _apply_update(
-    params: ControllerParams,
+    stack: _Stack,
     flat_grad: np.ndarray,
     cfg: TrainerConfig,
     state: TrainerState,
 ) -> None:
-    """Ascend the objective; Adam moments live in the trainer state.
+    """Ascend the objective of every run; Adam moments live in the trainer state.
 
-    The one place parameters change: a non-finite gradient raises
-    NumericalError before anything is touched.
+    The one place parameters change: a non-finite gradient in any run
+    raises NumericalError before anything is touched.
     """
     if not np.isfinite(flat_grad).all():
-        bad = [k for k, g in params.unflatten(flat_grad).items() if not np.isfinite(g).all()]
+        bad = [k for k, g in _views(flat_grad, stack.spans).items() if not np.isfinite(g).all()]
         raise NumericalError(f"non-finite gradient in {', '.join(map(repr, bad))}")
-    flat = params.flat
+    flat = stack.flat
     lr = cfg.learning_rate
     if not cfg.use_adam:
         flat += lr * flat_grad
@@ -700,8 +905,16 @@ def _apply_update(
     m *= _ADAM_BETA1
     m += (1.0 - _ADAM_BETA1) * flat_grad
     v *= _ADAM_BETA2
-    v += (1.0 - _ADAM_BETA2) * flat_grad * flat_grad
-    flat += lr * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
+    v_step = (1.0 - _ADAM_BETA2) * flat_grad
+    v_step *= flat_grad
+    v += v_step
+    # lr * (m / bias1) / (sqrt(v / bias2) + eps), in two (K, P) temporaries.
+    step = m / bias1
+    step *= lr
+    denom = np.sqrt(v / bias2, out=v_step)
+    denom += _ADAM_EPS
+    step /= denom
+    flat += step
 
 
 def _advance_baseline(state: TrainerState, reward_value: float, cfg: TrainerConfig) -> float:
@@ -723,6 +936,96 @@ class TraceRow:
     madds: float
 
 
+def _train_many(
+    params_list: Sequence[ControllerParams],
+    prev_arch: Architecture,
+    shift: float,
+    meta: SnapshotMeta,
+    evaluate: Evaluator,
+    cfgs: Sequence[TrainerConfig],
+) -> list[tuple[ControllerParams, list[TraceRow]]]:
+    """Train K independent runs in lockstep; run k starts from params_list[k].
+
+    Returns one (params, trace) pair per run, each bit for bit what
+    ``train(params_list[k], ..., cfgs[k])`` returns. The cfgs may differ
+    only in ``lam`` and ``seed``. Each run keeps its own rng, baseline,
+    rewards and evaluator and ``madds`` calls; its params object is
+    updated in place, also when a NumericalError ends the training.
+    """
+    if not params_list or len(params_list) != len(cfgs):
+        raise InvalidConfig(
+            f"need one cfg per run and at least one run, got {len(params_list)} params "
+            f"and {len(cfgs)} cfgs"
+        )
+    cfg = cfgs[0]
+    for other in cfgs[1:]:
+        differ = [
+            f.name
+            for f in fields(TrainerConfig)
+            if f.name not in ("lam", "seed") and getattr(other, f.name) != getattr(cfg, f.name)
+        ]
+        if differ:
+            raise InvalidConfig(
+                f"lockstep runs may differ only in lam and seed, not in {', '.join(differ)}"
+            )
+    space = params_list[0].space
+    if len({id(params) for params in params_list}) < len(params_list) or any(
+        params.space != space or params._shapes != params_list[0]._shapes for params in params_list
+    ):
+        raise InvalidConfig("lockstep runs need distinct params objects of one layout")
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    v_prev = evaluate(prev_arch, meta)
+    c_prev = madds(prev_arch, space)
+    onehot = arch_onehot(prev_arch, space)
+    bucket = _checked_bucket(shift, cfg)
+    flat = np.stack([params.flat for params in params_list])
+    stack = _Stack.of(params_list[0], flat, _views(flat, params_list[0]._spans))
+    baselines = [TrainerState() for _ in cfgs]
+    moments = TrainerState()
+    traces: list[list[TraceRow]] = [[] for _ in cfgs]
+
+    try:
+        for it in range(cfg.iterations):
+            # The weights are fixed within an iteration, so the encoder is
+            # shared by the batch.
+            enc = _encode(stack.arrays, onehot, bucket)
+            batch = []
+            # Per run, over the batch: rewards, entropies and MAdds.
+            stats: list[list[list[float]]] = [[[] for _ in cfgs] for _ in range(3)]
+            for _ in range(cfg.batch_size):
+                roll = _rollout(stack, enc, rngs=rngs)
+                batch.append(roll)
+                for k, (arch, run_cfg) in enumerate(zip(roll.archs, cfgs)):
+                    v_new = evaluate(arch, meta)
+                    c_new = madds(arch, space)
+                    stats[0][k].append(reward(v_new, v_prev, c_new, c_prev, run_cfg.lam, shift))
+                    stats[1][k].append(float(sum(roll.entropies[k])))
+                    stats[2][k].append(c_new)
+            # np.mean of each run's list: its sum along the last axis over the count.
+            means = np.add.reduce(np.array(stats), axis=2) / cfg.batch_size
+            mean_rewards, mean_entropies, mean_madds = means.tolist()
+
+            baselines_used = [
+                mean - _advance_baseline(state, mean, run_cfg)
+                for mean, state, run_cfg in zip(mean_rewards, baselines, cfgs)
+            ]
+            flat_grad = sum(
+                _backward(stack, roll, [r[b] - used for r, used in zip(stats[0], baselines_used)], cfg)
+                for b, roll in enumerate(batch)
+            )
+            if cfg.batch_size > 1:
+                flat_grad /= cfg.batch_size
+            _apply_update(stack, flat_grad, cfg, moments)
+            del flat_grad  # not alive through the next backward pass
+
+            for trace, *row in zip(traces, mean_rewards, mean_entropies, mean_madds):
+                trace.append(TraceRow(it, *row))
+    finally:
+        for params, row in zip(params_list, stack.flat):
+            params.flat[...] = row
+    return list(zip(params_list, traces))
+
+
 def train(
     params: ControllerParams,
     prev_arch: Architecture,
@@ -735,47 +1038,10 @@ def train(
 
     Deterministic given cfg.seed. Each iteration samples batch_size
     trajectories (default 1), averages their gradients, and applies one
-    update. Returns the trained params and the per-iteration trace.
+    update. Updates params in place and returns it with the per-iteration
+    trace.
     """
-    space = params.space
-    rng = np.random.default_rng(cfg.seed)
-    state = TrainerState()
-    v_prev = evaluate(prev_arch, meta)
-    c_prev = madds(prev_arch, space)
-    onehot = arch_onehot(prev_arch, space)
-    bucket = _checked_bucket(shift, cfg)
-    trace: list[TraceRow] = []
-
-    for it in range(cfg.iterations):
-        # The weights are fixed within an iteration, so the encoder and
-        # W @ x per token are shared by the batch.
-        enc = _encode(params.arrays, onehot, bucket)
-        wx_cache: dict = {}
-        batch = []
-        for _ in range(cfg.batch_size):
-            roll = _rollout(params, enc, wx_cache, rng=rng)
-            arch = Architecture(units=tuple(roll.units))
-            v_new = evaluate(arch, meta)
-            c_new = madds(arch, space)
-            r = reward(v_new, v_prev, c_new, c_prev, cfg.lam, shift)
-            batch.append((roll, r, c_new))
-
-        mean_reward = float(np.mean([b[1] for b in batch]))
-        mean_advantage = _advance_baseline(state, mean_reward, cfg)
-        baseline_used = mean_reward - mean_advantage
-        flat_grad = sum(_backward(params, roll, r - baseline_used, cfg) for roll, r, _ in batch)
-        if cfg.batch_size > 1:
-            flat_grad /= cfg.batch_size
-        _apply_update(params, flat_grad, cfg, state)
-
-        trace.append(
-            TraceRow(
-                iteration=it,
-                reward=mean_reward,
-                entropy=float(np.mean([float(sum(st.entropy for st in b[0].steps)) for b in batch])),
-                madds=float(np.mean([b[2] for b in batch])),
-            )
-        )
+    [(params, trace)] = _train_many([params], prev_arch, shift, meta, evaluate, [cfg])
     return params, trace
 
 

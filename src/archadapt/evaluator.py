@@ -55,6 +55,9 @@ class SurrogateConfig:
     reference_arch: Architecture | None = None
 
     def __post_init__(self):
+        for name in ("peak_height", "bump_width", "opt_intercept", "opt_slope", "depth_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.bump_width <= 0:
             raise InvalidConfig(f"bump_width must be positive, got {self.bump_width}")
         if self.peak_height < 0 or self.depth_penalty < 0:

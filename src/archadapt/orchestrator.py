@@ -25,6 +25,7 @@ import numpy as np
 from .controller import (
     TraceRow,
     TrainerConfig,
+    _train_many,
     default_bucket_edges,
     embed_state,
     greedy_decode,
@@ -259,10 +260,15 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
     """Train the first adaptation step once per lambda, sharing all seeds.
 
     Adaptation is forced (the gate is bypassed) so that every lambda sees
-    the identical task; only the cost penalty differs. Returns one row per
-    lambda with the greedy architecture, its V, and its MAdds. A zero first
-    shift raises DivisionByZeroShift naming step 1.
+    the identical task; only the cost penalty differs. The trainings share
+    the initial params and the train seed, so they run in lockstep, one
+    run per lambda (controller._train_many); each row is the one a lone
+    training at that lambda gives. Returns one row per lambda with the
+    greedy architecture, its V, and its MAdds; no lambdas give no rows. A
+    zero first shift raises DivisionByZeroShift naming step 1.
     """
+    if not lambdas:
+        return []
     snapshots, shifts, trainer, evaluate, arch, base_params = _setup(
         cfg, default_feature_extractor
     )
@@ -271,16 +277,17 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
         raise DivisionByZeroShift("step 1: lambda_sweep forces adaptation but the shift is 0")
     cur_meta = snapshots[1].meta
     train_seed = derive_seed(cfg.master_seed, 1, "train")
+    cfgs = [replace(trainer, lam=float(lam), seed=train_seed) for lam in lambdas]
+    trained = _train_many(
+        [base_params.copy() for _ in cfgs], arch, shift, cur_meta, evaluate, cfgs
+    )
 
     rows = []
-    for lam in lambdas:
-        step_cfg = replace(trainer, lam=float(lam), seed=train_seed)
-        params = base_params.copy()
-        params, _ = train(params, arch, shift, cur_meta, evaluate, step_cfg)
+    for step_cfg, (params, _) in zip(cfgs, trained):
         decoded = greedy_decode(params, embed_state(params, arch, shift, step_cfg))
         rows.append(
             {
-                "lam": float(lam),
+                "lam": step_cfg.lam,
                 "arch": encode(decoded),
                 "v": float(evaluate(decoded, cur_meta)),
                 "madds": float(madds(decoded, cfg.space)),

@@ -14,7 +14,7 @@ import numpy as np
 
 import archadapt as aa
 from archadapt.cli import main as cli_main
-from archadapt.controller import objective_gradients, objective_value
+from archadapt.controller import _train_many, objective_gradients, objective_value
 from archadapt.gaussian import sqrt_spd
 
 # -- reporting ---------------------------------------------------------
@@ -210,10 +210,11 @@ def test_criterion_05_search_correctness():
 
         matches = 0
         improved = 0
-        for seed in range(20):
-            cfg = _search_trainer(seed)
-            params = aa.init_params(TOY, cfg, seed=1000 + seed)
-            params, trace = aa.train(params, prev, 1.0, meta, evaluate, cfg)
+        # The 20 seeds train in lockstep; each run is what train gives alone.
+        cfgs = [_search_trainer(seed) for seed in range(20)]
+        inits = [aa.init_params(TOY, cfg, seed=1000 + cfg.seed) for cfg in cfgs]
+        trained = _train_many(inits, prev, 1.0, meta, evaluate, cfgs)
+        for cfg, (params, trace) in zip(cfgs, trained):
             decoded = aa.greedy_decode(
                 params, aa.embed_state(params, prev, 1.0, cfg))
             matches += (decoded == best)

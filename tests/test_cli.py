@@ -243,6 +243,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "--set: config key trainer.use_adam" in err
 
+    @pytest.mark.parametrize("key", [
+        "trainer.learning_rate", "trainer.weight_decay", "trainer.entropy_weight",
+        "trainer.lam", "surrogate.peak_height", "surrogate.bump_width",
+        "surrogate.opt_intercept", "surrogate.opt_slope", "surrogate.depth_penalty",
+    ])
+    def test_nonfinite_set_value_names_key(self, tmp_path, config_file, capsys, key):
+        # NaN used to get through: the gate held silently, or the run
+        # failed only after its setup, and records.json held NaN.
+        out = tmp_path / "x"
+        assert main(["adapt", "--config", str(config_file),
+                     "--set", f"{key}=nan", "--out", str(out)]) == 1
+        section, field = key.split(".")
+        err = capsys.readouterr().err
+        assert f"config section {section}: {field} must be finite" in err
+        assert not out.exists()
+
     def test_trainer_seed_is_not_settable(self, tmp_path, config_file, capsys):
         # Every adapted step trains with a seed derived from the master seed.
         assert main(["adapt", "--config", str(config_file),

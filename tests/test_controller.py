@@ -1,16 +1,19 @@
 """Tests for the policy controller: sampling, gradients, updates, training."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 import archadapt as aa
+from archadapt import controller
 from archadapt.controller import (
     TrainerConfig,
     TrainerState,
     _advance_baseline,
+    _train_many,
     arch_onehot,
     bucket_index,
     default_bucket_edges,
@@ -516,3 +519,125 @@ class TestTraceFile:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,reward,entropy,madds"
         assert len(lines) == 4
+
+
+class TestLockstep:
+    """_train_many trains K runs together, each as a lone train call would."""
+
+    META = SnapshotMeta(t=1, n_classes=1, n_samples=500, volume_fraction=1.0, max_classes=4)
+    SHIFT = 0.8
+
+    def _setup(self, **overrides):
+        evaluate = aa.make_evaluator(
+            aa.SurrogateConfig(bump_width=0.3, opt_intercept=0.85, depth_penalty=0.05), TOY)
+        base = dataclasses.replace(SMALL_CFG, iterations=25, learning_rate=0.01, **overrides)
+        # Different seeds, lams and init params, so runs draw trajectories
+        # of different lengths and kinds in the same iteration.
+        cfgs = [dataclasses.replace(base, lam=lam, seed=seed)
+                for lam, seed in ((0.0, 11), (0.02, 12), (0.2, 13))]
+        return evaluate, cfgs
+
+    def _fresh(self, cfgs):
+        return [aa.init_params(TOY, cfg, seed=200 + i) for i, cfg in enumerate(cfgs)]
+
+    # pinned: sha256 over each run's repr(trace) and final flat bytes, in
+    # run order, written by sequential train calls before training ran in
+    # lockstep. An intended change to the controller's numbers re-pins it.
+    @pytest.mark.parametrize("overrides, pinned", [
+        ({}, "cabbf759b8809a204d1c4c5916519b03f7d1354d2ba3d27f6b55f4115da4eba9"),
+        ({"batch_size": 2}, "aca90c11a1d7b4cc628236a316b8a9eb4801ef0b0bd3bd186217799691921a5a"),
+        ({"use_adam": False, "use_baseline": False},
+         "72dda4943af711c13add9da4fa253bf5b1abb6ae6956dfdf3d9bf9132d441657"),
+    ], ids=["adam", "batch2", "plain"])
+    def test_equals_sequential_train(self, overrides, pinned, monkeypatch):
+        evaluate, cfgs = self._setup(**overrides)
+        prev = aa.min_arch(TOY)
+        sequential = [aa.train(p, prev, self.SHIFT, self.META, evaluate, c)
+                      for p, c in zip(self._fresh(cfgs), cfgs)]
+
+        lengths = []
+        rollout = controller._rollout
+
+        def recording(*args, **kwargs):
+            roll = rollout(*args, **kwargs)
+            lengths.append(tuple(roll.lengths))
+            return roll
+
+        monkeypatch.setattr(controller, "_rollout", recording)
+        lockstep = _train_many(self._fresh(cfgs), prev, self.SHIFT, self.META, evaluate, cfgs)
+        assert any(len(set(run_lengths)) > 1 for run_lengths in lengths)
+
+        digest = hashlib.sha256()
+        for (p_seq, t_seq), (p_many, t_many) in zip(sequential, lockstep):
+            assert t_many == t_seq
+            assert p_many.flat.tobytes() == p_seq.flat.tobytes()
+            digest.update(repr(t_seq).encode())
+            digest.update(p_seq.flat.tobytes())
+        assert digest.hexdigest() == pinned
+
+    def test_updates_each_params_in_place(self):
+        evaluate, cfgs = self._setup()
+        params = self._fresh(cfgs)
+        before = [p.flat.copy() for p in params]
+        out = _train_many(params, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, cfgs)
+        assert all(got is given for (got, _), given in zip(out, params))
+        assert all(not np.array_equal(p.flat, b) for p, b in zip(params, before))
+
+    def test_train_returns_the_params_it_updated(self):
+        evaluate, cfgs = self._setup()
+        params = aa.init_params(TOY, cfgs[0], seed=0)
+        flat = params.flat
+        before = flat.copy()
+        out, _ = aa.train(params, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, cfgs[0])
+        assert out is params and out.flat is flat
+        assert not np.array_equal(flat, before)
+
+    def test_no_runs_is_invalid(self):
+        evaluate, _ = self._setup()
+        with pytest.raises(aa.InvalidConfig):
+            _train_many([], aa.min_arch(TOY), self.SHIFT, self.META, evaluate, [])
+
+    def test_one_cfg_per_run(self):
+        evaluate, cfgs = self._setup()
+        with pytest.raises(aa.InvalidConfig):
+            _train_many(self._fresh(cfgs), aa.min_arch(TOY), self.SHIFT, self.META,
+                        evaluate, cfgs[:2])
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.02), ("iterations", 24), ("batch_size", 2),
+        ("use_adam", False), ("entropy_weight", 0.0), ("weight_decay", 0.0),
+    ])
+    def test_cfgs_may_differ_only_in_lam_and_seed(self, field, value):
+        evaluate, cfgs = self._setup()
+        cfgs[1] = dataclasses.replace(cfgs[1], **{field: value})
+        with pytest.raises(aa.InvalidConfig, match=field):
+            _train_many(self._fresh(cfgs), aa.min_arch(TOY), self.SHIFT, self.META,
+                        evaluate, cfgs)
+
+    def test_the_same_params_twice_is_invalid(self):
+        evaluate, cfgs = self._setup()
+        params = aa.init_params(TOY, cfgs[0], seed=0)
+        with pytest.raises(aa.InvalidConfig):
+            _train_many([params, params], aa.min_arch(TOY), self.SHIFT, self.META,
+                        evaluate, cfgs[:2])
+
+    def test_nonfinite_gradient_in_one_run_stops_all_before_updating(self):
+        # As in TestNonFinite: an unused shift bucket keeps the forward pass
+        # finite, but weight decay makes its gradient infinite.
+        evaluate, cfgs = self._setup()
+        params = self._fresh(cfgs)
+        unused = (bucket_index(self.SHIFT, cfgs[0]) + 1) % cfgs[0].bucket_count
+        params[1].arrays["shift_emb"][unused, 0] = np.inf
+        before = [p.flat.copy() for p in params]
+        with pytest.raises(aa.NumericalError, match="shift_emb"):
+            _train_many(params, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, cfgs)
+        for p, b in zip(params, before):
+            assert np.array_equal(p.flat, b)
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "entropy_weight", "lam"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_trainer_rejects(self, field, value):
+        with pytest.raises(aa.InvalidConfig, match=field):
+            TrainerConfig(**{field: value})

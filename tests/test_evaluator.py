@@ -95,6 +95,15 @@ class TestSurrogate:
         assert costs[-1] > costs[0]
 
 
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        "field", ["peak_height", "bump_width", "opt_intercept", "opt_slope", "depth_penalty"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected(self, field, value):
+        with pytest.raises(aa.InvalidConfig, match=field):
+            aa.SurrogateConfig(**{field: value})
+
+
 class TestOracle:
     def test_matches_exhaustive_max(self):
         cfg = aa.SurrogateConfig()

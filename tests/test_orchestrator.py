@@ -211,10 +211,13 @@ class TestLambdaSweep:
     def test_zero_first_shift_raises_before_training(self, monkeypatch):
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.2, 0.2004))
         trained = []
-        monkeypatch.setattr(orchestrator, "train", lambda *a: trained.append(a))
+        monkeypatch.setattr(orchestrator, "_train_many", lambda *a: trained.append(a))
         with pytest.raises(aa.DivisionByZeroShift, match="step 1"):
             aa.lambda_sweep(_run_config(plan), (0.0, 1e-3))
         assert trained == []
+
+    def test_no_lambdas_no_rows(self):
+        assert aa.lambda_sweep(self._cfg(), ()) == []
 
     def test_duplicate_lambda_identical_rows(self):
         # Same lambda twice must reuse the same training seed and params
