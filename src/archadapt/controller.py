@@ -39,54 +39,26 @@ parameter sets are the rows of one (K, P) buffer, each role a (K, *shape)
 view of it, and every pass works on all K at once. ``train`` is the K = 1
 case, and ``sample``, ``score``, ``greedy_decode`` and
 ``objective_gradients`` run the same code on a (1, P) view of one
-parameter set, so there is one GRU step and one backward pass. Each run's
-numbers are bit for bit those of training it alone, because only
-operations that give the same bits stacked as one at a time are stacked
-(checked with numpy 2.4 on scipy-openblas 0.3.31):
+parameter set. Each run keeps its own ``rng`` and draws, baseline, rewards
+and evaluator and ``madds`` calls, and its numbers are bit for bit those
+of training it alone, because (checked with numpy 2.4 on scipy-openblas
+0.3.31):
 
-- per-element arithmetic on (K, ...) arrays: gates, Adam, weight decay;
-- stacked matrix-vector products ``np.matmul(M, x)`` with x a (K, n, 1)
-  column stack, against one ``M[k] @ x[k]`` each, plain or transposed (the
-  backward pass stacks the three gates' U^T as (3, K, H, H), one product
-  per step); W @ x for every token row at once is
-  ``np.matmul(W[:, None], token_emb[..., None])``, while the matrix product
-  ``W @ token_emb.T`` would differ in the last bits;
-- a head per decision kind, ``np.matmul(head_w[:, rows], h)`` over the
-  runs at that kind; slicing one full-head product by kind would differ;
-- softmax, entropy and cumulative-sum reductions over each run's logits
-  as one column of a (n, k) array (a single run's as a 1-D row), against
-  the 1-D ones;
-- sums over steps, zero-padded: the head gradients, ``gru_b`` and the
-  token-embedding scatter cover the same number of rows for every run, its
-  own newest first and then zero rows. The zeros leave every sum unchanged
-  except possibly the sign of an exact zero, and the batch sum in
-  ``_train_many`` (0 + gradient) turns -0.0 into 0.0, so the updates are
-  the same. A single run has no padding. ``gru_w`` and ``gru_u`` are
-  summed one run at a time, over its own steps only.
+- a stacked ``np.matmul`` over K gives each run the bits of its own
+  product, and per-element arithmetic and each run's softmax reductions
+  (a column of its kind's logits, or a single run's 1-D row) are the same
+  stacked as alone;
+- a run whose trajectory ends early keeps stepping with zero gradients,
+  so every sum over steps, in a product or a reduction, only gains zeros
+  at its end. They change nothing but possibly the sign of an exact zero,
+  which the batch sum in ``_train_many`` (0 + gradient) turns into 0.0.
 
-What stays per run: its ``rng`` and draws, baseline, rewards, and
-evaluator and ``madds`` calls. A run whose trajectory ends early is
-retired from the heads and draws.
-
-The hot path keeps the numbers of a step-by-step implementation bit for
-bit while making far fewer numpy calls:
-
-- forward: the three GRU gates are computed together from the stacked
-  blocks; W @ x is computed once per token row and rollout;
-- sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
-  would (cumulative sum, normalize by its last entry, right-side search of
-  one uniform), so the RNG stream and every sampled trajectory stay the
-  same, without choice's per-call validation; non-finite logits raise
-  NumericalError instead;
-- backward: head and weight gradients are computed from the stacked steps,
-  summed in the same order the per-step loop used, and each step's input
-  gradient is scatter-added into its ``token_emb`` row; only the
-  hidden-state recurrence runs step by step, for all runs at once, each
-  aligned newest step first.
-
-A single run's logits stay a 1-D row, whose reductions give numpy scalars:
-that, and slicing its one input row of W @ x, keep its decisions about as
-cheap as a loop written for one run.
+Sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
+would (cumulative sum, normalize by its last entry, right-side search of
+one uniform), without choice's per-call validation; non-finite logits
+raise NumericalError instead. A single run's logits stay a 1-D row, whose
+reductions give numpy scalars: that, and slicing its one input row of
+W @ x, keep its decisions about as cheap as a loop written for one run.
 """
 
 from __future__ import annotations
@@ -194,6 +166,8 @@ class TrainerConfig:
                 raise InvalidConfig(
                     f"need {self.bucket_count - 1} bucket edges, got {len(edges)}"
                 )
+            if not all(map(math.isfinite, edges)):
+                raise InvalidConfig(f"bucket_edges must be finite, got {edges}")
             if any(b <= a for a, b in zip(edges, edges[1:])):
                 raise InvalidConfig(f"bucket edges must be strictly increasing: {edges}")
             object.__setattr__(self, "bucket_edges", edges)
@@ -452,7 +426,7 @@ class _Rollout(NamedTuple):
     ``steps[t]`` holds step t of every run: the rows of W @ x fed to it
     (row k * n_tokens + s for run k's token s), the r and z gate
     activations (concatenated), n, U_n @ h_prev and h, each (K, ., 1).
-    Run k takes ``lengths[k]`` steps and its later entries are unused.
+    Run k takes ``lengths[k]`` steps; later, it steps on its last token.
     ``heads[code]`` holds, for each step at which some runs made a
     decision of that kind, (t, those runs, their probs and logp, one
     column per run, and their entropies); a single run's are 1-D and a
@@ -667,20 +641,6 @@ def reward(
     return (v_new - v_prev) - (lam / shift) * (c_new - c_prev)
 
 
-def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_t outer(a[t], b[t]), added in row order like a += loop.
-
-    Leading axes after the first are batch axes. Not a.T @ b: a matrix
-    product groups the sums its own way, and the last-bit differences it
-    leaves grow over training into different trace values. The longer
-    vector runs along the last axis, numpy's inner loop; the products and
-    their order are the same either way.
-    """
-    if a.shape[-1] > b.shape[-1]:
-        return (b[..., :, None] * a[..., None, :]).sum(axis=0).swapaxes(-1, -2)
-    return (a[..., :, None] * b[..., None, :]).sum(axis=0)
-
-
 def _backward(
     stack: _Stack,
     roll: _Rollout,
@@ -690,143 +650,69 @@ def _backward(
     """(K, P) gradients of advantage*logpi + w_e*entropy - wd*||theta||^2/2.
 
     Row k is run k's flat gradient at its own advantage. Every per-step
-    quantity is stacked newest first, so each sum over a run's steps adds
-    in the order a step-by-step backward pass would, and the result is bit
-    for bit the same. A run shorter than the longest is padded with zero
-    rows after its own, so most sums cover every run in one operation (see
-    the module docstring). Only the hidden-state recurrence runs per step,
-    for all runs at once.
+    quantity is stacked in rollout order as (T, K, ...). A run's steps past
+    its length get zero head gradients, so its hidden-state gradient stays
+    zero there and every sum over steps ends in zeros (see the module
+    docstring). Only the recurrence runs step by step, for all runs at once.
     """
-    p = stack.arrays
-    enc = roll.enc
+    p, enc = stack.arrays, roll.enc
     grad = np.zeros_like(stack.flat)
     g = _views(grad, stack.spans)
-    we = cfg.entropy_weight
-    sources, rz, n, unh, hs = zip(*roll.steps)
+    sources, rz, n, unh, hs = map(np.array, zip(*roll.steps))
     n_steps, (n_runs, hid) = len(roll.steps), enc.h0.shape
-    runs = range(n_runs)
-    short = [(k, length) for k, length in enumerate(roll.lengths) if length < n_steps]
+    # The state each step started from: h0, then the previous step's.
+    h_prev = np.concatenate((enc.h0[None, :, :, None], hs[:-1]))
 
-    def newest_first(per_step: list) -> np.ndarray:
-        """Row j holds run k's step lengths[k] - 1 - j; rows past a run's length are unused."""
-        out = np.array(per_step[::-1])
-        for k, length in short:
-            out[:length, k] = out[n_steps - length :, k]
-        return out
+    # Heads: d/dlogits of logp[choice] is onehot - probs; of the entropy,
+    # -probs * (logp + H). Row t * K + k is run k's step t; the head rows of
+    # kinds it did not decide there, and every row past its length, stay zero.
+    probs, logp, hit = np.zeros((3, n_steps * n_runs, p["head_b"].shape[1]))
+    entropy = np.zeros((n_steps * n_runs, 1))
+    for (rows, _), taken in zip(_kinds(stack.space).values(), roll.heads):
+        if taken:
+            ts, idxs, pr, lp, en = zip(*taken)
+            decided = [(t, k) for t, idx in zip(ts, idxs) for k in idx]
+            at = [t * n_runs + k for t, k in decided]
+            probs[at, rows] = np.vstack([a.T for a in pr])
+            logp[at, rows] = np.vstack([a.T for a in lp])
+            entropy[at, 0] = np.hstack(en)
+            hit[at, [rows.start + roll.choices[k][t] for t, k in decided]] = 1.0
+    adv = np.tile(advantages, n_steps)[:, None]
+    dlogits = adv * (hit - probs) - cfg.entropy_weight * probs * (logp + entropy)
+    dlogits = dlogits.reshape(n_steps, n_runs, -1)
+    g["head_w"][...] = np.matmul(dlogits.transpose(1, 2, 0), hs[..., 0].transpose(1, 0, 2))
+    g["head_b"][...] = dlogits.sum(axis=0)
+    dhead = np.matmul(p["head_w"].transpose(0, 2, 1), dlogits[..., None])
 
-    hs = newest_first(hs)
-    # The state each step started from: the next older step's, h0 at a run's first.
-    h_prev = np.concatenate((hs[1:], enc.h0[None, :, :, None]))
-    for k, length in short:
-        h_prev[length - 1, k] = enc.h0[k, :, None]
-
-    # Heads: d/dlogits of logp[choice] is onehot - probs; of entropy is
-    # -probs * (logp + H). Per kind, row i of run k is its i-th newest
-    # decision of that kind; a padding row's dhead goes to the spare step
-    # n_steps.
-    dhead = np.zeros((n_steps + 1, n_runs, hid, 1))
-    flat_hs, flat_dhead = hs.reshape(n_steps * n_runs, hid), dhead.reshape(-1, hid)
-    adv = np.array(advantages)[:, None]
-    for (head_rows, values), entries in zip(_kinds(stack.space).values(), roll.heads):
-        if not entries:
-            continue
-        # Each run's (step, probs, logp, entropy), newest first.
-        rows_of: list[list[tuple]] = [[] for _ in runs]
-        for t, idx, probs, logp, entropy in reversed(entries):
-            if len(idx) == 1:
-                rows_of[idx[0]].append((t, probs, logp, entropy))
-            else:
-                for k, *row in zip(idx, probs.T, logp.T, entropy):
-                    rows_of[k].append((t, *row))
-        n_choices, depth = len(values), max(map(len, rows_of))
-        zero = np.zeros(n_choices)
-        probs, logp, entropy, hit, gain, at, to = [], [], [], [], [], [], []
-        for i in range(depth):
-            for k, rows in enumerate(rows_of):
-                if i < len(rows):
-                    t, pr, lp, en = rows[i]
-                    hit.append(len(probs) * n_choices + roll.choices[k][t])
-                    gain.append(advantages[k])
-                    at.append((roll.lengths[k] - 1 - t) * n_runs + k)
-                    to.append(at[-1])
-                else:
-                    pr = lp = zero
-                    en = 0.0
-                    at.append(k)
-                    to.append(n_steps * n_runs + k)
-                probs.append(pr)
-                logp.append(lp)
-                entropy.append(en)
-        probs = np.array(probs).reshape(depth, n_runs, n_choices)
-        dlogits = adv * (-probs)
-        dlogits.reshape(-1)[hit] += gain
-        if we != 0.0:
-            logp = np.array(logp).reshape(depth, n_runs, n_choices)
-            entropy = np.array(entropy).reshape(depth, n_runs, 1)
-            dlogits += we * (-probs * (logp + entropy))
-        g["head_w"][:, head_rows] = _outer_sum(dlogits, flat_hs[at].reshape(depth, n_runs, hid))
-        g["head_b"][:, head_rows] = dlogits.sum(axis=0)
-        flat_dhead[to] = _mv(p["head_w"][:, head_rows].transpose(0, 2, 1), dlogits).reshape(-1, hid)
-    dhead = dhead[:n_steps]
-
-    rz, n, unh = newest_first(rz), newest_first(n), newest_first(unh)
+    # h = (1 - z) h_prev + z n with n = tanh(W_n x + r * U_n h_prev + b_n):
+    # at each step the gradients at the r, z and n pre-activations are dh
+    # times coef, and those at U_r h_prev, U_z h_prev and U_n h_prev are
+    # these times (1, 1, r). Both are (K, 3, H, 1), gates stacked as in gru_w.
     r, z = rz[:, :, :hid], rz[:, :, hid:]
-    # U_r^T, U_z^T and U_n^T of every run, (3, K, H, H): one stacked product
-    # per step back-propagates all three gates.
-    u_t = p["gru_u"].reshape(n_runs, 3, hid, hid).transpose(1, 0, 3, 2)
-    finishing: list[list[int]] = [[] for _ in range(n_steps)]
-    for k, length in enumerate(roll.lengths):
-        finishing[length - 1].append(k)
-    dh_final = np.empty((n_runs, hid, 1))
-    da_n, da_rzu = [], []
-    dh_next = np.zeros((n_runs, hid, 1))
-    multiply = np.multiply
-    # Products and sums associate left to right, as the step-by-step pass
-    # wrote them; regrouping them changes the last bits.
-    for dh_head, n_minus_h, z_t, one_minus_z, one_minus_n2, unh_t, r_t, one_minus_r, done in zip(
-        dhead, n - h_prev, z, 1.0 - z, 1.0 - n * n, unh, r, 1.0 - r, finishing
-    ):
-        dh = dh_head + dh_next
-        dz = dh * n_minus_h
-        dan = dh * z_t * one_minus_n2
-        # Gradients at the r and z pre-activations and at U_n @ h_prev.
-        rzu = np.empty((3, n_runs, hid, 1))
-        multiply(dan * unh_t * r_t, one_minus_r, out=rzu[0])
-        multiply(dz * z_t, one_minus_z, out=rzu[1])
-        multiply(dan, r_t, out=rzu[2])
-        back = np.matmul(u_t, rzu)
-        dh_next = dh * one_minus_z + back[2] + back[0] + back[1]
-        da_n.append(dan)
-        da_rzu.append(rzu)
-        for k in done:
-            # Run k is through its first step; zeros keep its row finite
-            # for the rest of the loop.
-            dh_final[k] = dh_next[k]
-            dh_next[k] = 0.0
-    da_n = np.array(da_n)[..., 0]
-    da_rzu = np.array(da_rzu)[..., 0]
-    da_r, da_z, dunh = da_rzu[:, 0], da_rzu[:, 1], da_rzu[:, 2]
+    dn = z * (1.0 - n * n)
+    coef = np.stack((dn * unh * r * (1.0 - r), (n - h_prev) * z * (1.0 - z), dn), axis=2)
+    to_u = np.stack((np.ones_like(r), np.ones_like(r), r), axis=2)
+    one_minus_z, u_t = 1.0 - z, p["gru_u"].transpose(0, 2, 1)
+    da, du = np.empty_like(coef), np.empty_like(coef)
+    dh = np.zeros((n_runs, hid, 1))
+    for t in reversed(range(n_steps)):
+        dh = dh + dhead[t]
+        np.multiply(dh[:, None], coef[t], out=da[t])
+        np.multiply(da[t], to_u[t], out=du[t])
+        dh = dh * one_minus_z[t] + np.matmul(u_t, du[t].reshape(n_runs, 3 * hid, 1))
+    # dh is now each run's gradient at h0.
+    da, du = da.reshape(n_steps, n_runs, 3 * hid), du.reshape(n_steps, n_runs, 3 * hid)
 
-    # A run's rows past its length are zeros: dh_next was cleared there.
     w, tokens = p["gru_w"], p["token_emb"]
-    run, token = np.divmod(newest_first(sources), tokens.shape[1])
-    da = np.concatenate((da_r, da_z, da_n), axis=2)
+    run, token = np.divmod(sources, tokens.shape[1])
     g["gru_b"][...] = da.sum(axis=0)
-    x = tokens[run, token]
-    du = np.concatenate((da_r, da_z, dunh), axis=2)
-    for k, length in enumerate(roll.lengths):
-        # One run at a time keeps each product at most (steps, 3H, X) or
-        # (steps, 3H, H), the size of a single run's.
-        g["gru_w"][k] = _outer_sum(da[:length, k], x[:length, k])
-        g["gru_u"][k] = _outer_sum(du[:length, k], h_prev[:length, k, :, 0])
-    # Token embeddings: steps fed by the same token row add up, newest first.
-    dx = _mv(w[:, 2 * hid :].transpose(0, 2, 1), da_n)
-    dx += _mv(w[:, :hid].transpose(0, 2, 1), da_r)
-    dx += _mv(w[:, hid : 2 * hid].transpose(0, 2, 1), da_z)
-    np.add.at(g["token_emb"], (run, token), dx)
+    g["gru_w"][...] = np.matmul(da.transpose(1, 2, 0), tokens[run, token].transpose(1, 0, 2))
+    g["gru_u"][...] = np.matmul(du.transpose(1, 2, 0), h_prev[..., 0].transpose(1, 0, 2))
+    # Steps fed by the same token row add into it in step order.
+    np.add.at(g["token_emb"], (run, token), _mv(w.transpose(0, 2, 1), da))
 
     # into the initial state projection and the encoder
-    dh0pre = dh_final[..., 0] * (1.0 - enc.h0 * enc.h0)
+    dh0pre = dh[..., 0] * (1.0 - enc.h0 * enc.h0)
     g["init_w"][...] = dh0pre[:, :, None] * enc.state_vec[:, None, :]
     g["init_b"][...] = dh0pre
     dstate = _mv(p["init_w"].transpose(0, 2, 1), dh0pre)

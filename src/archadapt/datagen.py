@@ -102,8 +102,9 @@ class GrowthPlan:
             raise InvalidConfig(f"steps must be non-decreasing: {self.steps}")
         if self.feature_dim < 1:
             raise InvalidConfig(f"feature_dim must be positive, got {self.feature_dim}")
-        if self.sigma <= 0 or self.proto_radius <= 0:
-            raise InvalidConfig("sigma and proto_radius must be positive")
+        for name in ("sigma", "proto_radius"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidConfig(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.base_samples < 2:
             raise InvalidConfig(f"base_samples must be >= 2, got {self.base_samples}")
         if self.scenario == VOLUME_GROWTH:

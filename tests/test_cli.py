@@ -247,6 +247,7 @@ class TestErrors:
         "trainer.learning_rate", "trainer.weight_decay", "trainer.entropy_weight",
         "trainer.lam", "surrogate.peak_height", "surrogate.bump_width",
         "surrogate.opt_intercept", "surrogate.opt_slope", "surrogate.depth_penalty",
+        "plan.sigma", "plan.proto_radius",
     ])
     def test_nonfinite_set_value_names_key(self, tmp_path, config_file, capsys, key):
         # NaN used to get through: the gate held silently, or the run

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +279,50 @@ class TestGradients:
         assert np.array_equal(params.flat, before)
 
 
+class TestPolicyGradient:
+    def test_sampled_mean_matches_exact_expectation(self):
+        # REINFORCE is unbiased: the mean of the gradients of N sampled
+        # trajectories, each at advantage R(a) - b, converges to the exact
+        # sum over the 144 architectures of pi(a) (R(a) - b) grad log pi(a).
+        # Per coordinate, z = (mean - exact) / sqrt(var / N), with var the
+        # exact variance from the same enumeration, is about N(0, 1) by the
+        # CLT. The bound |z| <= 5.5 on all P = 2269 coordinates fails a
+        # correct sampler with probability at most P * 2 * (1 - Phi(5.5)),
+        # about 1e-4, by the union bound; the seed is fixed, so the outcome
+        # is too. A sampler drawing from probs**2, renormalized, gives max
+        # |z| near 40. Scaling the initial parameters by 5 makes the policy
+        # far from uniform, so such a sampler differs visibly.
+        cfg = dataclasses.replace(SMALL_CFG, entropy_weight=0.0, weight_decay=0.0)
+        params = aa.init_params(TOY, cfg, seed=7)
+        params.flat[:] *= 5.0
+        prev, meta = aa.min_arch(TOY), _toy_meta()
+        pstate = aa.embed_state(params, prev, 1.0, cfg)
+        evaluate = aa.make_evaluator(
+            aa.SurrogateConfig(bump_width=0.3, opt_intercept=0.85, depth_penalty=0.05), TOY)
+        archs = aa.enumerate_space(TOY)
+        assert len(archs) == 144
+        rewards = {arch: aa.reward(evaluate(arch, meta), evaluate(prev, meta), aa.madds(arch, TOY),
+                                   aa.madds(prev, TOY), 0.01, 1.0) for arch in archs}
+        baseline = 0.5 * np.mean(list(rewards.values()))
+
+        def gradient(**how):
+            stack, roll = controller._forward(params, pstate, **how)
+            return controller._backward(stack, roll, [rewards[roll.archs[0]] - baseline], cfg)[0]
+
+        scored = [aa.score(params, pstate, arch) for arch in archs]
+        pi = np.exp([traj.log_prob for traj in scored])
+        per_arch = np.array([gradient(actions=[d.choice for d in traj.decisions]) for traj in scored])
+        exact = pi @ per_arch
+        var = pi @ (per_arch - exact) ** 2
+
+        n, rng = 4000, np.random.default_rng(7)
+        mean = sum(gradient(rng=rng) for _ in range(n)) / n
+        # The floor keeps coordinates that no architecture moves at z = 0.
+        z = (mean - exact) / np.maximum(np.sqrt(var / n), 1e-12)
+        assert exact.size == 2269
+        assert np.abs(z).max() <= 5.5
+
+
 class TestNonFinite:
     def _fixture(self):
         evaluate = aa.make_evaluator(aa.SurrogateConfig(), TOY)
@@ -521,6 +566,17 @@ class TestTraceFile:
         assert len(lines) == 4
 
 
+# Sequential train digests (TestLockstep._digest), one "case sha256" line
+# per case, written by tests/test_golden.py's regenerate(). An intended
+# change to the controller's numbers re-pins them with the golden files.
+LOCKSTEP_PINS = Path(__file__).resolve().parent / "data" / "golden" / "lockstep.sha256"
+LOCKSTEP_CASES = {
+    "adam": {},
+    "batch2": {"batch_size": 2},
+    "plain": {"use_adam": False, "use_baseline": False},
+}
+
+
 class TestLockstep:
     """_train_many trains K runs together, each as a lone train call would."""
 
@@ -540,20 +596,32 @@ class TestLockstep:
     def _fresh(self, cfgs):
         return [aa.init_params(TOY, cfg, seed=200 + i) for i, cfg in enumerate(cfgs)]
 
-    # pinned: sha256 over each run's repr(trace) and final flat bytes, in
-    # run order, written by sequential train calls before training ran in
-    # lockstep. An intended change to the controller's numbers re-pins it.
-    @pytest.mark.parametrize("overrides, pinned", [
-        ({}, "cabbf759b8809a204d1c4c5916519b03f7d1354d2ba3d27f6b55f4115da4eba9"),
-        ({"batch_size": 2}, "aca90c11a1d7b4cc628236a316b8a9eb4801ef0b0bd3bd186217799691921a5a"),
-        ({"use_adam": False, "use_baseline": False},
-         "72dda4943af711c13add9da4fa253bf5b1abb6ae6956dfdf3d9bf9132d441657"),
-    ], ids=["adam", "batch2", "plain"])
-    def test_equals_sequential_train(self, overrides, pinned, monkeypatch):
+    def _sequential(self, overrides):
+        """One lone train call per run, from fresh params."""
         evaluate, cfgs = self._setup(**overrides)
+        return [aa.train(p, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, c)
+                for p, c in zip(self._fresh(cfgs), cfgs)]
+
+    @staticmethod
+    def _digest(runs):
+        """sha256 over each run's repr(trace) and final flat bytes, in run order."""
+        digest = hashlib.sha256()
+        for params, trace in runs:
+            digest.update(repr(trace).encode())
+            digest.update(params.flat.tobytes())
+        return digest.hexdigest()
+
+    @classmethod
+    def pins(cls):
+        """LOCKSTEP_PINS as today's code writes it, from sequential train calls."""
+        return "".join(f"{case} {cls._digest(cls()._sequential(overrides))}\n"
+                       for case, overrides in LOCKSTEP_CASES.items())
+
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_equals_sequential_train(self, case, monkeypatch):
+        evaluate, cfgs = self._setup(**LOCKSTEP_CASES[case])
         prev = aa.min_arch(TOY)
-        sequential = [aa.train(p, prev, self.SHIFT, self.META, evaluate, c)
-                      for p, c in zip(self._fresh(cfgs), cfgs)]
+        sequential = self._sequential(LOCKSTEP_CASES[case])
 
         lengths = []
         rollout = controller._rollout
@@ -567,13 +635,11 @@ class TestLockstep:
         lockstep = _train_many(self._fresh(cfgs), prev, self.SHIFT, self.META, evaluate, cfgs)
         assert any(len(set(run_lengths)) > 1 for run_lengths in lengths)
 
-        digest = hashlib.sha256()
         for (p_seq, t_seq), (p_many, t_many) in zip(sequential, lockstep):
             assert t_many == t_seq
             assert p_many.flat.tobytes() == p_seq.flat.tobytes()
-            digest.update(repr(t_seq).encode())
-            digest.update(p_seq.flat.tobytes())
-        assert digest.hexdigest() == pinned
+        pinned = dict(line.split() for line in LOCKSTEP_PINS.read_text().splitlines())
+        assert self._digest(sequential) == pinned[case]
 
     def test_updates_each_params_in_place(self):
         evaluate, cfgs = self._setup()
@@ -641,3 +707,8 @@ class TestNonFiniteConfig:
     def test_trainer_rejects(self, field, value):
         with pytest.raises(aa.InvalidConfig, match=field):
             TrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize("edges", [(float("nan"), 1.0), (0.5, float("inf"))])
+    def test_trainer_rejects_bucket_edges(self, edges):
+        with pytest.raises(aa.InvalidConfig, match="bucket_edges"):
+            TrainerConfig(bucket_count=3, bucket_edges=edges)

@@ -218,6 +218,12 @@ class TestPlanValidation:
             aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 16),
                           max_classes=8)
 
+    @pytest.mark.parametrize("field", ["sigma", "proto_radius"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_scales_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(aa.InvalidConfig, match=field):
+            aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4), **{field: value})
+
     def test_repeated_step_allowed(self):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(4, 4))
         a = aa.gen_snapshot(plan, 0)

@@ -9,7 +9,10 @@ against files written by an earlier commit instead:
 - ``lambda_sweep`` on the default space at 20 iterations: the rows;
 - ``archadapt adapt`` on a small volume-growth plan whose gate holds at
   every step: ``records.json``, and the sha256 of each ``gen_snapshot``
-  step's feature bytes.
+  step's feature bytes;
+- ``lockstep.sha256``: the digests of sequential ``train`` calls that
+  ``tests/test_controller.py``'s ``TestLockstep`` checks lockstep training
+  against.
 
 An intended change to these bytes re-pins them with
 
@@ -175,6 +178,10 @@ def regenerate():
         (volume / "records.json").write_bytes(produced["records.json"])
     (volume / "snapshots.sha256").write_bytes(_snapshot_digests())
     (DATA / f"sweep_seed{SWEEP_SEED}.json").write_bytes(_run_sweep())
+    # A sibling test module: importable when this file runs as a script.
+    from test_controller import LOCKSTEP_PINS, TestLockstep
+
+    LOCKSTEP_PINS.write_text(TestLockstep.pins())
 
 
 if __name__ == "__main__":
