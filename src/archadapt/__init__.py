@@ -55,6 +55,7 @@ from .evaluator import (
 from .gaussian import (
     GaussianSummary,
     fit_gaussian,
+    fit_prefixes,
     js_divergence_mc,
     load_features_csv,
     save_features_csv,

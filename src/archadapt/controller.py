@@ -164,12 +164,13 @@ class TrainerConfig:
             edges = tuple(float(e) for e in self.bucket_edges)
             if len(edges) != self.bucket_count - 1:
                 raise InvalidConfig(
-                    f"need {self.bucket_count - 1} bucket edges, got {len(edges)}"
+                    f"bucket_edges needs bucket_count - 1 = {self.bucket_count - 1} "
+                    f"values, got {len(edges)}"
                 )
             if not all(map(math.isfinite, edges)):
                 raise InvalidConfig(f"bucket_edges must be finite, got {edges}")
             if any(b <= a for a, b in zip(edges, edges[1:])):
-                raise InvalidConfig(f"bucket edges must be strictly increasing: {edges}")
+                raise InvalidConfig(f"bucket_edges must be strictly increasing, got {edges}")
             object.__setattr__(self, "bucket_edges", edges)
 
 

@@ -15,19 +15,20 @@ d* = round(2 + 2 s), and s the complexity score of the snapshot.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .datagen import SnapshotMeta
 from .errors import DivisionByZeroShift, InvalidConfig
-from .search_space import (
+from .search_space import (  # noqa: F401 (enumerate_space: perfbench/tracer.py wraps it here)
     Architecture,
     SpaceConfig,
-    encode,
     enumerate_space,
     madds,
     max_arch,
+    unit_tables,
 )
 
 __all__ = [
@@ -95,13 +96,11 @@ def _reference_madds(cfg: SurrogateConfig, space: SpaceConfig) -> float:
     return madds(ref, space)
 
 
-def _value(arch: Architecture, cost: float, ref_cost: float, s: float, cfg: SurrogateConfig) -> float:
-    """V of an architecture priced at cost MAdds, at complexity score s."""
+def _value(cost: float, depth_miss: int, ref_cost: float, s: float, cfg: SurrogateConfig) -> float:
+    """V of an architecture priced at cost MAdds whose depths miss d* by depth_miss in all."""
     cap = cost / ref_cost
     c_star = target_capacity(s, cfg)
-    d_star = target_depth(s)
     bump = cfg.peak_height * math.exp(-((cap - c_star) ** 2) / (2.0 * cfg.bump_width**2))
-    depth_miss = sum(abs(d - d_star) for d in arch.depths)
     v = cfg.floor + bump - cfg.depth_penalty * depth_miss
     return min(max(v, 0.0), 1.0)
 
@@ -116,7 +115,9 @@ def surrogate_accuracy(
     """V of arch on the snapshot; ref_cost, if given, is the reference's MAdds."""
     cost = madds(arch, space)
     ref_cost = _reference_madds(cfg, space) if ref_cost is None else ref_cost
-    return _value(arch, cost, ref_cost, complexity_score(meta), cfg)
+    s = complexity_score(meta)
+    d_star = target_depth(s)
+    return _value(cost, sum(abs(d - d_star) for d in arch.depths), ref_cost, s, cfg)
 
 
 def make_evaluator(cfg: SurrogateConfig, space: SpaceConfig) -> Evaluator:
@@ -140,19 +141,29 @@ def oracle_best(
 
     With lam = 0 this is the raw accuracy maximizer. Ties go to the lower
     MAdds architecture and then to the lexicographically smaller encoding.
-    Returns (arch, V, madds).
+    Returns (arch, V, madds). Each unit's options are priced once
+    (search_space.unit_tables) and only the winner is built, so V and
+    MAdds are bit for bit what surrogate_accuracy and madds give it.
     """
     if lam != 0.0 and shift <= 0.0:
         raise DivisionByZeroShift(f"shift must be positive when lam != 0, got {shift}")
     ref_cost = _reference_madds(cfg, space)
     s = complexity_score(meta)
+    d_star = target_depth(s)
+    stem, tables = unit_tables(space)
+    priced = [[(raw, abs(len(unit) - d_star), unit) for unit, raw in table] for table in tables]
     best = None
-    # enumeration is sorted by encoding, so first-seen wins lexicographic ties
-    for arch in enumerate_space(space):
-        cost = madds(arch, space)
-        v = _value(arch, cost, ref_cost, s, cfg)
+    # the product runs in encoding order, so first-seen wins lexicographic ties
+    for combo in itertools.product(*priced):
+        raw, miss = stem, 0
+        for unit_raw, unit_miss, _ in combo:
+            raw += unit_raw
+            miss += unit_miss
+        cost = raw / 1e6
+        v = _value(cost, miss, ref_cost, s, cfg)
         score = v - (lam / shift) * cost if lam != 0.0 else v
         key = (score, -cost)
         if best is None or key > best[0]:
-            best = (key, arch, v, cost)
-    return best[1], best[2], best[3]
+            best = (key, combo, v, cost)
+    _, combo, v, cost = best
+    return Architecture(units=tuple(unit for _, _, unit in combo)), v, cost

@@ -9,10 +9,23 @@ closed form
 
 A Monte-Carlo Jensen-Shannon estimate is provided for comparison
 experiments. All matrix roots use symmetric eigendecomposition.
+
+The snapshots of a growth plan are row prefixes of one another, so
+``fit_prefixes`` fits all of them in one pass over the rows. Each new
+block of rows b gets its own mean and centred scatter M2_b = c^T c, and
+joins the running fit a by the pairwise update of Chan, Golub & LeVeque
+(1979):
+
+    n = n_a + n_b,  delta = mu_b - mu_a,  mu = mu_a + delta * n_b / n
+    M2 = M2_a + M2_b + outer(delta, delta) * n_a * n_b / n
+
+with cov = M2 / n. One block is the plain two-pass fit, so
+``fit_gaussian`` is ``fit_prefixes`` with a single length.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +42,7 @@ __all__ = [
     "load_features_csv",
     "save_features_csv",
     "fit_gaussian",
+    "fit_prefixes",
     "sqrt_spd",
     "wasserstein2_gaussian",
     "js_divergence_mc",
@@ -108,27 +122,68 @@ def fit_gaussian(features: np.ndarray, ridge: float | None = None) -> GaussianSu
     fit. Pass ``ridge=0.0`` for the raw estimate.
 
     Raises DegenerateInput for fewer than two rows and InvalidData for
-    non-finite entries.
+    non-finite entries. This is ``fit_prefixes`` with the whole matrix as
+    the one prefix.
+    """
+    x = np.asarray(features, dtype=float)
+    return fit_prefixes(x, x.shape[:1], ridge)[0]
+
+
+def fit_prefixes(
+    features: np.ndarray, lengths, ridge: float | None = None
+) -> list[GaussianSummary]:
+    """``fit_gaussian`` of each row prefix ``features[:n]``, n in lengths, in one pass.
+
+    Lengths must be non-decreasing; equal lengths share one summary. Each
+    block of new rows is centred on its own mean and merged into the fit
+    of the rows before it (module docstring), so every row is read once.
+    ``ridge`` applies to each fit as in ``fit_gaussian``.
+
+    Raises DegenerateInput when the first prefix has fewer than two rows,
+    InvalidData for decreasing lengths, a negative ridge or non-finite
+    entries in any fitted row, and DimensionMismatch for a length past the
+    matrix's rows.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:
         raise DimensionMismatch(f"feature matrix must be 2-D, got shape {x.shape}")
-    n, q = x.shape
-    if n < 2:
-        raise DegenerateInput(f"need at least 2 samples to fit, got {n}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidData("non-finite values in feature matrix")
+    rows, q = x.shape
+    lengths = [operator.index(n) for n in lengths]
+    if not lengths:
+        raise InvalidData("need at least one prefix length")
+    if lengths[0] < 2:
+        raise DegenerateInput(f"need at least 2 samples to fit, got {lengths[0]}")
+    if any(b < a for a, b in zip(lengths, lengths[1:])):
+        raise InvalidData(f"prefix lengths must be non-decreasing: {lengths}")
+    if lengths[-1] > rows:
+        raise DimensionMismatch(f"prefix of {lengths[-1]} rows past the matrix's {rows}")
     if ridge is not None and ridge < 0:
         raise InvalidData(f"ridge must be nonnegative, got {ridge}")
 
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = (centered.T @ centered) / n
-    cov = (cov + cov.T) / 2.0
-    if ridge is None:
-        ridge = 1e-6 * float(np.trace(cov)) / q
-    cov = cov + ridge * np.eye(q)
-    return GaussianSummary(mean=mean, cov=cov, n_samples=n)
+    fits: list[GaussianSummary] = []
+    n = 0
+    for end in lengths:
+        if end == n:
+            fits.append(fits[-1])
+            continue
+        block = x[n:end]
+        if not np.all(np.isfinite(block)):
+            raise InvalidData("non-finite values in feature matrix")
+        block_mean = block.mean(axis=0)
+        centered = block - block_mean
+        block_m2 = centered.T @ centered
+        if n == 0:
+            mean, m2 = block_mean, block_m2
+        else:
+            delta = block_mean - mean
+            mean = mean + delta * ((end - n) / end)
+            m2 = m2 + block_m2 + np.outer(delta, delta) * (n * (end - n) / end)
+        n = end
+        cov = m2 / n
+        cov = (cov + cov.T) / 2.0
+        step_ridge = 1e-6 * float(np.trace(cov)) / q if ridge is None else ridge
+        fits.append(GaussianSummary(mean=mean, cov=cov + step_ridge * np.eye(q), n_samples=n))
+    return fits
 
 
 def sqrt_spd(s: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ Every random purpose gets its own seed derived from the master seed and
 a (step, purpose) tag, so runs are reproducible record for record; the
 records JSON is byte-identical across repeated runs. Wall-clock timings
 are volatile and therefore live in a separate timings file. Each plan is
-drawn once: earlier steps are read-only row-prefix views of the last one.
+drawn once: earlier steps are read-only row-prefix views of the last one,
+and one pass over the last one's rows fits every step (fit_prefixes).
 """
 
 from __future__ import annotations
@@ -34,9 +35,14 @@ from .controller import (
     write_trace,
 )
 from .datagen import GrowthPlan, Snapshot, default_feature_extractor, gen_snapshot, prefix_snapshot
-from .errors import DivisionByZeroShift, InvalidConfig
+from .errors import DimensionMismatch, DivisionByZeroShift, InvalidConfig
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
-from .gaussian import fit_gaussian, js_divergence_mc, wasserstein2_gaussian
+from .gaussian import (  # noqa: F401 (fit_gaussian: perfbench/tracer.py wraps it here)
+    fit_gaussian,
+    fit_prefixes,
+    js_divergence_mc,
+    wasserstein2_gaussian,
+)
 from .gate import GateConfig, accuracy_drop, should_adapt
 from .search_space import SpaceConfig, decode, encode, madds
 
@@ -97,8 +103,30 @@ def _snapshots(plan: GrowthPlan) -> list[Snapshot]:
     return [prefix_snapshot(last, plan, i) for i in range(plan.n_steps)]
 
 
+def _fit_steps(snapshots: list[Snapshot], feature_extractor=default_feature_extractor):
+    """One Gaussian fit per step, from the features of the last step.
+
+    The extractor maps rows to rows, so step i's features are the first
+    n_i rows of its output; any other row count raises DimensionMismatch.
+    """
+    lengths = [snap.meta.n_samples for snap in snapshots]
+    features = feature_extractor(snapshots[-1])
+    rows = np.shape(features)[0] if np.ndim(features) else 0
+    if rows != lengths[-1]:
+        raise DimensionMismatch(
+            f"feature extractor returned {rows} rows for a snapshot of {lengths[-1]}"
+        )
+    return fit_prefixes(features, lengths)
+
+
 def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> TrainerConfig:
-    """Fill in bucket edges, log-spaced over the observed shift range."""
+    """Fill in bucket edges, log-spaced over the observed shift range.
+
+    The end edges are the smallest and largest positive shifts exactly
+    (a single edge is the smallest), so the smallest shift lands in
+    bucket 0 and the largest in bucket bucket_count - 2 whatever the
+    roundoff of the log spacing.
+    """
     if trainer.bucket_edges is not None or trainer.bucket_count < 2:
         return trainer
     positive = sorted(s for s in shifts if s > 0)
@@ -108,6 +136,8 @@ def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> Trainer
     if hi <= lo:
         lo, hi = lo / 10.0, lo * 10.0
     edges = np.logspace(np.log10(lo), np.log10(hi), trainer.bucket_count - 1)
+    edges[-1] = hi
+    edges[0] = lo
     return replace(trainer, bucket_edges=tuple(edges))
 
 
@@ -122,7 +152,7 @@ def _setup(cfg: RunConfig, feature_extractor):
     if plan.n_steps < 2:
         raise InvalidConfig("growth plan needs at least two steps to adapt over")
     snapshots = _snapshots(plan)
-    fits = [fit_gaussian(feature_extractor(snap)) for snap in snapshots]
+    fits = _fit_steps(snapshots, feature_extractor)
     shifts = [wasserstein2_gaussian(fits[i], fits[i - 1]) for i in range(1, len(fits))]
     trainer = resolve_bucket_edges(cfg.trainer, shifts)
     evaluate = make_evaluator(cfg.surrogate, cfg.space)
@@ -145,6 +175,11 @@ def run_adaptation(
     writes records.json, per-step trace CSVs, and timings.json there.
     A step whose gate fires with a zero shift raises DivisionByZeroShift
     naming the step: the reward scales the cost penalty by 1 / d_t.
+
+    feature_extractor is called once, on the plan's last snapshot, and
+    must map rows to rows without writing into ``snapshot.features`` (a
+    read-only view): step i is fitted on the first n_i rows of its
+    output. Another row count raises DimensionMismatch.
     """
     snapshots, shifts, trainer, evaluate, arch, params = _setup(cfg, feature_extractor)
     records: list[AdaptationRecord] = []
@@ -238,8 +273,7 @@ def compare_distance_metrics(
     js_sums = {j: 0.0 for j in later}
     for seed in seeds:
         seeded = replace(plan, seed=seed)
-        snapshots = _snapshots(seeded)
-        fits = [fit_gaussian(snap.features) for snap in snapshots]
+        fits = _fit_steps(_snapshots(seeded))
         base = fits[base_step]
         for j in later:
             wd_sums[j] += wasserstein2_gaussian(fits[j], base)

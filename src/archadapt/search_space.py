@@ -24,6 +24,7 @@ __all__ = [
     "madds",
     "space_size",
     "enumerate_space",
+    "unit_tables",
     "min_arch",
     "max_arch",
 ]
@@ -122,10 +123,12 @@ def _validate(arch: Architecture, cfg: SpaceConfig) -> list[int]:
     return indices
 
 
+def _unit_text(unit) -> str:
+    return ",".join(f"k{k}e{e}" for k, e in unit)
+
+
 def encode(arch: Architecture) -> str:
-    return ";".join(
-        ",".join(f"k{k}e{e}" for k, e in unit) for unit in arch.units
-    )
+    return ";".join(_unit_text(unit) for unit in arch.units)
 
 
 def decode(text: str, cfg: SpaceConfig) -> Architecture:
@@ -168,6 +171,27 @@ def _stem_madds(cfg: SpaceConfig) -> int:
     return half * half * 3 * cfg.stem_channels * 9
 
 
+def _unit_shapes(cfg: SpaceConfig) -> list[tuple[int, int, int]]:
+    """(c_in, c_out, spatial size) of each unit's first layer."""
+    shapes = []
+    spatial = cfg.input_resolution // 2
+    c_in = cfg.stem_channels
+    for c_out, stride in zip(cfg.unit_out_channels, cfg.unit_strides):
+        if stride == 2:
+            spatial //= 2
+        shapes.append((c_in, c_out, spatial))
+        c_in = c_out
+    return shapes
+
+
+def _unit_madds(unit, c_in: int, c_out: int, spatial: int) -> int:
+    total = 0
+    for k, e in unit:
+        total += layer_madds(c_in, c_out, e, k, spatial, spatial)
+        c_in = c_out
+    return total
+
+
 def madds(arch: Architecture, cfg: SpaceConfig) -> float:
     """Total multiply-adds of an architecture, in millions.
 
@@ -177,15 +201,8 @@ def madds(arch: Architecture, cfg: SpaceConfig) -> float:
     """
     _validate(arch, cfg)
     total = _stem_madds(cfg)
-    spatial = cfg.input_resolution // 2
-    c_in = cfg.stem_channels
-    for u, unit in enumerate(arch.units):
-        if cfg.unit_strides[u] == 2:
-            spatial //= 2
-        c_out = cfg.unit_out_channels[u]
-        for k, e in unit:
-            total += layer_madds(c_in, c_out, e, k, spatial, spatial)
-            c_in = c_out
+    for unit, shape in zip(arch.units, _unit_shapes(cfg)):
+        total += _unit_madds(unit, *shape)
     return total / 1e6
 
 
@@ -199,26 +216,52 @@ def space_size(cfg: SpaceConfig) -> int:
     return _per_unit_count(cfg) ** cfg.n_units
 
 
-def enumerate_space(cfg: SpaceConfig, cap: int = 1_000_000) -> list[Architecture]:
+_ENUMERATION_CAP = 1_000_000
+
+
+def _unit_options(cfg: SpaceConfig) -> list[list[tuple]]:
+    """Each unit's layer tuples, ordered so that their product runs in encoding order.
+
+    A unit's text is followed by ";" unless it is the last, and ";" sorts
+    after ",", so every unit but the last sorts by its text plus ";".
+    """
+    tokens = list(itertools.product(cfg.kernel_choices, cfg.expansion_choices))
+    options = [layers for d in cfg.depth_choices for layers in itertools.product(tokens, repeat=d)]
+    inner = sorted(options, key=lambda unit: _unit_text(unit) + ";")
+    return [inner] * (cfg.n_units - 1) + [sorted(options, key=_unit_text)]
+
+
+def _check_size(cfg: SpaceConfig, cap: int) -> None:
+    size = space_size(cfg)
+    if size > cap:
+        raise SpaceTooLarge(size, cap)
+
+
+def enumerate_space(cfg: SpaceConfig, cap: int = _ENUMERATION_CAP) -> list[Architecture]:
     """All architectures, sorted lexicographically by encoding.
 
     Raises SpaceTooLarge (with the exact size) when the space exceeds cap.
     """
-    size = space_size(cfg)
-    if size > cap:
-        raise SpaceTooLarge(size, cap)
-    unit_options = []
-    for d in cfg.depth_choices:
-        for layers in itertools.product(
-            itertools.product(cfg.kernel_choices, cfg.expansion_choices), repeat=d
-        ):
-            unit_options.append(tuple(layers))
-    archs = [
-        Architecture(units=combo)
-        for combo in itertools.product(unit_options, repeat=cfg.n_units)
+    _check_size(cfg, cap)
+    return [Architecture(units=combo) for combo in itertools.product(*_unit_options(cfg))]
+
+
+def unit_tables(cfg: SpaceConfig) -> tuple[int, list[list[tuple[tuple, int]]]]:
+    """The stem's raw multiply-adds and, per unit, each option with its own.
+
+    A unit's cost depends only on its own layers, since its first layer's
+    input width is the previous unit's fixed output width. So
+    ``madds(arch) * 1e6`` is the stem's entry plus one entry per unit, in
+    exact integers, and the product of the tables, in order, runs over
+    ``enumerate_space(cfg)``. Raises SpaceTooLarge as enumerate_space does
+    at its default cap.
+    """
+    _check_size(cfg, _ENUMERATION_CAP)
+    tables = [
+        [(unit, _unit_madds(unit, *shape)) for unit in options]
+        for options, shape in zip(_unit_options(cfg), _unit_shapes(cfg))
     ]
-    archs.sort(key=encode)
-    return archs
+    return _stem_madds(cfg), tables
 
 
 def min_arch(cfg: SpaceConfig) -> Architecture:

@@ -708,7 +708,8 @@ class TestNonFiniteConfig:
         with pytest.raises(aa.InvalidConfig, match=field):
             TrainerConfig(**{field: value})
 
-    @pytest.mark.parametrize("edges", [(float("nan"), 1.0), (0.5, float("inf"))])
+    # non-finite, then a wrong count and non-increasing edges
+    @pytest.mark.parametrize("edges", [(float("nan"), 1.0), (0.5, float("inf")), (1.0,), (2.0, 1.0)])
     def test_trainer_rejects_bucket_edges(self, edges):
         with pytest.raises(aa.InvalidConfig, match="bucket_edges"):
             TrainerConfig(bucket_count=3, bucket_edges=edges)

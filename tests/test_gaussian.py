@@ -77,6 +77,81 @@ class TestFit:
         assert np.abs(g.cov - cov).max() < 0.1
 
 
+@st.composite
+def _plan_prefixes(draw):
+    """The last snapshot of a small plan of either scenario, and prefix lengths."""
+    scenario = draw(st.sampled_from([aa.VOLUME_GROWTH, aa.CLASS_GROWTH]))
+    q = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    if scenario == aa.VOLUME_GROWTH:
+        plan = aa.GrowthPlan(scenario=scenario, steps=(1.0,), feature_dim=q, seed=seed,
+                             base_samples=draw(st.integers(min_value=2, max_value=300)))
+    else:
+        plan = aa.GrowthPlan(scenario=scenario, steps=(draw(st.integers(1, 6)),),
+                             feature_dim=q, seed=seed,
+                             base_samples=draw(st.integers(min_value=2, max_value=40)))
+    x = aa.gen_snapshot(plan, 0).features
+    cuts = draw(st.lists(st.integers(min_value=2, max_value=len(x)), min_size=1, max_size=8))
+    return x, sorted(cuts)
+
+
+class TestFitPrefixes:
+    @settings(max_examples=60, deadline=None)
+    @given(_plan_prefixes(), st.sampled_from([None, 0.0, 0.25]))
+    def test_each_prefix_matches_its_own_fit(self, case, ridge):
+        x, lengths = case
+        fits = aa.fit_prefixes(x, lengths, ridge)
+        assert len(fits) == len(lengths)
+        for n, fit in zip(lengths, fits):
+            alone = aa.fit_gaussian(x[:n], ridge)
+            assert fit.n_samples == alone.n_samples == n
+            for got, want in ((fit.mean, alone.mean), (fit.cov, alone.cov)):
+                scale = max(np.abs(want).max(), 1e-300)
+                assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_one_prefix_is_fit_gaussian_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for n, q in ((2, 1), (50, 3), (777, 17)):
+            x = rng.normal(size=(n, q)) * 4.0 + 9.0
+            for ridge in (None, 0.0, 0.5):
+                one = aa.fit_prefixes(x, [n], ridge)[0]
+                fit = aa.fit_gaussian(x, ridge)
+                assert one.mean.tobytes() == fit.mean.tobytes()
+                assert one.cov.tobytes() == fit.cov.tobytes()
+                assert one.n_samples == fit.n_samples
+
+    def test_equal_lengths_share_a_summary(self):
+        x = np.random.default_rng(0).normal(size=(30, 2))
+        fits = aa.fit_prefixes(x, [10, 10, 30])
+        assert fits[0] is fits[1]
+        assert aa.wasserstein2_gaussian(fits[1], fits[0]) == 0.0
+
+    def test_rows_past_the_last_length_are_not_read(self):
+        x = np.random.default_rng(0).normal(size=(30, 2))
+        x[20:] = np.nan
+        assert aa.fit_prefixes(x, [20])[0].n_samples == 20
+
+    @pytest.mark.parametrize("lengths, error", [
+        ([10, 5], aa.InvalidData),
+        ([5, 31], aa.DimensionMismatch),
+        ([1, 10], aa.DegenerateInput),
+        ([], aa.InvalidData),
+    ])
+    def test_bad_lengths(self, lengths, error):
+        with pytest.raises(error):
+            aa.fit_prefixes(np.zeros((30, 2)), lengths)
+
+    def test_non_finite_in_a_later_block(self):
+        x = np.random.default_rng(0).normal(size=(30, 2))
+        x[25, 1] = np.inf
+        with pytest.raises(aa.InvalidData):
+            aa.fit_prefixes(x, [10, 20, 30])
+
+    def test_negative_ridge(self):
+        with pytest.raises(aa.InvalidData):
+            aa.fit_prefixes(np.zeros((30, 2)), [10], ridge=-1.0)
+
+
 class TestSqrtSpd:
     def test_identity(self):
         assert np.allclose(sqrt_spd(np.eye(3)), np.eye(3))

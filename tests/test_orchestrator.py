@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import archadapt as aa
 from archadapt import orchestrator
+from archadapt.controller import bucket_index
 from archadapt.orchestrator import load_records
 
 TOY = aa.SpaceConfig(
@@ -141,6 +143,33 @@ class TestSnapshotsDrawnOnce:
             assert np.array_equal(snap.labels, alone.labels) and snap.meta == alone.meta
 
 
+class TestFeatureExtractor:
+    PLAN = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.25, 0.5, 1.0),
+                         base_samples=80, seed=2)
+
+    def test_called_once_on_the_last_snapshot(self):
+        seen = []
+
+        def doubled(snap):
+            seen.append(snap.meta.t)
+            return 2.0 * snap.features
+
+        records = aa.run_adaptation(_run_config(self.PLAN, gate=aa.GateConfig(epsilon=1.0)),
+                                    feature_extractor=doubled)
+        assert seen == [2]
+        plain = aa.run_adaptation(_run_config(self.PLAN, gate=aa.GateConfig(epsilon=1.0)))
+        # doubling the features scales every squared W2 shift by four
+        for r, p in zip(records, plain):
+            assert r.shift == pytest.approx(4.0 * p.shift, rel=1e-12)
+
+    def test_wrong_row_count_names_both_counts(self):
+        def drops_a_row(snap):
+            return snap.features[:-1]
+
+        with pytest.raises(aa.DimensionMismatch, match=r"returned 79 rows .* of 80"):
+            aa.run_adaptation(_run_config(self.PLAN), feature_extractor=drops_a_row)
+
+
 class TestRecordsFile:
     def _records(self, tmp_path, sub):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), seed=5)
@@ -255,6 +284,20 @@ class TestBucketResolution:
         # edges span the observed range
         assert edges[0] >= 0.5 * 0.999
         assert edges[-1] <= 8.0 * 1.001
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(min_value=1e-12, max_value=1e6),
+           ratio=st.floats(min_value=1.0 + 1e-6, max_value=1e8),
+           count=st.integers(min_value=2, max_value=16))
+    def test_extreme_shifts_land_in_the_end_buckets(self, lo, ratio, count):
+        from archadapt.orchestrator import resolve_bucket_edges
+        hi = lo * ratio
+        assume(hi > lo)
+        resolved = resolve_bucket_edges(aa.TrainerConfig(bucket_count=count),
+                                        [hi, (lo + hi) / 2.0, lo])
+        assert bucket_index(lo, resolved) == 0
+        # a single edge sits at lo, so every larger shift is in bucket 1
+        assert bucket_index(hi, resolved) == (count - 2 if count > 2 else 1)
 
     def test_explicit_edges_kept(self):
         from archadapt.orchestrator import resolve_bucket_edges

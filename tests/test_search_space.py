@@ -1,11 +1,13 @@
 """Tests for the architecture grammar, cost model, and space enumeration."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import archadapt as aa
 from archadapt.controller import arch_onehot
-from archadapt.search_space import _validate, layer_madds
+from archadapt.search_space import _validate, layer_madds, unit_tables
 
 TOY = aa.SpaceConfig(
     n_units=2,
@@ -32,6 +34,28 @@ def _arch_strategy(cfg):
         lambda units: aa.Architecture(
             units=tuple(tuple(layers) for layers in units))
     )
+
+
+@st.composite
+def _small_spaces(draw):
+    """Spaces of 1-3 units whose depth choices may make one unit's text a prefix of another's."""
+    n = draw(st.integers(min_value=1, max_value=3))
+
+    def subset(values):
+        return tuple(draw(st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True)))
+
+    space = aa.SpaceConfig(
+        n_units=n,
+        depth_choices=subset((1, 2, 3)),
+        kernel_choices=subset((3, 5, 7)),
+        expansion_choices=subset((3, 4, 6)),
+        input_resolution=draw(st.sampled_from((32, 64))),
+        stem_channels=draw(st.integers(min_value=1, max_value=16)),
+        unit_out_channels=tuple(draw(st.integers(min_value=1, max_value=40)) for _ in range(n)),
+        unit_strides=tuple(draw(st.sampled_from((1, 2))) for _ in range(n)),
+    )
+    assume(aa.space_size(space) <= 3000)
+    return space
 
 
 class TestGrammar:
@@ -226,6 +250,30 @@ class TestEnumerate:
             aa.enumerate_space(DEFAULT)
         with pytest.raises(aa.SpaceTooLarge):
             aa.enumerate_space(TOY, cap=100)
+
+    @settings(max_examples=40, deadline=None)
+    @given(space=_small_spaces())
+    def test_sorted_for_any_layout(self, space):
+        encs = [aa.encode(a) for a in aa.enumerate_space(space)]
+        assert encs == sorted(encs)
+        assert len(set(encs)) == len(encs) == aa.space_size(space)
+
+
+class TestUnitTables:
+    @settings(max_examples=40, deadline=None)
+    @given(space=_small_spaces())
+    def test_product_is_the_enumeration_and_sums_to_madds(self, space):
+        stem, tables = unit_tables(space)
+        combos = list(itertools.product(*tables))
+        archs = aa.enumerate_space(space)
+        assert len(combos) == len(archs)
+        for arch, combo in zip(archs, combos):
+            assert tuple(unit for unit, _ in combo) == arch.units
+            assert (stem + sum(raw for _, raw in combo)) / 1e6 == aa.madds(arch, space)
+
+    def test_cap(self):
+        with pytest.raises(aa.SpaceTooLarge):
+            unit_tables(DEFAULT)
 
 
 class TestExtremes:
