@@ -53,6 +53,11 @@ of training it alone, because (checked with numpy 2.4 on scipy-openblas
   at its end. They change nothing but possibly the sign of an exact zero,
   which the batch sum in ``_train_many`` (0 + gradient) turns into 0.0.
 
+A rollout writes its decisions once, into one dense record indexed
+(step, run, head row) and zero wherever a run made no decision (``_Rollout``).
+``_backward`` reads it as its head arrays, ``sample`` and ``score`` read their
+decisions off it, and ``_train_many`` sums each run's entropies from it.
+
 Sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
 would (cumulative sum, normalize by its last entry, right-side search of
 one uniform), without choice's per-call validation; non-finite logits
@@ -226,7 +231,7 @@ class _Stack(NamedTuple):
     """K parameter sets of one layout: a (K, P) buffer and views of it.
 
     ``heads[code]`` is decision kind code's (K, n, H) head weights, its
-    (K, n, 1) bias and its first token row.
+    (K, n, 1) bias and its rows of the head.
     """
 
     space: SpaceConfig
@@ -239,7 +244,7 @@ class _Stack(NamedTuple):
     def of(cls, layout: ControllerParams, flat: np.ndarray, arrays: dict[str, np.ndarray]) -> "_Stack":
         """The stack over flat, whose (K, *shape) views by role are arrays."""
         heads = [
-            (arrays["head_w"][:, rows], arrays["head_b"][:, rows, None], 1 + rows.start)
+            (arrays["head_w"][:, rows], arrays["head_b"][:, rows, None], rows)
             for rows, _ in _kinds(layout.space).values()
         ]
         return cls(layout.space, layout._spans, flat, arrays, heads)
@@ -428,19 +433,24 @@ class _Rollout(NamedTuple):
     (row k * n_tokens + s for run k's token s), the r and z gate
     activations (concatenated), n, U_n @ h_prev and h, each (K, ., 1).
     Run k takes ``lengths[k]`` steps; later, it steps on its last token.
-    ``heads[code]`` holds, for each step at which some runs made a
-    decision of that kind, (t, those runs, their probs and logp, one
-    column per run, and their entropies); a single run's are 1-D and a
-    scalar.
+
+    The decisions are one dense record, zero-filled, over the longest
+    possible trajectory (t_max = n_units * (1 + 2 * max depth) steps):
+    ``probs``, ``logp`` and ``hit`` are (t_max, K, n_head), the head rows
+    of the kind run k decided at step t holding its probabilities,
+    log-probabilities and a one-hot of its choice, and ``entropy`` (t_max,
+    K) that decision's entropy. The rows of the other kinds, and every
+    entry past a run's length, stay zero.
     """
 
     enc: _Encoded
     archs: list[Architecture]
     lengths: list[int]
-    choices: list[list[int]]
-    entropies: list[list[float]]
     steps: list[tuple]
-    heads: list[list[tuple]]
+    probs: np.ndarray
+    logp: np.ndarray
+    hit: np.ndarray
+    entropy: np.ndarray
 
 
 def _grammar(space: SpaceConfig):
@@ -486,14 +496,14 @@ def _rollout(
     wx_all = np.matmul(w[:, None], tokens[..., None]).reshape(n_runs * n_tokens, 3 * hid, 1)
     wx_rz_all, wx_n_all = wx_all[:, : 2 * hid], wx_all[:, 2 * hid :]
     exp, tanh, add, matmul = np.exp, np.tanh, np.add, np.matmul
+    t_max = space.n_units * (1 + 2 * space.depth_choices[-1])
     out = _Rollout(
-        enc=enc,
-        archs=[None] * n_runs,
-        lengths=[0] * n_runs,
-        choices=[[] for _ in runs],
-        entropies=[[] for _ in runs],
-        steps=[],
-        heads=[[], [], []],
+        enc,
+        [None] * n_runs,
+        [0] * n_runs,
+        [],
+        *np.zeros((3, t_max, n_runs, p["head_b"].shape[1])),
+        np.zeros((t_max, n_runs)),
     )
     offsets = [k * n_tokens for k in runs]
     source = offsets[:]  # each run's next input row of wx_all
@@ -524,7 +534,7 @@ def _rollout(
         for k in active:
             groups.setdefault(kind[k], []).append(k)
         for code, idx in groups.items():
-            head_w, head_b, first_token = stack.heads[code]
+            head_w, head_b, rows = stack.heads[code]
             if len(idx) == n_runs:
                 logits = matmul(head_w, h) + head_b
             else:
@@ -542,7 +552,12 @@ def _rollout(
                 # without its validation passes: same uniform, same result.
                 cdf = add.accumulate(probs / add.reduce(probs))
                 cdf /= cdf[-1]
-            out.heads[code].append((t, idx, probs, logp, entropy))
+            # A lone run's index is an int and its head a 1-D row: basic
+            # indexing, cheaper than a list, and no transpose.
+            at = idx[0] if one else idx
+            out.probs[t, at, rows] = probs if one else probs.T
+            out.logp[t, at, rows] = logp if one else logp.T
+            out.entropy[t, at] = entropy
             for i, (k, e) in enumerate(zip(idx, [float(entropy)] if one else entropy.tolist())):
                 if not math.isfinite(e):
                     # NaN here means a non-finite logit somewhere in this head.
@@ -553,9 +568,9 @@ def _rollout(
                     c = int((cols if one else cols[:, i]).argmax())
                 else:
                     c = int((cdf if one else cdf[:, i]).searchsorted(rngs[k].random(), "right"))
-                out.choices[k].append(c)
-                out.entropies[k].append(e)
-                source[k] = offsets[k] + first_token + c
+                row = rows.start + c
+                out.hit[t, k, row] = 1.0
+                source[k] = offsets[k] + 1 + row  # token_emb row 0 is the start token
                 try:
                     kind[k] = walks[k].send(c)
                 except StopIteration as done:
@@ -586,18 +601,18 @@ def _forward(
     return stack, roll
 
 
-def _make_trajectory(roll: _Rollout, pstate: PolicyState) -> Trajectory:
+def _make_trajectory(roll: _Rollout, pstate: PolicyState, space: SpaceConfig) -> Trajectory:
     """The one run of a single-run rollout as a Trajectory."""
-    choices = roll.choices[0]
-    decisions = [None] * len(choices)
-    for code, taken in enumerate(roll.heads):
-        for t, _, _, logp, entropy in taken:
-            decisions[t] = Decision(_KIND_NAMES[code], choices[t], float(logp[choices[t]]), float(entropy))
+    # One hit per decided step, in step order; its head row names the kind and choice.
+    steps, rows = np.nonzero(roll.hit[:, 0])
+    which = [(kind, c) for kind, (_, values) in _kinds(space).items() for c in range(len(values))]
+    kinds, choices = zip(*[which[row] for row in rows.tolist()])
+    log_probs, entropies = roll.logp[steps, 0, rows].tolist(), roll.entropy[steps, 0].tolist()
     return Trajectory(
         arch=roll.archs[0],
-        decisions=tuple(decisions),
-        log_prob=float(sum(d.log_prob for d in decisions)),
-        entropy=float(sum(d.entropy for d in decisions)),
+        decisions=tuple(map(Decision, kinds, choices, log_probs, entropies)),
+        log_prob=float(sum(log_probs)),
+        entropy=float(sum(entropies)),
         prev_arch=pstate.prev_arch,
         shift=pstate.shift,
     )
@@ -606,13 +621,13 @@ def _make_trajectory(roll: _Rollout, pstate: PolicyState) -> Trajectory:
 def sample(params: ControllerParams, pstate: PolicyState, rng: np.random.Generator) -> Trajectory:
     """Draw one architecture from the current policy."""
     _, roll = _forward(params, pstate, rng=rng)
-    return _make_trajectory(roll, pstate)
+    return _make_trajectory(roll, pstate, params.space)
 
 
 def score(params: ControllerParams, pstate: PolicyState, arch: Architecture) -> Trajectory:
     """Teacher-forced log-probability of producing a given architecture."""
     _, roll = _forward(params, pstate, actions=_validate(arch, params.space))
-    traj = _make_trajectory(roll, pstate)
+    traj = _make_trajectory(roll, pstate, params.space)
     assert traj.arch == arch
     return traj
 
@@ -664,23 +679,13 @@ def _backward(
     # The state each step started from: h0, then the previous step's.
     h_prev = np.concatenate((enc.h0[None, :, :, None], hs[:-1]))
 
-    # Heads: d/dlogits of logp[choice] is onehot - probs; of the entropy,
-    # -probs * (logp + H). Row t * K + k is run k's step t; the head rows of
-    # kinds it did not decide there, and every row past its length, stay zero.
-    probs, logp, hit = np.zeros((3, n_steps * n_runs, p["head_b"].shape[1]))
-    entropy = np.zeros((n_steps * n_runs, 1))
-    for (rows, _), taken in zip(_kinds(stack.space).values(), roll.heads):
-        if taken:
-            ts, idxs, pr, lp, en = zip(*taken)
-            decided = [(t, k) for t, idx in zip(ts, idxs) for k in idx]
-            at = [t * n_runs + k for t, k in decided]
-            probs[at, rows] = np.vstack([a.T for a in pr])
-            logp[at, rows] = np.vstack([a.T for a in lp])
-            entropy[at, 0] = np.hstack(en)
-            hit[at, [rows.start + roll.choices[k][t] for t, k in decided]] = 1.0
-    adv = np.tile(advantages, n_steps)[:, None]
-    dlogits = adv * (hit - probs) - cfg.entropy_weight * probs * (logp + entropy)
-    dlogits = dlogits.reshape(n_steps, n_runs, -1)
+    # Heads: d/dlogits of logp[choice] is hit - probs; of the entropy,
+    # -probs * (logp + H), all (T, K, n_head) from the rollout's record, whose
+    # head rows of the kinds a run did not decide, and entries past its
+    # length, are zero.
+    probs, logp, hit = roll.probs[:n_steps], roll.logp[:n_steps], roll.hit[:n_steps]
+    adv = np.asarray(advantages, dtype=float)[:, None]
+    dlogits = adv * (hit - probs) - cfg.entropy_weight * probs * (logp + roll.entropy[:n_steps, :, None])
     g["head_w"][...] = np.matmul(dlogits.transpose(1, 2, 0), hs[..., 0].transpose(1, 0, 2))
     g["head_b"][...] = dlogits.sum(axis=0)
     dhead = np.matmul(p["head_w"].transpose(0, 2, 1), dlogits[..., None])
@@ -786,22 +791,10 @@ def _apply_update(
         state.v = np.zeros_like(flat)
     state.step += 1
     t = state.step
-    bias1 = 1.0 - _ADAM_BETA1**t
-    bias2 = 1.0 - _ADAM_BETA2**t
-    m, v = state.m, state.v
-    m *= _ADAM_BETA1
-    m += (1.0 - _ADAM_BETA1) * flat_grad
-    v *= _ADAM_BETA2
-    v_step = (1.0 - _ADAM_BETA2) * flat_grad
-    v_step *= flat_grad
-    v += v_step
-    # lr * (m / bias1) / (sqrt(v / bias2) + eps), in two (K, P) temporaries.
-    step = m / bias1
-    step *= lr
-    denom = np.sqrt(v / bias2, out=v_step)
-    denom += _ADAM_EPS
-    step /= denom
-    flat += step
+    state.m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * flat_grad
+    state.v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * flat_grad * flat_grad
+    m_hat, v_hat = state.m / (1.0 - _ADAM_BETA1**t), state.v / (1.0 - _ADAM_BETA2**t)
+    flat += lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def _advance_baseline(state: TrainerState, reward_value: float, cfg: TrainerConfig) -> float:
@@ -886,7 +879,8 @@ def _train_many(
                     v_new = evaluate(arch, meta)
                     c_new = madds(arch, space)
                     stats[0][k].append(reward(v_new, v_prev, c_new, c_prev, run_cfg.lam, shift))
-                    stats[1][k].append(float(sum(roll.entropies[k])))
+                    # Entries past the run's length are 0 and add nothing.
+                    stats[1][k].append(float(sum(roll.entropy[:, k].tolist())))
                     stats[2][k].append(c_new)
             # np.mean of each run's list: its sum along the last axis over the count.
             means = np.add.reduce(np.array(stats), axis=2) / cfg.batch_size

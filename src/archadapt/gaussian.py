@@ -240,13 +240,6 @@ def _chol(cov: np.ndarray, what: str) -> np.ndarray:
         raise NotSPD(f"{what} is not positive definite") from exc
 
 
-def _log_density(x: np.ndarray, mean: np.ndarray, inv: np.ndarray, logdet: float) -> np.ndarray:
-    """Gaussian log-density of rows of x from log det cov and inverse Cholesky factor."""
-    sol = (x - mean) @ inv.T
-    maha = np.sum(sol * sol, axis=1)
-    return -0.5 * (maha + logdet + mean.size * np.log(2.0 * np.pi))
-
-
 def js_divergence_mc(
     g1: GaussianSummary,
     g2: GaussianSummary,
@@ -256,9 +249,13 @@ def js_divergence_mc(
     """Monte-Carlo Jensen-Shannon divergence estimate in bits.
 
     JS = 0.5 E_{x~g1}[log2 p1/m] + 0.5 E_{y~g2}[log2 p2/m] with mixture
-    m = (p1 + p2) / 2. One set of standard-normal draws is pushed through
+    m = (p1 + p2) / 2. One set of standard-normal draws z is pushed through
     both Gaussians (mirrored sampling), which makes the estimate exactly
     symmetric in its arguments. The result is clamped to [0, 1].
+
+    A draw x = mu_a + L_a z (L the Cholesky factor) is z itself in its own
+    Gaussian's whitened coordinates and L_b^-1 (mu_a - mu_b) + (L_b^-1 L_a) z
+    in the other's, so each log-density needs only that one product.
     """
     q = _check_same_dim(g1, g2)
     if n_samples < 1:
@@ -267,17 +264,18 @@ def js_divergence_mc(
     l2 = _chol(g2.cov, "cov of second argument")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, q))
-    x1 = g1.mean + z @ l1.T
-    x2 = g2.mean + z @ l2.T
-    dens1 = (g1.mean, np.linalg.inv(l1), 2.0 * np.sum(np.log(np.diag(l1))))
-    dens2 = (g2.mean, np.linalg.inv(l2), 2.0 * np.sum(np.log(np.diag(l2))))
+    maha_own = np.sum(z * z, axis=1)
 
-    def expected_log_ratio(x, own, other):
-        lp_own = _log_density(x, *own)
-        lp_other = _log_density(x, *other)
+    def log_density(maha, chol):
+        return -0.5 * (maha + 2.0 * np.sum(np.log(np.diag(chol))) + q * np.log(2.0 * np.pi))
+
+    def expected_log_ratio(own, l_own, other, l_other):
+        w = np.linalg.solve(l_other, own.mean - other.mean) + z @ np.linalg.solve(l_other, l_own).T
+        lp_own = log_density(maha_own, l_own)
+        lp_other = log_density(np.sum(w * w, axis=1), l_other)
         lp_mix = np.logaddexp(lp_own, lp_other) - _LN2
         return float(np.mean(lp_own - lp_mix)) / _LN2
 
-    term1 = expected_log_ratio(x1, dens1, dens2)
-    term2 = expected_log_ratio(x2, dens2, dens1)
+    term1 = expected_log_ratio(g1, l1, g2, l2)
+    term2 = expected_log_ratio(g2, l2, g1, l1)
     return float(np.clip(0.5 * (term1 + term2), 0.0, 1.0))

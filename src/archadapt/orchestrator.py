@@ -125,19 +125,21 @@ def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> Trainer
     The end edges are the smallest and largest positive shifts exactly
     (a single edge is the smallest), so the smallest shift lands in
     bucket 0 and the largest in bucket bucket_count - 2 whatever the
-    roundoff of the log spacing.
+    roundoff of the log spacing. A range too narrow for strictly
+    increasing edges (one shift, or all within a few ulp) widens to
+    (lo / 10, lo * 10).
     """
     if trainer.bucket_edges is not None or trainer.bucket_count < 2:
         return trainer
     positive = sorted(s for s in shifts if s > 0)
     if not positive:
         return replace(trainer, bucket_edges=default_bucket_edges(trainer.bucket_count))
-    lo, hi = positive[0], positive[-1]
-    if hi <= lo:
-        lo, hi = lo / 10.0, lo * 10.0
-    edges = np.logspace(np.log10(lo), np.log10(hi), trainer.bucket_count - 1)
-    edges[-1] = hi
-    edges[0] = lo
+    for lo, hi in ((positive[0], positive[-1]), (positive[0] / 10.0, positive[0] * 10.0)):
+        edges = np.logspace(np.log10(lo), np.log10(hi), trainer.bucket_count - 1)
+        edges[-1] = hi
+        edges[0] = lo
+        if hi > lo and np.all(edges[1:] > edges[:-1]):
+            break
     return replace(trainer, bucket_edges=tuple(edges))
 
 

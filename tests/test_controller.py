@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import archadapt as aa
-from archadapt import controller
+from archadapt import controller, search_space
 from archadapt.controller import (
     TrainerConfig,
     TrainerState,
@@ -550,6 +550,68 @@ class TestFlatBuffer:
         assert (params == params.copy()) is False
         assert (params == params) is True
         assert _pstate(params, SMALL_CFG) == _pstate(params.copy(), SMALL_CFG)
+
+
+class TestRolloutRecord:
+    """The dense (step, run, head row) record a rollout writes."""
+
+    @staticmethod
+    def _kind_codes(arch, space):
+        """Decision kind code of each step of arch's trajectory, from the grammar."""
+        walk, codes = controller._grammar(space), []
+        code = next(walk)
+        for choice in search_space._validate(arch, space):
+            codes.append(code)
+            try:
+                code = walk.send(choice)
+            except StopIteration:
+                pass
+        return codes
+
+    @staticmethod
+    def _lockstep_rollout(space, n_runs):
+        params = [aa.init_params(space, SMALL_CFG, seed=30 + k) for k in range(n_runs)]
+        flat = np.stack([p.flat for p in params])
+        stack = controller._Stack.of(params[0], flat, params[0].unflatten(flat))
+        prev = aa.min_arch(space)
+        enc = controller._encode(stack.arrays, arch_onehot(prev, space), 1)
+        rngs = [np.random.default_rng(40 + k) for k in range(n_runs)]
+        return controller._rollout(stack, enc, rngs=rngs)
+
+    @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_each_decision_fills_its_kind_rows(self, space, n_runs):
+        kinds = list(controller._kinds(space).values())
+        t_max = space.n_units * (1 + 2 * space.depth_choices[-1])
+        for _ in range(5):
+            roll = self._lockstep_rollout(space, n_runs)
+            assert roll.hit.shape == roll.probs.shape == roll.logp.shape
+            assert roll.hit.shape[:2] == roll.entropy.shape == (t_max, n_runs)
+            for k, (arch, length) in enumerate(zip(roll.archs, roll.lengths)):
+                choices = search_space._validate(arch, space)
+                for t, code in enumerate(self._kind_codes(arch, space)):
+                    rows = kinds[code][0]
+                    hit, probs, logp = roll.hit[t, k], roll.probs[t, k], roll.logp[t, k]
+                    assert hit.sum() == 1.0 and hit[rows.start + choices[t]] == 1.0
+                    assert abs(probs[rows].sum() - 1.0) <= 1e-12
+                    assert np.array_equal(probs[rows], np.exp(logp[rows]))
+                    assert roll.entropy[t, k] == pytest.approx(-(probs * logp).sum(), abs=1e-12)
+                    others = np.ones(hit.size, bool)
+                    others[rows] = False
+                    assert not probs[others].any() and not logp[others].any()
+                for record in (roll.hit, roll.probs, roll.logp, roll.entropy):
+                    assert not record[length:, k].any()
+
+    @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
+    def test_score_of_max_arch_fills_every_step(self, space):
+        params = aa.init_params(space, SMALL_CFG, seed=3)
+        pstate = _pstate(params, SMALL_CFG, space)
+        arch = aa.max_arch(space)
+        _, roll = controller._forward(params, pstate, actions=search_space._validate(arch, space))
+        t_max = space.n_units * (1 + 2 * space.depth_choices[-1])
+        assert roll.lengths == [t_max] and roll.hit.shape[0] == t_max
+        assert np.array_equal(roll.hit.sum(axis=(1, 2)), np.ones(t_max))
+        assert len(aa.score(params, pstate, arch).decisions) == t_max
 
 
 class TestTraceFile:

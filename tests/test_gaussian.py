@@ -323,6 +323,39 @@ class TestJS:
         got = aa.js_divergence_mc(g1, g2, n_samples=100000, seed=3)
         assert got == pytest.approx(expected, abs=0.01)
 
+    @staticmethod
+    def _pushed_through_reference(g1, g2, n_samples, seed):
+        """The estimate with each draw pushed through its Gaussian and both
+        log-densities taken by inverse Cholesky factors, term by term."""
+        l1, l2 = np.linalg.cholesky(g1.cov), np.linalg.cholesky(g2.cov)
+        z = np.random.default_rng(seed).standard_normal((n_samples, g1.dim))
+        ln2 = np.log(2.0)
+
+        def log_density(x, g, chol):
+            sol = (x - g.mean) @ np.linalg.inv(chol).T
+            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+            return -0.5 * (np.sum(sol * sol, axis=1) + logdet + g.dim * np.log(2.0 * np.pi))
+
+        def term(x, own, l_own, other, l_other):
+            lp_own, lp_other = log_density(x, own, l_own), log_density(x, other, l_other)
+            return float(np.mean(lp_own - (np.logaddexp(lp_own, lp_other) - ln2))) / ln2
+
+        t1 = term(g1.mean + z @ l1.T, g1, l1, g2, l2)
+        t2 = term(g2.mean + z @ l2.T, g2, l2, g1, l1)
+        return float(np.clip(0.5 * (t1 + t2), 0.0, 1.0))
+
+    @pytest.mark.parametrize("q", [1, 4, 32, 96])
+    def test_whitened_coordinates_match_pushed_through_draws(self, q):
+        rng = np.random.default_rng(q)
+        a, b = rng.standard_normal((2, q, q)) / np.sqrt(q)
+        g1 = _summary(rng.standard_normal(q), a @ a.T + np.eye(q))
+        g2 = _summary(g1.mean + 0.3 * rng.standard_normal(q), b @ b.T + np.eye(q))
+        for seed in range(3):
+            expected = self._pushed_through_reference(g1, g2, 2000, seed)
+            assert 0.0 < expected < 1.0
+            got = aa.js_divergence_mc(g1, g2, n_samples=2000, seed=seed)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(23)
         for seed in range(5):

@@ -299,6 +299,28 @@ class TestBucketResolution:
         # a single edge sits at lo, so every larger shift is in bucket 1
         assert bucket_index(hi, resolved) == (count - 2 if count > 2 else 1)
 
+    def test_shifts_a_few_ulp_apart_widen_the_range(self):
+        from archadapt.orchestrator import resolve_bucket_edges
+        resolved = resolve_bucket_edges(aa.TrainerConfig(), [1.0, 1.0 + 2.3e-16])
+        edges = resolved.bucket_edges
+        assert len(edges) == 7
+        assert edges[0] == 0.1 and edges[-1] == 10.0
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(min_value=1e-12, max_value=1e6),
+           ratio=st.floats(min_value=1.0, max_value=1.0 + 1e-12),
+           count=st.integers(min_value=2, max_value=16))
+    def test_nearly_equal_shifts_give_increasing_edges(self, lo, ratio, count):
+        from archadapt.orchestrator import resolve_bucket_edges
+        hi = lo * ratio
+        resolved = resolve_bucket_edges(aa.TrainerConfig(bucket_count=count), [hi, lo])
+        edges = resolved.bucket_edges
+        assert len(edges) == count - 1
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        # the edges still span the shifts (a single edge sits at or below lo)
+        assert edges[0] <= lo and (count == 2 or hi <= edges[-1])
+
     def test_explicit_edges_kept(self):
         from archadapt.orchestrator import resolve_bucket_edges
         trainer = aa.TrainerConfig(bucket_count=4, bucket_edges=(1.0, 2.0, 3.0))
