@@ -34,15 +34,15 @@ operation. One guarded helper applies every update and refuses non-finite
 gradients.
 
 Lockstep runs. ``_train_many`` trains K independent runs (same snapshot,
-prev arch, shift and config up to ``lam`` and ``seed``) together: their
-parameter sets are the rows of one (K, P) buffer, each role a (K, *shape)
-view of it, and every pass works on all K at once. ``train`` is the K = 1
-case, and ``sample``, ``score``, ``greedy_decode`` and
+prev arch, shift and config, each its own ``lam`` and ``seed``) together.
+A run is a row: of one (K, P) parameter buffer, each role a (K, *shape)
+view of it, and of the arrays of rewards, entropies, MAdds, baselines and
+Adam moments beside it, so every pass works on all K at once. ``train`` is
+the K = 1 case, and ``sample``, ``score``, ``greedy_decode`` and
 ``objective_gradients`` run the same code on a (1, P) view of one
-parameter set. Each run keeps its own ``rng`` and draws, baseline, rewards
-and evaluator and ``madds`` calls, and its numbers are bit for bit those
-of training it alone, because (checked with numpy 2.4 on scipy-openblas
-0.3.31):
+parameter set. Each run keeps its own ``rng`` and draws and evaluator and
+``madds`` calls, and its numbers are bit for bit those of training it
+alone, because (checked with numpy 2.4 on scipy-openblas 0.3.31):
 
 - a stacked ``np.matmul`` over K gives each run the bits of its own
   product, and per-element arithmetic and each run's softmax reductions
@@ -51,12 +51,15 @@ of training it alone, because (checked with numpy 2.4 on scipy-openblas
 - a run whose trajectory ends early keeps stepping with zero gradients,
   so every sum over steps, in a product or a reduction, only gains zeros
   at its end. They change nothing but possibly the sign of an exact zero,
-  which the batch sum in ``_train_many`` (0 + gradient) turns into 0.0.
+  which the batch sum in ``_train_many`` (0 + gradient) turns into 0.0;
+- a sum over a run's steps is a cumulative sum in step order (``_step_sum``),
+  never numpy's reduction, which may go pairwise for a lone column only,
+  nor builtin ``sum``, which compensates from Python 3.12 on.
 
 A rollout writes its decisions once, into one dense record indexed
 (step, run, head row) and zero wherever a run made no decision (``_Rollout``).
 ``_backward`` reads it as its head arrays, ``sample`` and ``score`` read their
-decisions off it, and ``_train_many`` sums each run's entropies from it.
+decisions off it, and ``_train_many`` sums each run's entropies down it.
 
 Sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
 would (cumulative sum, normalize by its last entry, right-side search of
@@ -93,7 +96,6 @@ __all__ = [
     "PolicyState",
     "Decision",
     "Trajectory",
-    "TrainerState",
     "TraceRow",
     "init_params",
     "arch_onehot",
@@ -404,21 +406,6 @@ class Trajectory:
     shift: float
 
 
-@dataclass
-class TrainerState:
-    """Optimizer state carried across the updates of one training run.
-
-    ``m`` and ``v`` are Adam's moments over the flat parameter vector; in
-    lockstep training they are (K, P), one row per run, and each run keeps
-    its own state for its baseline.
-    """
-
-    step: int = 0
-    baseline: float | None = None
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-
 def _softmax_logprobs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities and log-probabilities of each column of logits."""
     z = logits - np.maximum.reduce(logits)
@@ -601,18 +588,24 @@ def _forward(
     return stack, roll
 
 
+def _step_sum(x: np.ndarray) -> np.ndarray:
+    """Sum down axis 0 one term at a time, as CPython's float ``sum`` did
+    before 3.12; the added 0.0 gives an all-zero sum the sign ``sum`` gives."""
+    return np.add.accumulate(x, axis=0)[-1] + 0.0
+
+
 def _make_trajectory(roll: _Rollout, pstate: PolicyState, space: SpaceConfig) -> Trajectory:
     """The one run of a single-run rollout as a Trajectory."""
     # One hit per decided step, in step order; its head row names the kind and choice.
     steps, rows = np.nonzero(roll.hit[:, 0])
     which = [(kind, c) for kind, (_, values) in _kinds(space).items() for c in range(len(values))]
     kinds, choices = zip(*[which[row] for row in rows.tolist()])
-    log_probs, entropies = roll.logp[steps, 0, rows].tolist(), roll.entropy[steps, 0].tolist()
+    log_probs, entropies = roll.logp[steps, 0, rows], roll.entropy[steps, 0]
     return Trajectory(
         arch=roll.archs[0],
-        decisions=tuple(map(Decision, kinds, choices, log_probs, entropies)),
-        log_prob=float(sum(log_probs)),
-        entropy=float(sum(entropies)),
+        decisions=tuple(map(Decision, kinds, choices, log_probs.tolist(), entropies.tolist())),
+        log_prob=float(_step_sum(log_probs)),
+        entropy=float(_step_sum(entropies)),
         prev_arch=pstate.prev_arch,
         shift=pstate.shift,
     )
@@ -770,10 +763,13 @@ def _apply_update(
     stack: _Stack,
     flat_grad: np.ndarray,
     cfg: TrainerConfig,
-    state: TrainerState,
+    m: np.ndarray,
+    v: np.ndarray,
+    step: int,
 ) -> None:
-    """Ascend the objective of every run; Adam moments live in the trainer state.
+    """Ascend the objective of every run, as update number step of training.
 
+    Adam's (K, P) moments m and v, one row per run, are updated in place.
     The one place parameters change: a non-finite gradient in any run
     raises NumericalError before anything is touched.
     """
@@ -784,27 +780,23 @@ def _apply_update(
     lr = cfg.learning_rate
     if not cfg.use_adam:
         flat += lr * flat_grad
-        state.step += 1
         return
-    if state.m is None:
-        state.m = np.zeros_like(flat)
-        state.v = np.zeros_like(flat)
-    state.step += 1
-    t = state.step
-    state.m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * flat_grad
-    state.v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * flat_grad * flat_grad
-    m_hat, v_hat = state.m / (1.0 - _ADAM_BETA1**t), state.v / (1.0 - _ADAM_BETA2**t)
+    m *= _ADAM_BETA1
+    m += (1.0 - _ADAM_BETA1) * flat_grad
+    v *= _ADAM_BETA2
+    v += (1.0 - _ADAM_BETA2) * flat_grad * flat_grad
+    m_hat, v_hat = m / (1.0 - _ADAM_BETA1**step), v / (1.0 - _ADAM_BETA2**step)
     flat += lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def _advance_baseline(state: TrainerState, reward_value: float, cfg: TrainerConfig) -> float:
-    """Return the advantage and update the moving average."""
+def _advance_baseline(baseline: np.ndarray, rewards: np.ndarray, cfg: TrainerConfig) -> np.ndarray:
+    """Each run's advantage; its baseline, NaN until a first reward, advances in place."""
     if not cfg.use_baseline:
-        return reward_value
-    if state.baseline is None:
-        state.baseline = reward_value
-    advantage = reward_value - state.baseline
-    state.baseline = cfg.baseline_decay * state.baseline + (1.0 - cfg.baseline_decay) * reward_value
+        return rewards
+    np.copyto(baseline, rewards, where=np.isnan(baseline))
+    advantage = rewards - baseline
+    baseline *= cfg.baseline_decay
+    baseline += (1.0 - cfg.baseline_decay) * rewards
     return advantage
 
 
@@ -822,47 +814,42 @@ def _train_many(
     shift: float,
     meta: SnapshotMeta,
     evaluate: Evaluator,
-    cfgs: Sequence[TrainerConfig],
+    cfg: TrainerConfig,
+    lams: Sequence[float],
+    seeds: Sequence[int],
 ) -> list[tuple[ControllerParams, list[TraceRow]]]:
     """Train K independent runs in lockstep; run k starts from params_list[k].
 
-    Returns one (params, trace) pair per run, each bit for bit what
-    ``train(params_list[k], ..., cfgs[k])`` returns. The cfgs may differ
-    only in ``lam`` and ``seed``. Each run keeps its own rng, baseline,
-    rewards and evaluator and ``madds`` calls; its params object is
-    updated in place, also when a NumericalError ends the training.
+    Run k has cost penalty lams[k] and seed seeds[k]; cfg's own go unused.
+    Returns one (params, trace) pair per run, each bit for bit what ``train``
+    returns for ``replace(cfg, lam=lams[k], seed=seeds[k])``. Each params
+    object is updated in place, also when a NumericalError ends the training.
     """
-    if not params_list or len(params_list) != len(cfgs):
+    n_runs = len(params_list)
+    if not n_runs or len(lams) != n_runs or len(seeds) != n_runs:
         raise InvalidConfig(
-            f"need one cfg per run and at least one run, got {len(params_list)} params "
-            f"and {len(cfgs)} cfgs"
+            f"need one lam and one seed per run and at least one run, got {n_runs} params, "
+            f"{len(lams)} lams and {len(seeds)} seeds"
         )
-    cfg = cfgs[0]
-    for other in cfgs[1:]:
-        differ = [
-            f.name
-            for f in fields(TrainerConfig)
-            if f.name not in ("lam", "seed") and getattr(other, f.name) != getattr(cfg, f.name)
-        ]
-        if differ:
-            raise InvalidConfig(
-                f"lockstep runs may differ only in lam and seed, not in {', '.join(differ)}"
-            )
+    if not all(0.0 <= lam < math.inf for lam in lams):
+        raise InvalidConfig(f"each lam must be finite and >= 0, got {list(lams)}")
     space = params_list[0].space
-    if len({id(params) for params in params_list}) < len(params_list) or any(
+    if len({id(params) for params in params_list}) < n_runs or any(
         params.space != space or params._shapes != params_list[0]._shapes for params in params_list
     ):
         raise InvalidConfig("lockstep runs need distinct params objects of one layout")
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     v_prev = evaluate(prev_arch, meta)
     c_prev = madds(prev_arch, space)
     onehot = arch_onehot(prev_arch, space)
     bucket = _checked_bucket(shift, cfg)
     flat = np.stack([params.flat for params in params_list])
     stack = _Stack.of(params_list[0], flat, _views(flat, params_list[0]._spans))
-    baselines = [TrainerState() for _ in cfgs]
-    moments = TrainerState()
-    traces: list[list[TraceRow]] = [[] for _ in cfgs]
+    m, v = np.zeros((2, *flat.shape))
+    baseline = np.full(n_runs, np.nan)
+    # stats[:, k, b]: run k's reward, entropy and MAdds at batch entry b.
+    stats = np.empty((3, n_runs, cfg.batch_size))
+    traces: list[list[TraceRow]] = [[] for _ in params_list]
 
     try:
         for it in range(cfg.iterations):
@@ -870,36 +857,27 @@ def _train_many(
             # shared by the batch.
             enc = _encode(stack.arrays, onehot, bucket)
             batch = []
-            # Per run, over the batch: rewards, entropies and MAdds.
-            stats: list[list[list[float]]] = [[[] for _ in cfgs] for _ in range(3)]
-            for _ in range(cfg.batch_size):
+            for b in range(cfg.batch_size):
                 roll = _rollout(stack, enc, rngs=rngs)
                 batch.append(roll)
-                for k, (arch, run_cfg) in enumerate(zip(roll.archs, cfgs)):
+                for k, (arch, lam) in enumerate(zip(roll.archs, lams)):
                     v_new = evaluate(arch, meta)
                     c_new = madds(arch, space)
-                    stats[0][k].append(reward(v_new, v_prev, c_new, c_prev, run_cfg.lam, shift))
-                    # Entries past the run's length are 0 and add nothing.
-                    stats[1][k].append(float(sum(roll.entropy[:, k].tolist())))
-                    stats[2][k].append(c_new)
-            # np.mean of each run's list: its sum along the last axis over the count.
-            means = np.add.reduce(np.array(stats), axis=2) / cfg.batch_size
-            mean_rewards, mean_entropies, mean_madds = means.tolist()
-
-            baselines_used = [
-                mean - _advance_baseline(state, mean, run_cfg)
-                for mean, state, run_cfg in zip(mean_rewards, baselines, cfgs)
-            ]
+                    stats[0, k, b] = reward(v_new, v_prev, c_new, c_prev, lam, shift)
+                    stats[2, k, b] = c_new
+                # Entries past a run's length are 0 and add nothing.
+                stats[1, :, b] = _step_sum(roll.entropy)
+            # np.mean of each run's batch: its sum along the last axis over the count.
+            means = np.add.reduce(stats, axis=2) / cfg.batch_size
+            used = means[0] - _advance_baseline(baseline, means[0], cfg)
             flat_grad = sum(
-                _backward(stack, roll, [r[b] - used for r, used in zip(stats[0], baselines_used)], cfg)
-                for b, roll in enumerate(batch)
+                _backward(stack, roll, stats[0, :, b] - used, cfg) for b, roll in enumerate(batch)
             )
-            if cfg.batch_size > 1:
-                flat_grad /= cfg.batch_size
-            _apply_update(stack, flat_grad, cfg, moments)
+            flat_grad /= cfg.batch_size
+            _apply_update(stack, flat_grad, cfg, m, v, it + 1)
             del flat_grad  # not alive through the next backward pass
 
-            for trace, *row in zip(traces, mean_rewards, mean_entropies, mean_madds):
+            for trace, *row in zip(traces, *means.tolist()):
                 trace.append(TraceRow(it, *row))
     finally:
         for params, row in zip(params_list, stack.flat):
@@ -922,8 +900,8 @@ def train(
     update. Updates params in place and returns it with the per-iteration
     trace.
     """
-    [(params, trace)] = _train_many([params], prev_arch, shift, meta, evaluate, [cfg])
-    return params, trace
+    [run] = _train_many([params], prev_arch, shift, meta, evaluate, cfg, [cfg.lam], [cfg.seed])
+    return run
 
 
 def write_trace(path, rows: list[TraceRow]) -> None:

@@ -127,20 +127,24 @@ def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> Trainer
     bucket 0 and the largest in bucket bucket_count - 2 whatever the
     roundoff of the log spacing. A range too narrow for strictly
     increasing edges (one shift, or all within a few ulp) widens to
-    (lo / 10, lo * 10).
+    (lo / 10, lo * 10). Where that also fails, because lo / 10 underflows
+    or lo * 10 overflows, and where no shift is positive, the edges are
+    default_bucket_edges.
     """
     if trainer.bucket_edges is not None or trainer.bucket_count < 2:
         return trainer
+    fallback = replace(trainer, bucket_edges=default_bucket_edges(trainer.bucket_count))
     positive = sorted(s for s in shifts if s > 0)
     if not positive:
-        return replace(trainer, bucket_edges=default_bucket_edges(trainer.bucket_count))
+        return fallback
     for lo, hi in ((positive[0], positive[-1]), (positive[0] / 10.0, positive[0] * 10.0)):
-        edges = np.logspace(np.log10(lo), np.log10(hi), trainer.bucket_count - 1)
+        with np.errstate(all="ignore"):
+            edges = np.logspace(np.log10(lo), np.log10(hi), trainer.bucket_count - 1)
         edges[-1] = hi
         edges[0] = lo
-        if hi > lo and np.all(edges[1:] > edges[:-1]):
-            break
-    return replace(trainer, bucket_edges=tuple(edges))
+        if hi > lo and np.isfinite(edges).all() and np.all(edges[1:] > edges[:-1]):
+            return replace(trainer, bucket_edges=tuple(edges))
+    return fallback
 
 
 def _setup(cfg: RunConfig, feature_extractor):
@@ -298,10 +302,11 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
     Adaptation is forced (the gate is bypassed) so that every lambda sees
     the identical task; only the cost penalty differs. The trainings share
     the initial params and the train seed, so they run in lockstep, one
-    run per lambda (controller._train_many); each row is the one a lone
-    training at that lambda gives. Returns one row per lambda with the
-    greedy architecture, its V, and its MAdds; no lambdas give no rows. A
-    zero first shift raises DivisionByZeroShift naming step 1.
+    run per lambda (controller._train_many takes the lambdas as they are);
+    each row is the one a lone training at that lambda gives. Returns one
+    row per lambda with the greedy architecture, its V, and its MAdds; no
+    lambdas give no rows. A zero first shift raises DivisionByZeroShift
+    naming step 1, and a negative or non-finite lambda InvalidConfig.
     """
     if not lambdas:
         return []
@@ -312,18 +317,16 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
     if shift == 0.0:
         raise DivisionByZeroShift("step 1: lambda_sweep forces adaptation but the shift is 0")
     cur_meta = snapshots[1].meta
-    train_seed = derive_seed(cfg.master_seed, 1, "train")
-    cfgs = [replace(trainer, lam=float(lam), seed=train_seed) for lam in lambdas]
-    trained = _train_many(
-        [base_params.copy() for _ in cfgs], arch, shift, cur_meta, evaluate, cfgs
-    )
+    seeds = [derive_seed(cfg.master_seed, 1, "train")] * len(lambdas)
+    params_list = [base_params.copy() for _ in lambdas]
+    trained = _train_many(params_list, arch, shift, cur_meta, evaluate, trainer, lambdas, seeds)
 
     rows = []
-    for step_cfg, (params, _) in zip(cfgs, trained):
-        decoded = greedy_decode(params, embed_state(params, arch, shift, step_cfg))
+    for lam, (params, _) in zip(lambdas, trained):
+        decoded = greedy_decode(params, embed_state(params, arch, shift, trainer))
         rows.append(
             {
-                "lam": step_cfg.lam,
+                "lam": float(lam),
                 "arch": encode(decoded),
                 "v": float(evaluate(decoded, cur_meta)),
                 "madds": float(madds(decoded, cfg.space)),

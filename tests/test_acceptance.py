@@ -213,7 +213,8 @@ def test_criterion_05_search_correctness():
         # The 20 seeds train in lockstep; each run is what train gives alone.
         cfgs = [_search_trainer(seed) for seed in range(20)]
         inits = [aa.init_params(TOY, cfg, seed=1000 + cfg.seed) for cfg in cfgs]
-        trained = _train_many(inits, prev, 1.0, meta, evaluate, cfgs)
+        trained = _train_many(inits, prev, 1.0, meta, evaluate, cfgs[0],
+                              [cfg.lam for cfg in cfgs], [cfg.seed for cfg in cfgs])
         for cfg, (params, trace) in zip(cfgs, trained):
             decoded = aa.greedy_decode(
                 params, aa.embed_state(params, prev, 1.0, cfg))

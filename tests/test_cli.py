@@ -226,6 +226,11 @@ class TestErrors:
         assert "step 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("lam", ["-0.001", "nan"])
+    def test_sweep_lambda_bad_lambda_exits_1(self, config_file, capsys, lam):
+        assert main(["sweep-lambda", "--config", str(config_file), "--lambdas", f"0,{lam}"]) == 1
+        assert "lam" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["adapt", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "x")]) in (1, 2)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -326,3 +328,30 @@ class TestBucketResolution:
         trainer = aa.TrainerConfig(bucket_count=4, bucket_edges=(1.0, 2.0, 3.0))
         resolved = resolve_bucket_edges(trainer, [0.5, 8.0])
         assert resolved.bucket_edges == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("shift", [5e-324, 1e308])
+    def test_one_extreme_shift_gives_valid_edges(self, shift):
+        # lo / 10 underflows to 0 for the smallest subnormal, lo * 10
+        # overflows to inf near the float maximum.
+        from archadapt.orchestrator import resolve_bucket_edges
+        for count in range(2, 17):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                resolved = resolve_bucket_edges(aa.TrainerConfig(bucket_count=count), [shift])
+            edges = resolved.bucket_edges
+            assert len(edges) == count - 1
+            assert np.isfinite(edges).all()
+            assert all(a < b for a, b in zip(edges, edges[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(shifts=st.lists(st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True),
+                           min_size=1, max_size=4),
+           count=st.integers(min_value=2, max_value=16))
+    def test_any_positive_shifts_give_valid_edges(self, shifts, count):
+        from archadapt.orchestrator import resolve_bucket_edges
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = resolve_bucket_edges(aa.TrainerConfig(bucket_count=count), shifts).bucket_edges
+        assert len(edges) == count - 1
+        assert np.isfinite(edges).all()
+        assert all(a < b for a, b in zip(edges, edges[1:]))
