@@ -257,8 +257,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_sweep_lambda(args) -> int:
     cfg = _load_config(args)
-    lambdas = _parse_floats(args.lambdas)
-    rows = orchestrator.lambda_sweep(cfg, lambdas)
+    rows = orchestrator.lambda_sweep(cfg, args.lambdas)
     for row in rows:
         print(f"lam={row['lam']:g} v={row['v']:.4f} madds={row['madds']:.3f} arch={row['arch']}")
     if args.out:
@@ -341,7 +340,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("sweep-lambda", help="one adaptation step per lambda, shared seed")
-    p.add_argument("--lambdas", default="0,5e-05,0.00025", help="comma-separated lambda values")
+    p.add_argument(
+        "--lambdas", type=_parse_floats, default="0,5e-05,0.00025", help="comma-separated lambda values"
+    )
     add_config_flags(p, with_out=True)
     p.set_defaults(func=_cmd_sweep_lambda)
 

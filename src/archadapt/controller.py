@@ -35,10 +35,10 @@ gradients.
 
 Lockstep runs. ``_train_many`` trains K independent runs (same snapshot,
 prev arch, shift and config, each its own ``lam`` and ``seed``) together.
-A run is a row: of one (K, P) parameter buffer, each role a (K, *shape)
-view of it, and of the arrays of rewards, entropies, MAdds, baselines and
-Adam moments beside it, so every pass works on all K at once. ``train`` is
-the K = 1 case, and ``sample``, ``score``, ``greedy_decode`` and
+A run is a row of one ``ControllerParams`` whose ``flat`` is (K, P), each
+role a (K, *shape) view of it, and of the arrays of rewards, entropies,
+MAdds, baselines and Adam moments beside it, so every pass works on all K
+at once. ``train`` (K = 1), ``sample``, ``score``, ``greedy_decode`` and
 ``objective_gradients`` run the same code on a (1, P) view of one
 parameter set. Each run keeps its own ``rng`` and draws and evaluator and
 ``madds`` calls, and its numbers are bit for bit those of training it
@@ -192,19 +192,27 @@ class ControllerParams:
     """The controller's parameter arrays, by role, in a fixed order.
 
     Every array is a view into one contiguous float64 buffer, ``flat``,
-    made at construction and laid out in the same order, so the optimizer
-    can treat all parameters as one vector. Writing into an array writes
-    the buffer; ``arrays`` itself is read-only, so an entry cannot be
-    replaced. Equality is identity.
+    laid out in the same order, so the optimizer can treat all parameters
+    as one vector: (P,) for one parameter set, or (K, P) for K sets, one
+    per row, each array then (K, *shape). Writing into an array writes the
+    buffer; ``arrays`` itself is read-only, so an entry cannot be replaced.
+    Equality is identity.
     """
 
     def __init__(self, space: SpaceConfig, arrays: Mapping[str, np.ndarray]):
         self.space = space
-        self._shapes = {name: np.shape(a) for name, a in arrays.items()}
-        ends = np.cumsum([math.prod(shape) for shape in self._shapes.values()]).tolist()
-        self._spans = list(zip(self._shapes.items(), [0, *ends], ends))
+        shapes = {name: np.shape(a) for name, a in arrays.items()}
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()]).tolist()
+        self._spans = list(zip(shapes.items(), [0, *ends], ends))
         self._flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=float)
         self.arrays = MappingProxyType(self.unflatten(self._flat))
+
+    def _over(self, flat: np.ndarray) -> "ControllerParams":
+        """Params of this layout over flat, (P,) or (K, P), sharing its memory."""
+        params = object.__new__(ControllerParams)
+        params.space, params._spans, params._flat = self.space, self._spans, flat
+        params.arrays = MappingProxyType(self.unflatten(flat))
+        return params
 
     @property
     def flat(self) -> np.ndarray:
@@ -215,41 +223,14 @@ class ControllerParams:
 
         A (K, P) stack of flat vectors gives (K, *shape) views.
         """
-        return _views(vector, self._spans)
+        lead = vector.shape[:-1]
+        return {name: vector[..., i:j].reshape(lead + shape) for (name, shape), i, j in self._spans}
 
     def copy(self) -> "ControllerParams":
-        return ControllerParams(self.space, self.arrays)
+        return self._over(self._flat.copy())
 
     def l2_norm_sq(self) -> float:
         return float(self._flat @ self._flat)
-
-
-def _views(vector: np.ndarray, spans: list[tuple]) -> dict[str, np.ndarray]:
-    lead = vector.shape[:-1]
-    return {name: vector[..., start:stop].reshape(lead + shape) for (name, shape), start, stop in spans}
-
-
-class _Stack(NamedTuple):
-    """K parameter sets of one layout: a (K, P) buffer and views of it.
-
-    ``heads[code]`` is decision kind code's (K, n, H) head weights, its
-    (K, n, 1) bias and its rows of the head.
-    """
-
-    space: SpaceConfig
-    spans: list[tuple]
-    flat: np.ndarray
-    arrays: dict[str, np.ndarray]
-    heads: list[tuple]
-
-    @classmethod
-    def of(cls, layout: ControllerParams, flat: np.ndarray, arrays: dict[str, np.ndarray]) -> "_Stack":
-        """The stack over flat, whose (K, *shape) views by role are arrays."""
-        heads = [
-            (arrays["head_w"][:, rows], arrays["head_b"][:, rows, None], rows)
-            for rows, _ in _kinds(layout.space).values()
-        ]
-        return cls(layout.space, layout._spans, flat, arrays, heads)
 
 
 _KIND_NAMES = ("depth", "kernel", "expansion")
@@ -454,7 +435,7 @@ def _grammar(space: SpaceConfig):
 
 
 def _rollout(
-    stack: _Stack,
+    params: ControllerParams,
     enc: _Encoded,
     rngs: Sequence[np.random.Generator] | None = None,
     actions: Sequence[list[int]] | None = None,
@@ -471,7 +452,9 @@ def _rollout(
     """
     # Hidden states are (K, H, 1) columns, so each stacked matrix-vector
     # product is one np.matmul call.
-    p, space = stack.arrays, stack.space
+    p, space = params.arrays, params.space
+    # Per kind code: its (K, n, H) head weights, (K, n, 1) bias and head rows.
+    heads = [(p["head_w"][:, rows], p["head_b"][:, rows, None], rows) for rows, _ in _kinds(space).values()]
     h = enc.h0[:, :, None]
     n_runs, hid, _ = h.shape
     runs = range(n_runs)
@@ -521,7 +504,7 @@ def _rollout(
         for k in active:
             groups.setdefault(kind[k], []).append(k)
         for code, idx in groups.items():
-            head_w, head_b, rows = stack.heads[code]
+            head_w, head_b, rows = heads[code]
             if len(idx) == n_runs:
                 logits = matmul(head_w, h) + head_b
             else:
@@ -573,19 +556,18 @@ def _forward(
     actions: list[int] | None = None,
     rng: np.random.Generator | None = None,
     greedy: bool = False,
-) -> tuple[_Stack, _Rollout]:
-    """Encode pstate with the current params, then roll the GRU out once."""
-    # One parameter set as a stack of one: (1, *shape) views of its arrays.
-    stack = _Stack.of(params, params.flat[None], {name: a[None] for name, a in params.arrays.items()})
-    enc = _encode(stack.arrays, arch_onehot(pstate.prev_arch, params.space), pstate.bucket)
+) -> tuple[ControllerParams, _Rollout]:
+    """Encode pstate with the current params as one row, then roll the GRU out once."""
+    row = params._over(params.flat[None])
+    enc = _encode(row.arrays, arch_onehot(pstate.prev_arch, params.space), pstate.bucket)
     roll = _rollout(
-        stack,
+        row,
         enc,
         rngs=None if rng is None else [rng],
         actions=None if actions is None else [actions],
         greedy=greedy,
     )
-    return stack, roll
+    return row, roll
 
 
 def _step_sum(x: np.ndarray) -> np.ndarray:
@@ -651,7 +633,7 @@ def reward(
 
 
 def _backward(
-    stack: _Stack,
+    params: ControllerParams,
     roll: _Rollout,
     advantages: Sequence[float],
     cfg: TrainerConfig,
@@ -664,9 +646,9 @@ def _backward(
     zero there and every sum over steps ends in zeros (see the module
     docstring). Only the recurrence runs step by step, for all runs at once.
     """
-    p, enc = stack.arrays, roll.enc
-    grad = np.zeros_like(stack.flat)
-    g = _views(grad, stack.spans)
+    p, enc = params.arrays, roll.enc
+    grad = np.zeros_like(params.flat)
+    g = params.unflatten(grad)
     sources, rz, n, unh, hs = map(np.array, zip(*roll.steps))
     n_steps, (n_runs, hid) = len(roll.steps), enc.h0.shape
     # The state each step started from: h0, then the previous step's.
@@ -726,7 +708,7 @@ def _backward(
     g["enc_b1"][...] = de1pre
 
     if cfg.weight_decay != 0.0:
-        grad -= cfg.weight_decay * stack.flat
+        grad -= cfg.weight_decay * params.flat
     return grad
 
 
@@ -755,12 +737,12 @@ def objective_gradients(
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of objective_value w.r.t. every parameter array."""
     pstate = embed_state(params, traj.prev_arch, traj.shift, cfg)
-    stack, roll = _forward(params, pstate, actions=_validate(traj.arch, params.space))
-    return params.unflatten(_backward(stack, roll, [advantage], cfg)[0])
+    row, roll = _forward(params, pstate, actions=_validate(traj.arch, params.space))
+    return params.unflatten(_backward(row, roll, [advantage], cfg)[0])
 
 
 def _apply_update(
-    stack: _Stack,
+    params: ControllerParams,
     flat_grad: np.ndarray,
     cfg: TrainerConfig,
     m: np.ndarray,
@@ -774,9 +756,9 @@ def _apply_update(
     raises NumericalError before anything is touched.
     """
     if not np.isfinite(flat_grad).all():
-        bad = [k for k, g in _views(flat_grad, stack.spans).items() if not np.isfinite(g).all()]
+        bad = [k for k, g in params.unflatten(flat_grad).items() if not np.isfinite(g).all()]
         raise NumericalError(f"non-finite gradient in {', '.join(map(repr, bad))}")
-    flat = stack.flat
+    flat = params.flat
     lr = cfg.learning_rate
     if not cfg.use_adam:
         flat += lr * flat_grad
@@ -809,7 +791,7 @@ class TraceRow:
 
 
 def _train_many(
-    params_list: Sequence[ControllerParams],
+    params: ControllerParams,
     prev_arch: Architecture,
     shift: float,
     meta: SnapshotMeta,
@@ -817,72 +799,61 @@ def _train_many(
     cfg: TrainerConfig,
     lams: Sequence[float],
     seeds: Sequence[int],
-) -> list[tuple[ControllerParams, list[TraceRow]]]:
-    """Train K independent runs in lockstep; run k starts from params_list[k].
+) -> list[list[TraceRow]]:
+    """Train K independent runs in lockstep; run k is row k of params' (K, P) flat.
 
     Run k has cost penalty lams[k] and seed seeds[k]; cfg's own go unused.
-    Returns one (params, trace) pair per run, each bit for bit what ``train``
-    returns for ``replace(cfg, lam=lams[k], seed=seeds[k])``. Each params
-    object is updated in place, also when a NumericalError ends the training.
+    Updates params in place, also when a NumericalError ends the training,
+    and returns one trace per run. Row k and trace k are bit for bit what
+    ``train`` gives for ``replace(cfg, lam=lams[k], seed=seeds[k])`` from
+    row k's starting values.
     """
-    n_runs = len(params_list)
+    n_runs = len(params.flat) if params.flat.ndim == 2 else 0
     if not n_runs or len(lams) != n_runs or len(seeds) != n_runs:
         raise InvalidConfig(
-            f"need one lam and one seed per run and at least one run, got {n_runs} params, "
-            f"{len(lams)} lams and {len(seeds)} seeds"
+            f"need (K, P) params with K >= 1 and one lam and one seed per run, got params of "
+            f"shape {params.flat.shape}, {len(lams)} lams and {len(seeds)} seeds"
         )
     if not all(0.0 <= lam < math.inf for lam in lams):
         raise InvalidConfig(f"each lam must be finite and >= 0, got {list(lams)}")
-    space = params_list[0].space
-    if len({id(params) for params in params_list}) < n_runs or any(
-        params.space != space or params._shapes != params_list[0]._shapes for params in params_list
-    ):
-        raise InvalidConfig("lockstep runs need distinct params objects of one layout")
+    space = params.space
     rngs = [np.random.default_rng(seed) for seed in seeds]
     v_prev = evaluate(prev_arch, meta)
     c_prev = madds(prev_arch, space)
     onehot = arch_onehot(prev_arch, space)
     bucket = _checked_bucket(shift, cfg)
-    flat = np.stack([params.flat for params in params_list])
-    stack = _Stack.of(params_list[0], flat, _views(flat, params_list[0]._spans))
-    m, v = np.zeros((2, *flat.shape))
+    m, v = np.zeros((2, *params.flat.shape))
     baseline = np.full(n_runs, np.nan)
     # stats[:, k, b]: run k's reward, entropy and MAdds at batch entry b.
     stats = np.empty((3, n_runs, cfg.batch_size))
-    traces: list[list[TraceRow]] = [[] for _ in params_list]
+    traces: list[list[TraceRow]] = [[] for _ in range(n_runs)]
 
-    try:
-        for it in range(cfg.iterations):
-            # The weights are fixed within an iteration, so the encoder is
-            # shared by the batch.
-            enc = _encode(stack.arrays, onehot, bucket)
-            batch = []
-            for b in range(cfg.batch_size):
-                roll = _rollout(stack, enc, rngs=rngs)
-                batch.append(roll)
-                for k, (arch, lam) in enumerate(zip(roll.archs, lams)):
-                    v_new = evaluate(arch, meta)
-                    c_new = madds(arch, space)
-                    stats[0, k, b] = reward(v_new, v_prev, c_new, c_prev, lam, shift)
-                    stats[2, k, b] = c_new
-                # Entries past a run's length are 0 and add nothing.
-                stats[1, :, b] = _step_sum(roll.entropy)
-            # np.mean of each run's batch: its sum along the last axis over the count.
-            means = np.add.reduce(stats, axis=2) / cfg.batch_size
-            used = means[0] - _advance_baseline(baseline, means[0], cfg)
-            flat_grad = sum(
-                _backward(stack, roll, stats[0, :, b] - used, cfg) for b, roll in enumerate(batch)
-            )
-            flat_grad /= cfg.batch_size
-            _apply_update(stack, flat_grad, cfg, m, v, it + 1)
-            del flat_grad  # not alive through the next backward pass
+    for it in range(cfg.iterations):
+        # The weights are fixed within an iteration, so the encoder is
+        # shared by the batch.
+        enc = _encode(params.arrays, onehot, bucket)
+        batch = []
+        for b in range(cfg.batch_size):
+            roll = _rollout(params, enc, rngs=rngs)
+            batch.append(roll)
+            for k, (arch, lam) in enumerate(zip(roll.archs, lams)):
+                v_new = evaluate(arch, meta)
+                c_new = madds(arch, space)
+                stats[0, k, b] = reward(v_new, v_prev, c_new, c_prev, lam, shift)
+                stats[2, k, b] = c_new
+            # Entries past a run's length are 0 and add nothing.
+            stats[1, :, b] = _step_sum(roll.entropy)
+        # np.mean of each run's batch: its sum along the last axis over the count.
+        means = np.add.reduce(stats, axis=2) / cfg.batch_size
+        used = means[0] - _advance_baseline(baseline, means[0], cfg)
+        flat_grad = sum(_backward(params, roll, stats[0, :, b] - used, cfg) for b, roll in enumerate(batch))
+        flat_grad /= cfg.batch_size
+        _apply_update(params, flat_grad, cfg, m, v, it + 1)
+        del flat_grad  # not alive through the next backward pass
 
-            for trace, *row in zip(traces, *means.tolist()):
-                trace.append(TraceRow(it, *row))
-    finally:
-        for params, row in zip(params_list, stack.flat):
-            params.flat[...] = row
-    return list(zip(params_list, traces))
+        for trace, *row in zip(traces, *means.tolist()):
+            trace.append(TraceRow(it, *row))
+    return traces
 
 
 def train(
@@ -900,8 +871,9 @@ def train(
     update. Updates params in place and returns it with the per-iteration
     trace.
     """
-    [run] = _train_many([params], prev_arch, shift, meta, evaluate, cfg, [cfg.lam], [cfg.seed])
-    return run
+    row = params._over(params.flat[None])
+    [trace] = _train_many(row, prev_arch, shift, meta, evaluate, cfg, [cfg.lam], [cfg.seed])
+    return params, trace
 
 
 def write_trace(path, rows: list[TraceRow]) -> None:

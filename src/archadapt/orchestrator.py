@@ -35,7 +35,7 @@ from .controller import (
     write_trace,
 )
 from .datagen import GrowthPlan, Snapshot, default_feature_extractor, gen_snapshot, prefix_snapshot
-from .errors import DimensionMismatch, DivisionByZeroShift, InvalidConfig
+from .errors import DimensionMismatch, DivisionByZeroShift, InvalidConfig, InvalidData
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
 from .gaussian import (  # noqa: F401 (fit_gaussian: perfbench/tracer.py wraps it here)
     fit_gaussian,
@@ -257,8 +257,12 @@ def write_records(records: list[AdaptationRecord], out_dir) -> Path:
 
 
 def load_records(path) -> list[dict]:
-    with open(path) as fh:
-        return json.load(fh)["records"]
+    """The records of a records.json; any other file raises InvalidData naming it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)["records"]
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or no "records" key
+        raise InvalidData(f"{path} is not a records.json: {exc!r}") from exc
 
 
 def compare_distance_metrics(
@@ -274,6 +278,8 @@ def compare_distance_metrics(
     """
     if not (0 <= base_step < plan.n_steps):
         raise InvalidConfig(f"base_step {base_step} outside plan")
+    if not seeds:
+        raise InvalidConfig("compare_distance_metrics needs at least one seed")
     later = [j for j in range(plan.n_steps) if j > base_step]
     wd_sums = {j: 0.0 for j in later}
     js_sums = {j: 0.0 for j in later}
@@ -302,7 +308,7 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
     Adaptation is forced (the gate is bypassed) so that every lambda sees
     the identical task; only the cost penalty differs. The trainings share
     the initial params and the train seed, so they run in lockstep, one
-    run per lambda (controller._train_many takes the lambdas as they are);
+    row of a tiled parameter buffer per lambda (see controller._train_many);
     each row is the one a lone training at that lambda gives. Returns one
     row per lambda with the greedy architecture, its V, and its MAdds; no
     lambdas give no rows. A zero first shift raises DivisionByZeroShift
@@ -318,11 +324,12 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
         raise DivisionByZeroShift("step 1: lambda_sweep forces adaptation but the shift is 0")
     cur_meta = snapshots[1].meta
     seeds = [derive_seed(cfg.master_seed, 1, "train")] * len(lambdas)
-    params_list = [base_params.copy() for _ in lambdas]
-    trained = _train_many(params_list, arch, shift, cur_meta, evaluate, trainer, lambdas, seeds)
+    runs = base_params._over(np.tile(base_params.flat, (len(lambdas), 1)))
+    _train_many(runs, arch, shift, cur_meta, evaluate, trainer, lambdas, seeds)
 
     rows = []
-    for lam, (params, _) in zip(lambdas, trained):
+    for lam, flat in zip(lambdas, runs.flat):
+        params = runs._over(flat)
         decoded = greedy_decode(params, embed_state(params, arch, shift, trainer))
         rows.append(
             {

@@ -213,9 +213,11 @@ def test_criterion_05_search_correctness():
         # The 20 seeds train in lockstep; each run is what train gives alone.
         cfgs = [_search_trainer(seed) for seed in range(20)]
         inits = [aa.init_params(TOY, cfg, seed=1000 + cfg.seed) for cfg in cfgs]
-        trained = _train_many(inits, prev, 1.0, meta, evaluate, cfgs[0],
-                              [cfg.lam for cfg in cfgs], [cfg.seed for cfg in cfgs])
-        for cfg, (params, trace) in zip(cfgs, trained):
+        runs = inits[0]._over(np.stack([p.flat for p in inits]))
+        traces = _train_many(runs, prev, 1.0, meta, evaluate, cfgs[0],
+                             [cfg.lam for cfg in cfgs], [cfg.seed for cfg in cfgs])
+        for cfg, flat, trace in zip(cfgs, runs.flat, traces):
+            params = runs._over(flat)
             decoded = aa.greedy_decode(
                 params, aa.embed_state(params, prev, 1.0, cfg))
             matches += (decoded == best)

@@ -226,10 +226,24 @@ class TestErrors:
         assert "step 1" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("lam", ["-0.001", "nan"])
-    def test_sweep_lambda_bad_lambda_exits_1(self, config_file, capsys, lam):
-        assert main(["sweep-lambda", "--config", str(config_file), "--lambdas", f"0,{lam}"]) == 1
-        assert "lam" in capsys.readouterr().err
+    # A lambda the trainer rejects, then text that is no list of floats.
+    @pytest.mark.parametrize("lambdas", ["0,-0.001", "0,nan", "abc", ","],
+                             ids=["-0.001", "nan", "abc", "comma"])
+    def test_sweep_lambda_bad_lambda_exits_1(self, config_file, capsys, lambdas):
+        assert main(["sweep-lambda", "--config", str(config_file), "--lambdas", lambdas]) == 1
+        err = capsys.readouterr().err
+        assert "lam" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["not json\n", '{"rows": []}\n', "[1, 2]\n"],
+                             ids=["not-json", "no-records-key", "not-an-object"])
+    def test_report_on_a_file_that_is_no_records_json_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "records.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not a records.json")
+        assert len(captured.err.splitlines()) == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["adapt", "--config", str(tmp_path / "none.cfg"),

@@ -48,6 +48,11 @@ def _toy_meta():
                         volume_fraction=1.0, max_classes=4)
 
 
+def _rows(params_list):
+    """Parameter sets of one layout as the rows of one (K, P) params object."""
+    return params_list[0]._over(np.stack([p.flat for p in params_list]))
+
+
 def _check_ascent_step(batch_size, **overrides):
     """One plain-ascent iteration without a baseline moves the parameters by
     lr times the mean of the sampled trajectories' gradients, each taken at
@@ -178,12 +183,11 @@ class TestSampling:
         # (a stride-0 view) drawing from the one rng. Every decision takes a
         # fresh uniform, so the 50,000 draws are i.i.d. as aa.sample's.
         n_runs, n_rounds = 1000, 50
-        flat = np.broadcast_to(params.flat, (n_runs, params.flat.size))
-        stack = controller._Stack.of(params, flat, params.unflatten(flat))
-        enc = controller._encode(stack.arrays, arch_onehot(pstate.prev_arch, TOY), pstate.bucket)
+        runs = params._over(np.broadcast_to(params.flat, (n_runs, params.flat.size)))
+        enc = controller._encode(runs.arrays, arch_onehot(pstate.prev_arch, TOY), pstate.bucket)
         counts = np.zeros(len(space))
         for _ in range(n_rounds):
-            for arch in controller._rollout(stack, enc, rngs=[rng] * n_runs).archs:
+            for arch in controller._rollout(runs, enc, rngs=[rng] * n_runs).archs:
                 counts[index[arch]] += 1
         n_draws = n_runs * n_rounds
         expected = probs * n_draws
@@ -580,13 +584,11 @@ class TestRolloutRecord:
 
     @staticmethod
     def _lockstep_rollout(space, n_runs):
-        params = [aa.init_params(space, SMALL_CFG, seed=30 + k) for k in range(n_runs)]
-        flat = np.stack([p.flat for p in params])
-        stack = controller._Stack.of(params[0], flat, params[0].unflatten(flat))
+        runs = _rows([aa.init_params(space, SMALL_CFG, seed=30 + k) for k in range(n_runs)])
         prev = aa.min_arch(space)
-        enc = controller._encode(stack.arrays, arch_onehot(prev, space), 1)
+        enc = controller._encode(runs.arrays, arch_onehot(prev, space), 1)
         rngs = [np.random.default_rng(40 + k) for k in range(n_runs)]
-        return controller._rollout(stack, enc, rngs=rngs)
+        return controller._rollout(runs, enc, rngs=rngs)
 
     @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
     @pytest.mark.parametrize("n_runs", [1, 3])
@@ -668,6 +670,10 @@ class TestLockstep:
     def _fresh(self, cfgs):
         return [aa.init_params(TOY, cfg, seed=200 + i) for i, cfg in enumerate(cfgs)]
 
+    def _lockstep(self, cfgs):
+        """The fresh params of _fresh as the rows of one params object."""
+        return _rows(self._fresh(cfgs))
+
     def _sequential(self, overrides):
         """One lone train call per run, from fresh params."""
         evaluate, cfgs = self._setup(**overrides)
@@ -704,24 +710,26 @@ class TestLockstep:
             return roll
 
         monkeypatch.setattr(controller, "_rollout", recording)
-        lockstep = _train_many(self._fresh(cfgs), prev, self.SHIFT, self.META, evaluate, cfgs[0],
-                               [c.lam for c in cfgs], [c.seed for c in cfgs])
+        runs = self._lockstep(cfgs)
+        traces = _train_many(runs, prev, self.SHIFT, self.META, evaluate, cfgs[0],
+                             [c.lam for c in cfgs], [c.seed for c in cfgs])
         assert any(len(set(run_lengths)) > 1 for run_lengths in lengths)
 
-        for (p_seq, t_seq), (p_many, t_many) in zip(sequential, lockstep):
+        for (p_seq, t_seq), row, t_many in zip(sequential, runs.flat, traces):
             assert t_many == t_seq
-            assert p_many.flat.tobytes() == p_seq.flat.tobytes()
+            assert row.tobytes() == p_seq.flat.tobytes()
         pinned = dict(line.split() for line in LOCKSTEP_PINS.read_text().splitlines())
         assert self._digest(sequential) == pinned[case]
 
     def test_updates_each_params_in_place(self):
         evaluate, cfgs = self._setup()
-        params = self._fresh(cfgs)
-        before = [p.flat.copy() for p in params]
-        out = _train_many(params, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, cfgs[0],
-                          [c.lam for c in cfgs], [c.seed for c in cfgs])
-        assert all(got is given for (got, _), given in zip(out, params))
-        assert all(not np.array_equal(p.flat, b) for p, b in zip(params, before))
+        runs = self._lockstep(cfgs)
+        flat = runs.flat
+        before = flat.copy()
+        traces = _train_many(runs, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, cfgs[0],
+                             [c.lam for c in cfgs], [c.seed for c in cfgs])
+        assert len(traces) == len(cfgs) and runs.flat is flat
+        assert all(not np.array_equal(row, b) for row, b in zip(flat, before))
 
     def test_train_returns_the_params_it_updated(self):
         evaluate, cfgs = self._setup()
@@ -734,8 +742,21 @@ class TestLockstep:
 
     def test_no_runs_is_invalid(self):
         evaluate, _ = self._setup()
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        no_rows = params._over(np.empty((0, params.flat.size)))
         with pytest.raises(aa.InvalidConfig):
-            _train_many([], aa.min_arch(TOY), self.SHIFT, self.META, evaluate, SMALL_CFG, [], [])
+            _train_many(no_rows, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, SMALL_CFG, [], [])
+
+    def test_one_parameter_set_is_not_a_row(self):
+        # A (P,) flat is one set, not K rows: train makes its one-row view.
+        evaluate, cfgs = self._setup()
+        params = aa.init_params(TOY, cfgs[0], seed=0)
+        before = params.flat.copy()
+        for n_runs in (1, params.flat.size):
+            with pytest.raises(aa.InvalidConfig, match=r"\(K, P\)"):
+                _train_many(params, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, cfgs[0],
+                            [0.0] * n_runs, [0] * n_runs)
+        assert np.array_equal(params.flat, before)
 
     def test_one_cfg_per_run(self):
         # one lam and one seed per run
@@ -743,36 +764,28 @@ class TestLockstep:
         lams, seeds = [c.lam for c in cfgs], [c.seed for c in cfgs]
         for bad_lams, bad_seeds in ((lams[:2], seeds), (lams, seeds[:2])):
             with pytest.raises(aa.InvalidConfig):
-                _train_many(self._fresh(cfgs), aa.min_arch(TOY), self.SHIFT, self.META,
+                _train_many(self._lockstep(cfgs), aa.min_arch(TOY), self.SHIFT, self.META,
                             evaluate, cfgs[0], bad_lams, bad_seeds)
 
     @pytest.mark.parametrize("lam", [-1e-3, float("nan"), float("inf")])
     def test_lams_must_be_finite_and_nonnegative(self, lam):
         evaluate, cfgs = self._setup()
         with pytest.raises(aa.InvalidConfig, match="lam"):
-            _train_many(self._fresh(cfgs), aa.min_arch(TOY), self.SHIFT, self.META,
+            _train_many(self._lockstep(cfgs), aa.min_arch(TOY), self.SHIFT, self.META,
                         evaluate, cfgs[0], [0.0, lam, 0.1], [c.seed for c in cfgs])
-
-    def test_the_same_params_twice_is_invalid(self):
-        evaluate, cfgs = self._setup()
-        params = aa.init_params(TOY, cfgs[0], seed=0)
-        with pytest.raises(aa.InvalidConfig):
-            _train_many([params, params], aa.min_arch(TOY), self.SHIFT, self.META,
-                        evaluate, cfgs[0], [c.lam for c in cfgs[:2]], [c.seed for c in cfgs[:2]])
 
     def test_nonfinite_gradient_in_one_run_stops_all_before_updating(self):
         # As in TestNonFinite: an unused shift bucket keeps the forward pass
         # finite, but weight decay makes its gradient infinite.
         evaluate, cfgs = self._setup()
-        params = self._fresh(cfgs)
+        runs = self._lockstep(cfgs)
         unused = (bucket_index(self.SHIFT, cfgs[0]) + 1) % cfgs[0].bucket_count
-        params[1].arrays["shift_emb"][unused, 0] = np.inf
-        before = [p.flat.copy() for p in params]
+        runs.arrays["shift_emb"][1, unused, 0] = np.inf
+        before = runs.flat.copy()
         with pytest.raises(aa.NumericalError, match="shift_emb"):
-            _train_many(params, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, cfgs[0],
+            _train_many(runs, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, cfgs[0],
                         [c.lam for c in cfgs], [c.seed for c in cfgs])
-        for p, b in zip(params, before):
-            assert np.array_equal(p.flat, b)
+        assert np.array_equal(runs.flat, before)
 
 
 def _sum_312(iterable, start=0):

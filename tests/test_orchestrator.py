@@ -225,6 +225,11 @@ class TestDistanceComparison:
         b = aa.compare_distance_metrics(plan, seeds=(0,), n_samples=2000)
         assert a == b
 
+    def test_no_seeds_is_invalid(self):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4), feature_dim=4, seed=7)
+        with pytest.raises(aa.InvalidConfig, match="seed"):
+            aa.compare_distance_metrics(plan, seeds=())
+
 
 class TestLambdaSweep:
     def _cfg(self):
