@@ -12,6 +12,11 @@ every snapshot's rows are an exact prefix of the next snapshot's rows, so
 ``prefix_snapshot`` cuts an earlier step out of a later one as read-only
 views. A volume snapshot draws only its own rows: the generator fills
 row-major, so these are the first rows of the whole pool's draw.
+
+A snapshot is drawn in place, into the one array it returns, with no
+pool-sized temporaries: the generator fills it with ``out=``, then it is
+scaled by sigma and the prototypes are added, each element getting the
+same two floating-point operations as ``sigma * z + prototype``.
 """
 
 from __future__ import annotations
@@ -156,11 +161,6 @@ def gen_prototypes(
     return protos
 
 
-def _class_block(plan: GrowthPlan, protos: np.ndarray, c: int) -> np.ndarray:
-    rng = np.random.default_rng([plan.seed, _CLASS_TAG, c])
-    return protos[c] + plan.sigma * rng.standard_normal((plan.base_samples, plan.feature_dim))
-
-
 def _meta(plan: GrowthPlan, step_index: int) -> SnapshotMeta:
     """One step's meta, its row count included."""
     step = plan.steps[step_index]
@@ -184,15 +184,27 @@ def gen_snapshot(plan: GrowthPlan, step_index: int) -> Snapshot:
     if not (0 <= step_index < plan.n_steps):
         raise InvalidStep(f"step {step_index} outside plan of {plan.n_steps} steps")
     meta = _meta(plan, step_index)
+    n, q = meta.n_samples, plan.feature_dim
+    features = np.empty((n, q))
     if plan.scenario == VOLUME_GROWTH:
-        protos = gen_prototypes(plan.n_classes, plan.feature_dim, plan.seed, plan.proto_radius)
-        labels = np.arange(meta.n_samples) % plan.n_classes
-        rng = np.random.default_rng([plan.seed, _VOLUME_TAG])
-        features = plan.sigma * rng.standard_normal((meta.n_samples, plan.feature_dim))
-        features += protos[labels]
+        n_classes = plan.n_classes
+        protos = gen_prototypes(n_classes, q, plan.seed, plan.proto_radius)
+        labels = np.arange(n) % n_classes
+        np.random.default_rng([plan.seed, _VOLUME_TAG]).standard_normal(out=features)
+        features *= plan.sigma
+        # Row i is class i % n_classes. The whole cycles of rows are a
+        # C-contiguous prefix, so they reshape to a view that protos
+        # broadcast over; explicit dimensions keep n < n_classes valid.
+        cycles, rest = divmod(n, n_classes)
+        whole = features[: cycles * n_classes].reshape(cycles, n_classes, q)
+        whole += protos
+        features[cycles * n_classes :] += protos[:rest]
     else:
-        protos = gen_prototypes(meta.n_classes, plan.feature_dim, plan.seed, plan.proto_radius)
-        features = np.vstack([_class_block(plan, protos, c) for c in range(meta.n_classes)])
+        protos = gen_prototypes(meta.n_classes, q, plan.seed, plan.proto_radius)
+        for c, block in enumerate(features.reshape(meta.n_classes, plan.base_samples, q)):
+            np.random.default_rng([plan.seed, _CLASS_TAG, c]).standard_normal(out=block)
+            block *= plan.sigma
+            block += protos[c]
         labels = np.repeat(np.arange(meta.n_classes), plan.base_samples)
     return Snapshot(features=features, labels=labels, meta=meta)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import time
+import typing
 import zlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -234,6 +235,12 @@ def run_adaptation(
 # Record fields kept out of records.json: wall time, and the trace, which
 # goes to its own CSV.
 _NOT_IN_JSON = ("duration_s", "trace")
+# The type each field of records.json must have; a JSON number may be an int.
+_JSON_TYPES = {
+    name: (int, float) if kind is float else kind
+    for name, kind in typing.get_type_hints(AdaptationRecord).items()
+    if name not in _NOT_IN_JSON
+}
 
 
 def write_records(records: list[AdaptationRecord], out_dir) -> Path:
@@ -257,12 +264,27 @@ def write_records(records: list[AdaptationRecord], out_dir) -> Path:
 
 
 def load_records(path) -> list[dict]:
-    """The records of a records.json; any other file raises InvalidData naming it."""
+    """The records of a records.json; any other file raises InvalidData naming it.
+
+    Each record must be an object holding every `AdaptationRecord` field
+    that `write_records` writes, with that field's type.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)["records"]
+            records = json.load(fh)["records"]
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or no "records" key
         raise InvalidData(f"{path} is not a records.json: {exc!r}") from exc
+    if not isinstance(records, list):
+        raise InvalidData(f"{path} is not a records.json: \"records\" is not a list")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise InvalidData(f"{path} is not a records.json: record {i} is not an object")
+        bad = [name for name, kind in _JSON_TYPES.items() if not isinstance(rec.get(name), kind)]
+        if bad:
+            raise InvalidData(
+                f"{path} is not a records.json: record {i} lacks or mistypes {', '.join(bad)}"
+            )
+    return records
 
 
 def compare_distance_metrics(

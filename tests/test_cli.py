@@ -187,6 +187,13 @@ class TestSweeps:
         assert (out / "without" / "records.json").exists()
 
 
+# A record with every field, but a text shift.
+_MISTYPED_RECORDS = json.dumps({"records": [{
+    "t": 1, "shift": "0.5", "drop": 0.1, "adapted": True, "prev_arch": "a", "new_arch": "b",
+    "v_prev": 0.5, "v_new": 0.6, "madds_prev": 1.0, "madds_new": 2.0, "trace_file": None,
+}]}) + "\n"
+
+
 class TestErrors:
     def test_unknown_key_names_it(self, tmp_path, config_file, capsys):
         assert main(["adapt", "--config", str(config_file),
@@ -234,8 +241,12 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "lam" in err and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("text", ["not json\n", '{"rows": []}\n', "[1, 2]\n"],
-                             ids=["not-json", "no-records-key", "not-an-object"])
+    @pytest.mark.parametrize(
+        "text",
+        ["not json\n", '{"rows": []}\n', "[1, 2]\n", '{"records": 5}\n',
+         '{"records": [{"t": 1}]}\n', '{"records": [[1, 2]]}\n', _MISTYPED_RECORDS],
+        ids=["not-json", "no-records-key", "not-an-object", "records-not-a-list",
+             "entry-missing-field", "entry-not-an-object", "entry-mistyped-field"])
     def test_report_on_a_file_that_is_no_records_json_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "records.json"
         path.write_text(text)

@@ -1,5 +1,7 @@
 """Tests for synthetic growing-dataset generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +200,63 @@ class TestDeterminism:
         a = aa.gen_snapshot(plan, 1)
         assert (a == aa.gen_snapshot(plan, 1)) is False
         assert (a == a) is True
+
+
+class TestInPlaceDraw:
+    """A snapshot is drawn into one array, with the bytes of the plain formulas."""
+
+    @pytest.mark.parametrize("base_samples,step,n_classes,q,sigma", [
+        (1000, 0.537, 10, 8, 1.0),   # n % n_classes != 0
+        (100, 0.05, 10, 3, 2.5),     # n < n_classes: no whole cycle
+        (50, 1.0, 7, 1, 0.3),        # q = 1
+        (40, 1.0, 4, 5, 1.7),        # whole cycles only
+    ], ids=["ragged", "fewer-rows-than-classes", "q1", "whole-cycles"])
+    def test_volume_equals_the_formula(self, base_samples, step, n_classes, q, sigma):
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(step,), feature_dim=q,
+                             sigma=sigma, seed=5, base_samples=base_samples,
+                             n_classes=n_classes, proto_radius=3.0)
+        snap = aa.gen_snapshot(plan, 0)
+        n = snap.meta.n_samples
+        protos = aa.gen_prototypes(n_classes, q, 5, 3.0)
+        expected = (sigma * np.random.default_rng([5, 12]).standard_normal((n, q))
+                    + protos[np.arange(n) % n_classes])
+        assert np.array_equal(snap.features, expected)
+        assert np.array_equal(snap.labels, np.arange(n) % n_classes)
+
+    @pytest.mark.parametrize("steps,base_samples,q,sigma", [
+        ((3,), 7, 1, 0.3),
+        ((1, 4), 5, 6, 2.5),
+        ((2, 2, 5), 9, 4, 1.0),
+    ], ids=["q1", "sigma-2.5", "sigma-1"])
+    def test_class_growth_equals_the_formula(self, steps, base_samples, q, sigma):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=steps, feature_dim=q,
+                             sigma=sigma, seed=8, base_samples=base_samples)
+        for i, k in enumerate(steps):
+            protos = aa.gen_prototypes(k, q, 8, plan.proto_radius)
+            expected = np.vstack([
+                protos[c] + sigma * np.random.default_rng([8, 13, c]).standard_normal((base_samples, q))
+                for c in range(k)
+            ])
+            assert np.array_equal(aa.gen_snapshot(plan, i).features, expected)
+
+    @pytest.mark.parametrize("plan", [
+        aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.5, 1.0), feature_dim=64,
+                      sigma=1.5, base_samples=20_003, n_classes=10),
+        aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(4, 10), feature_dim=64,
+                      sigma=1.5, base_samples=2_000),
+    ], ids=["volume", "class-growth"])
+    def test_peak_memory_is_the_snapshot(self, plan):
+        # The only pool-sized allocation is the returned array: no raw draw
+        # beside a scaled copy, no gathered prototypes, no stacked blocks.
+        tracemalloc.start()
+        try:
+            snap = aa.gen_snapshot(plan, plan.n_steps - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, size = snap.features.shape[0], snap.features.nbytes
+        assert rows >= 20_000
+        assert peak <= 1.1 * size, f"traced peak {peak} B for a {size} B snapshot"
 
 
 class TestPlanValidation:
