@@ -195,11 +195,10 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     plan = cfg.plan
     if args.seed is not None:
-        plan = replace(plan, seed=args.seed)
+        plan = _checked("--seed", InvalidConfig, replace, plan, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i in range(plan.n_steps):
-        snap = gen_snapshot(plan, i)
+    for i, snap in enumerate(orchestrator._snapshots(plan)):
         csv_path = out / f"snapshot_{i:03d}.csv"
         save_snapshot(snap, csv_path)
         print(f"{csv_path} rows={snap.meta.n_samples} classes={snap.meta.n_classes}")
@@ -207,12 +206,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"archadapt distance: argument --seed: must be >= 0, got {args.seed}")
     g1 = fit_gaussian(load_features_csv(args.first))
     g2 = fit_gaussian(load_features_csv(args.second))
     d = wasserstein2_gaussian(g1, g2)
     line = f"d={d:.6f}"
     if args.js:
-        js = js_divergence_mc(g1, g2, n_samples=args.samples, seed=args.seed or 0)
+        js = js_divergence_mc(g1, g2, n_samples=args.samples, seed=args.seed)
         line += f" js={js:.6f}"
     print(line)
     return 0

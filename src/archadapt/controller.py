@@ -158,6 +158,8 @@ class TrainerConfig:
             raise InvalidConfig(f"baseline_decay must lie in [0, 1), got {self.baseline_decay}")
         if self.bucket_count < 1:
             raise InvalidConfig(f"bucket_count must be >= 1, got {self.bucket_count}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         for name in (
             "hidden_size",
             "encoder_hidden",
@@ -400,7 +402,7 @@ class _Rollout(NamedTuple):
     ``steps[t]`` holds step t of every run: the rows of W @ x fed to it
     (row k * n_tokens + s for run k's token s), the r and z gate
     activations (concatenated), n, U_n @ h_prev and h, each (K, ., 1).
-    Run k takes ``lengths[k]`` steps; later, it steps on its last token.
+    Past its last decision (its last hit), run k steps on its last token.
 
     The decisions are one dense record, zero-filled, over the longest
     possible trajectory (t_max = n_units * (1 + 2 * max depth) steps):
@@ -408,12 +410,11 @@ class _Rollout(NamedTuple):
     of the kind run k decided at step t holding its probabilities,
     log-probabilities and a one-hot of its choice, and ``entropy`` (t_max,
     K) that decision's entropy. The rows of the other kinds, and every
-    entry past a run's length, stay zero.
+    entry past a run's last decision, stay zero.
     """
 
     enc: _Encoded
     archs: list[Architecture]
-    lengths: list[int]
     steps: list[tuple]
     probs: np.ndarray
     logp: np.ndarray
@@ -470,7 +471,6 @@ def _rollout(
     out = _Rollout(
         enc,
         [None] * n_runs,
-        [0] * n_runs,
         [],
         *np.zeros((3, t_max, n_runs, p["head_b"].shape[1])),
         np.zeros((t_max, n_runs)),
@@ -544,7 +544,7 @@ def _rollout(
                 try:
                     kind[k] = walks[k].send(c)
                 except StopIteration as done:
-                    out.archs[k], out.lengths[k] = done.value, t + 1
+                    out.archs[k] = done.value
                     active.remove(k)
         t += 1
     return out
@@ -624,10 +624,10 @@ def reward(
     """Accuracy gain minus the shift-scaled cost increase.
 
     R = (v_new - v_prev) - (lam / shift) * (c_new - c_prev), with MAdds in
-    raw millions. A larger shift relaxes the cost penalty. shift <= 0
-    raises DivisionByZeroShift.
+    raw millions. A larger shift relaxes the cost penalty. A shift that
+    is not positive (NaN included) raises DivisionByZeroShift.
     """
-    if shift <= 0.0:
+    if not shift > 0.0:
         raise DivisionByZeroShift(f"shift must be positive, got {shift}")
     return (v_new - v_prev) - (lam / shift) * (c_new - c_prev)
 

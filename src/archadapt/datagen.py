@@ -107,6 +107,8 @@ class GrowthPlan:
             raise InvalidConfig(f"steps must be non-decreasing: {self.steps}")
         if self.feature_dim < 1:
             raise InvalidConfig(f"feature_dim must be positive, got {self.feature_dim}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         for name in ("sigma", "proto_radius"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvalidConfig(f"{name} must be finite and positive, got {getattr(self, name)}")
@@ -239,10 +241,10 @@ def save_snapshot(snapshot: Snapshot, csv_path) -> Path:
     return sidecar
 
 
-def load_snapshot(csv_path, meta_path=None) -> Snapshot:
-    """Read a snapshot back; labels are not stored and come back as None."""
+def load_snapshot(csv_path) -> Snapshot:
+    """Read a snapshot and its sidecar back; labels come back as None."""
     features = load_features_csv(csv_path)
-    sidecar = Path(meta_path) if meta_path is not None else meta_path_for(csv_path)
+    sidecar = meta_path_for(csv_path)
     if not sidecar.exists():
         raise InvalidData(f"missing snapshot meta file {sidecar}")
     values = {}

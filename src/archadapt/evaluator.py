@@ -143,9 +143,13 @@ def oracle_best(
     MAdds architecture and then to the lexicographically smaller encoding.
     Returns (arch, V, madds). Each unit's options are priced once
     (search_space.unit_tables) and only the winner is built, so V and
-    MAdds are bit for bit what surrogate_accuracy and madds give it.
+    MAdds are bit for bit what surrogate_accuracy and madds give it. A
+    negative or non-finite lam raises InvalidConfig; with lam != 0, a
+    shift that is not positive (NaN included) raises DivisionByZeroShift.
     """
-    if lam != 0.0 and shift <= 0.0:
+    if not 0.0 <= lam < math.inf:
+        raise InvalidConfig(f"lam must be finite and >= 0, got {lam}")
+    if lam != 0.0 and not shift > 0.0:
         raise DivisionByZeroShift(f"shift must be positive when lam != 0, got {shift}")
     ref_cost = _reference_madds(cfg, space)
     s = complexity_score(meta)

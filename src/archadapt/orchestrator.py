@@ -289,38 +289,27 @@ def load_records(path) -> list[dict]:
 
 def compare_distance_metrics(
     plan: GrowthPlan,
-    base_step: int = 0,
     seeds: tuple[int, ...] = (0, 1, 2),
     n_samples: int = 20000,
 ) -> list[dict]:
-    """Mean squared-Wasserstein and Jensen-Shannon from a base snapshot.
+    """Mean squared-Wasserstein and Jensen-Shannon from the first snapshot.
 
-    Rebuilds the plan once per seed and averages both distances from the
-    base snapshot to every later one.
+    Rebuilds the plan once per seed and averages both distances from
+    step 0 to every later step.
     """
-    if not (0 <= base_step < plan.n_steps):
-        raise InvalidConfig(f"base_step {base_step} outside plan")
     if not seeds:
         raise InvalidConfig("compare_distance_metrics needs at least one seed")
-    later = [j for j in range(plan.n_steps) if j > base_step]
-    wd_sums = {j: 0.0 for j in later}
-    js_sums = {j: 0.0 for j in later}
+    sums = [[0.0, 0.0] for _ in range(1, plan.n_steps)]  # [wd, js] of steps 1, 2, ...
     for seed in seeds:
-        seeded = replace(plan, seed=seed)
-        fits = _fit_steps(_snapshots(seeded))
-        base = fits[base_step]
-        for j in later:
-            wd_sums[j] += wasserstein2_gaussian(fits[j], base)
-            js_sums[j] += js_divergence_mc(
-                fits[j], base, n_samples=n_samples, seed=derive_seed(seed, j, "js")
+        fits = _fit_steps(_snapshots(replace(plan, seed=seed)))
+        for j, pair in enumerate(sums, start=1):
+            pair[0] += wasserstein2_gaussian(fits[j], fits[0])
+            pair[1] += js_divergence_mc(
+                fits[j], fits[0], n_samples=n_samples, seed=derive_seed(seed, j, "js")
             )
     return [
-        {
-            "step": j,
-            "wd": wd_sums[j] / len(seeds),
-            "js": js_sums[j] / len(seeds),
-        }
-        for j in later
+        {"step": j, "wd": wd / len(seeds), "js": js / len(seeds)}
+        for j, (wd, js) in enumerate(sums, start=1)
     ]
 
 

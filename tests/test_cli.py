@@ -179,6 +179,18 @@ class TestSweeps:
         assert len(lines) == 2
         assert all(l.startswith("lam=") for l in lines)
 
+    def test_sweep_lambda_out_writes_the_rows(self, tmp_path, config_file, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep-lambda", "--config", str(config_file),
+                     "--lambdas", "0,0.001", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [row["lam"] for row in rows] == [0.0, 0.001]
+        assert lines[:2] == [
+            f"lam={row['lam']:g} v={row['v']:.4f} madds={row['madds']:.3f} arch={row['arch']}"
+            for row in rows]
+        assert lines[2] == f"sweep written to {out / 'sweep.json'}"
+
     def test_ablate_wd_writes_both(self, tmp_path, config_file):
         out = tmp_path / "ab"
         assert main(["ablate-wd", "--config", str(config_file),
@@ -317,6 +329,53 @@ class TestErrors:
     def test_oracle_step_outside_plan_is_usage_error(self, config_file, capsys, step):
         assert main(["oracle", "--config", str(config_file), "--step", step]) == 1
         assert f"--step: step {step} outside plan of 3 steps" in capsys.readouterr().err
+
+    # A NaN lam or shift used to print the first architecture in encoding
+    # order and exit 0.
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--lam", "nan"], 1, "config error: lam must be finite and >= 0, got nan"),
+        (["--lam", "-0.001"], 1, "config error: lam must be finite and >= 0, got -0.001"),
+        (["--lam", "0.001", "--shift", "nan"], 2,
+         "error: shift must be positive when lam != 0, got nan"),
+    ], ids=["nan-lam", "negative-lam", "nan-shift"])
+    def test_oracle_bad_lam_or_shift(self, config_file, capsys, flags, code, message):
+        assert main(["oracle", "--config", str(config_file), "--step", "1", *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+
+    # A negative seed used to die in numpy with a ValueError traceback.
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--set", "plan.seed=-1"],
+         "config error: config section plan: seed must be >= 0, got -1"),
+        (["adapt", "--set", "plan.seed=-1"],
+         "config error: config section plan: seed must be >= 0, got -1"),
+        (["simulate", "--seed", "-1"], "config error: --seed: seed must be >= 0, got -1"),
+    ], ids=["simulate-plan-seed", "adapt-plan-seed", "simulate-seed"])
+    def test_negative_plan_seed_exits_1(self, tmp_path, config_file, capsys, argv, message):
+        out = tmp_path / "x"
+        assert main([*argv, "--config", str(config_file), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+        assert not out.exists()
+
+    def test_distance_negative_seed_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        _write_features(path, 0)
+        assert main(["distance", str(path), str(path), "--js", "--seed", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "archadapt distance: argument --seed: must be >= 0, got -3\n"
+
+    def test_set_item_without_equals(self, tmp_path, config_file, capsys):
+        assert main(["adapt", "--config", str(config_file), "--set", "plan.seed",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "--set: expected key=value, got 'plan.seed'" in capsys.readouterr().err
+
+    def test_config_without_scenario(self, tmp_path, capsys):
+        path = tmp_path / "no_scenario.cfg"
+        path.write_text("plan.steps = 2,4\n")
+        assert main(["adapt", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert "config must set plan.scenario and plan.steps" in capsys.readouterr().err
 
     def test_bad_reference_arch_is_config_error(self, tmp_path):
         path = tmp_path / "ref.cfg"

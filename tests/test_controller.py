@@ -103,6 +103,11 @@ class TestReward:
         with pytest.raises(aa.DivisionByZeroShift):
             aa.reward(0.8, 0.7, 300.0, 200.0, lam=2.5e-4, shift=-1.0)
 
+    def test_nan_shift_raises(self):
+        # It used to give a NaN reward.
+        with pytest.raises(aa.DivisionByZeroShift):
+            aa.reward(0.8, 0.7, 300.0, 200.0, lam=2.5e-4, shift=float("nan"))
+
     def test_zero_lam_ignores_shift(self):
         assert aa.reward(0.8, 0.7, 300.0, 200.0, lam=0.0, shift=0.5) == \
             pytest.approx(0.1)
@@ -131,6 +136,14 @@ class TestBuckets:
                                   bucket_edges=(1.0, 2.0, 3.0))
         got = {bucket_index(s, cfg) for s in (0.5, 1.5, 2.5, 3.5)}
         assert got == {0, 1, 2, 3}
+
+
+class TestEmbedState:
+    @pytest.mark.parametrize("shift", [float("nan"), -1.0, float("inf")])
+    def test_rejects_a_shift_that_is_not_finite_and_nonnegative(self, shift):
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        with pytest.raises(aa.InvalidData, match="shift"):
+            _pstate(params, SMALL_CFG, shift=shift)
 
 
 class TestSampling:
@@ -599,8 +612,9 @@ class TestRolloutRecord:
             roll = self._lockstep_rollout(space, n_runs)
             assert roll.hit.shape == roll.probs.shape == roll.logp.shape
             assert roll.hit.shape[:2] == roll.entropy.shape == (t_max, n_runs)
-            for k, (arch, length) in enumerate(zip(roll.archs, roll.lengths)):
+            for k, arch in enumerate(roll.archs):
                 choices = search_space._validate(arch, space)
+                length = len(choices)
                 for t, code in enumerate(self._kind_codes(arch, space)):
                     rows = kinds[code][0]
                     hit, probs, logp = roll.hit[t, k], roll.probs[t, k], roll.logp[t, k]
@@ -621,7 +635,7 @@ class TestRolloutRecord:
         arch = aa.max_arch(space)
         _, roll = controller._forward(params, pstate, actions=search_space._validate(arch, space))
         t_max = space.n_units * (1 + 2 * space.depth_choices[-1])
-        assert roll.lengths == [t_max] and roll.hit.shape[0] == t_max
+        assert roll.hit.shape[0] == t_max
         assert np.array_equal(roll.hit.sum(axis=(1, 2)), np.ones(t_max))
         assert len(aa.score(params, pstate, arch).decisions) == t_max
 
@@ -706,7 +720,7 @@ class TestLockstep:
 
         def recording(*args, **kwargs):
             roll = rollout(*args, **kwargs)
-            lengths.append(tuple(roll.lengths))
+            lengths.append(tuple(roll.hit.sum(axis=(0, 2))))  # steps per run
             return roll
 
         monkeypatch.setattr(controller, "_rollout", recording)
@@ -836,6 +850,18 @@ class TestNonFiniteConfig:
     @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "entropy_weight", "lam"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_trainer_rejects(self, field, value):
+        with pytest.raises(aa.InvalidConfig, match=field):
+            TrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -1e-3), ("iterations", 0), ("batch_size", 0),
+        ("weight_decay", -1e-3), ("entropy_weight", -1e-3), ("lam", -1e-3),
+        ("baseline_decay", 1.0), ("baseline_decay", -0.1), ("bucket_count", 0),
+        ("hidden_size", 0), ("encoder_hidden", 0), ("arch_embed_dim", 0),
+        ("shift_embed_dim", 0), ("token_embed_dim", 0), ("seed", -1),
+    ])
+    def test_trainer_rejects_out_of_range(self, field, value):
+        # A negative seed used to reach np.random.default_rng in train.
         with pytest.raises(aa.InvalidConfig, match=field):
             TrainerConfig(**{field: value})
 

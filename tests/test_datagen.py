@@ -30,6 +30,11 @@ class TestPrototypes:
         scaled = aa.gen_prototypes(5, 8, seed=2, radius=3.0)
         assert np.allclose(scaled, 3.0 * unit)
 
+    @pytest.mark.parametrize("n_classes, feature_dim", [(0, 4), (3, 0)])
+    def test_nonpositive_size_raises(self, n_classes, feature_dim):
+        with pytest.raises(aa.InvalidConfig):
+            aa.gen_prototypes(n_classes, feature_dim, seed=0)
+
     def test_seed_sensitivity(self):
         a = aa.gen_prototypes(5, 8, seed=0)
         b = aa.gen_prototypes(5, 8, seed=1)
@@ -283,6 +288,22 @@ class TestPlanValidation:
         with pytest.raises(aa.InvalidConfig, match=field):
             aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4), **{field: value})
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"steps": ()}, "at least one step"),
+        ({"feature_dim": 0}, "feature_dim"),
+        ({"base_samples": 1}, "base_samples"),
+        ({"scenario": aa.VOLUME_GROWTH, "steps": (0.5, 1.0), "n_classes": 0}, "n_classes"),
+        ({"steps": (2, 2.5)}, "class counts"),
+        ({"steps": (0, 2)}, "class counts"),
+        ({"seed": -1}, "seed"),
+    ], ids=["no-steps", "feature_dim", "base_samples", "n_classes", "fractional-count",
+            "zero-count", "negative-seed"])
+    def test_rejects(self, overrides, message):
+        # A negative seed used to reach np.random.default_rng and fail there.
+        kwargs = {"scenario": aa.CLASS_GROWTH, "steps": (2, 4), **overrides}
+        with pytest.raises(aa.InvalidConfig, match=message):
+            aa.GrowthPlan(**kwargs)
+
     def test_repeated_step_allowed(self):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(4, 4))
         a = aa.gen_snapshot(plan, 0)
@@ -331,4 +352,16 @@ class TestSnapshotIO:
             aa.load_snapshot(path)
         sidecar.write_text(text.replace("max_classes=2\n", ""))
         with pytest.raises(aa.InvalidData, match="missing meta key 'max_classes'"):
+            aa.load_snapshot(path)
+
+    def test_missing_sidecar_or_line_without_equals(self, tmp_path):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2,), base_samples=10)
+        path = tmp_path / "snap.csv"
+        sidecar = aa.save_snapshot(aa.gen_snapshot(plan, 0), path)
+        text = sidecar.read_text()
+        sidecar.write_text(text.replace("t=0", "t 0"))
+        with pytest.raises(aa.InvalidData, match="snap.meta:1: expected key=value"):
+            aa.load_snapshot(path)
+        sidecar.unlink()
+        with pytest.raises(aa.InvalidData, match="missing snapshot meta file"):
             aa.load_snapshot(path)

@@ -39,6 +39,13 @@ class TestComplexityScore:
                             volume_fraction=1.0, max_classes=4)
         assert 0.0 <= aa.complexity_score(meta) <= 1.0
 
+    @pytest.mark.parametrize("n_classes, max_classes", [(1, 1), (0, 4)])
+    def test_rejects_class_counts_outside_range(self, n_classes, max_classes):
+        meta = SnapshotMeta(t=0, n_classes=n_classes, n_samples=100,
+                            volume_fraction=1.0, max_classes=max_classes)
+        with pytest.raises(aa.InvalidConfig, match="classes"):
+            aa.complexity_score(meta)
+
 
 class TestTargets:
     def test_capacity_line(self):
@@ -130,6 +137,17 @@ class TestOracle:
         cfg = aa.SurrogateConfig()
         with pytest.raises(aa.DivisionByZeroShift):
             aa.oracle_best(TOY, _meta(0.5), cfg, lam=0.1, shift=0.0)
+
+    @pytest.mark.parametrize("shift", [float("nan"), -1.0])
+    def test_nan_or_negative_shift_with_penalty_raises(self, shift):
+        # A NaN shift used to give the first architecture in encoding order.
+        with pytest.raises(aa.DivisionByZeroShift):
+            aa.oracle_best(TOY, _meta(0.5), aa.SurrogateConfig(), lam=0.1, shift=shift)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1e-3])
+    def test_nonfinite_or_negative_lam_raises(self, lam):
+        with pytest.raises(aa.InvalidConfig, match="lam"):
+            aa.oracle_best(TOY, _meta(0.5), aa.SurrogateConfig(), lam=lam, shift=1.0)
 
 
 class TestOracleBruteForce:

@@ -151,6 +151,11 @@ class TestFitPrefixes:
         with pytest.raises(aa.InvalidData):
             aa.fit_prefixes(np.zeros((30, 2)), [10], ridge=-1.0)
 
+    @pytest.mark.parametrize("shape", [(30,), (2, 15, 1), (30, 0)])
+    def test_not_a_2d_matrix(self, shape):
+        with pytest.raises(aa.DimensionMismatch, match="2-D"):
+            aa.fit_prefixes(np.zeros(shape), [10])
+
 
 class TestSqrtSpd:
     def test_identity(self):
@@ -172,6 +177,11 @@ class TestSqrtSpd:
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(aa.NotSPD):
             sqrt_spd(m)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(aa.DimensionMismatch, match="square"):
+            sqrt_spd(np.ones(shape))
 
 
 class TestWasserstein:
@@ -356,6 +366,19 @@ class TestJS:
             got = aa.js_divergence_mc(g1, g2, n_samples=2000, seed=seed)
             assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_nonpositive_sample_count(self, n_samples):
+        g = _summary([0.0], [[1.0]])
+        with pytest.raises(aa.InvalidData, match="n_samples"):
+            aa.js_divergence_mc(g, g, n_samples=n_samples)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejects_a_covariance_not_positive_definite(self, first):
+        good, bad = _summary([0.0, 0.0], np.eye(2)), _summary([0.0, 0.0], np.diag([1.0, -1.0]))
+        pair = (bad, good) if first else (good, bad)
+        with pytest.raises(aa.NotSPD, match="first" if first else "second"):
+            aa.js_divergence_mc(*pair, n_samples=10)
+
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(23)
         for seed in range(5):
@@ -390,3 +413,22 @@ class TestCsv:
         back = aa.load_features_csv(path)
         assert np.allclose(back, x, rtol=0, atol=1e-15)
         assert back.shape == x.shape
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns of the empty file
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\nx,3\n", "could not parse"),
+        ("1,2\n3\n", "could not parse"),
+        ("", "empty feature CSV"),
+        ("1,2\n3,nan\n", "non-finite"),
+        ("1,inf\n", "non-finite"),
+    ], ids=["unparsable", "ragged", "empty", "nan", "inf"])
+    def test_load_rejects(self, tmp_path, text, message):
+        path = tmp_path / "features.csv"
+        path.write_text(text)
+        with pytest.raises(aa.InvalidData, match=message):
+            aa.load_features_csv(path)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_save_rejects_a_matrix_not_2d(self, tmp_path, shape):
+        with pytest.raises(aa.DimensionMismatch, match="2-D"):
+            aa.save_features_csv(tmp_path / "features.csv", np.zeros(shape))

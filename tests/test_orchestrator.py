@@ -66,6 +66,11 @@ class TestRunAdaptation:
         assert rec.new_arch == rec.prev_arch
         assert not rec.trace
 
+    def test_one_step_plan_is_invalid(self):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(4,), seed=1)
+        with pytest.raises(aa.InvalidConfig, match="at least two steps"):
+            aa.run_adaptation(_run_config(plan))
+
     def test_adapted_zero_shift_raises_naming_the_step(self):
         # 0.2 and 0.2004 of 1000 rows give the same 200 rows, so d_t = 0,
         # while the volume fraction moves the surrogate by about 4e-6.

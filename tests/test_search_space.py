@@ -303,3 +303,16 @@ class TestConfigValidation:
     def test_rejects_nonpositive(self):
         with pytest.raises(aa.InvalidConfig):
             aa.SpaceConfig(input_resolution=0)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_units": 0}, "n_units"),
+        ({"kernel_choices": (3, 5, 3)}, "duplicates"),
+        ({"unit_strides": (1, 2, 2, 2)}, "unit_strides needs 5"),
+        ({"unit_strides": (1, 2, 3, 2, 2)}, "strides must be 1 or 2"),
+        ({"unit_out_channels": (16, 24, 0, 80, 160)}, "channels must be positive"),
+        ({"stem_channels": 0}, "stem_channels"),
+    ], ids=["n_units", "duplicate", "strides-length", "stride-value", "unit-channel",
+            "stem-channel"])
+    def test_rejects_layout(self, overrides, message):
+        with pytest.raises(aa.InvalidConfig, match=message):
+            aa.SpaceConfig(**overrides)
