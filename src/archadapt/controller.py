@@ -625,10 +625,13 @@ def reward(
 
     R = (v_new - v_prev) - (lam / shift) * (c_new - c_prev), with MAdds in
     raw millions. A larger shift relaxes the cost penalty. A shift that
-    is not positive (NaN included) raises DivisionByZeroShift.
+    is not positive (NaN included) raises DivisionByZeroShift, and an
+    infinite one InvalidData.
     """
     if not shift > 0.0:
         raise DivisionByZeroShift(f"shift must be positive, got {shift}")
+    if shift == math.inf:
+        raise InvalidData(f"shift must be finite, got {shift}")
     return (v_new - v_prev) - (lam / shift) * (c_new - c_prev)
 
 

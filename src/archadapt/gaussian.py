@@ -57,6 +57,11 @@ _W2_TRACE_RTOL = 1e-12
 
 _LN2 = float(np.log(2.0))
 
+# Floats in one block of standard normals that js_divergence_mc draws and
+# pushes through at a time: 256 KiB, max(1, _JS_BLOCK_FLOATS // q) rows. A
+# block this size keeps numpy's per-call cost small beside its work at any q.
+_JS_BLOCK_FLOATS = 1 << 15
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianSummary:
@@ -255,7 +260,11 @@ def js_divergence_mc(
 
     A draw x = mu_a + L_a z (L the Cholesky factor) is z itself in its own
     Gaussian's whitened coordinates and L_b^-1 (mu_a - mu_b) + (L_b^-1 L_a) z
-    in the other's, so each log-density needs only that one product.
+    in the other's, so each log-density needs only that one product. The
+    draws are taken in blocks of rows (_JS_BLOCK_FLOATS) from one generator,
+    so memory does not grow with n_samples beyond one float per draw and
+    direction; every row is computed as in one whole-array pass, with the
+    same bits.
     """
     q = _check_same_dim(g1, g2)
     if n_samples < 1:
@@ -263,19 +272,28 @@ def js_divergence_mc(
     l1 = _chol(g1.cov, "cov of first argument")
     l2 = _chol(g2.cov, "cov of second argument")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, q))
-    maha_own = np.sum(z * z, axis=1)
 
     def log_density(maha, chol):
         return -0.5 * (maha + 2.0 * np.sum(np.log(np.diag(chol))) + q * np.log(2.0 * np.pi))
 
-    def expected_log_ratio(own, l_own, other, l_other):
-        w = np.linalg.solve(l_other, own.mean - other.mean) + z @ np.linalg.solve(l_other, l_own).T
-        lp_own = log_density(maha_own, l_own)
-        lp_other = log_density(np.sum(w * w, axis=1), l_other)
-        lp_mix = np.logaddexp(lp_own, lp_other) - _LN2
-        return float(np.mean(lp_own - lp_mix)) / _LN2
+    # Per direction: the own and other Cholesky factors, and the offset and
+    # map that take a draw into the other Gaussian's whitened coordinates.
+    directions = [
+        (l_own, l_other, np.linalg.solve(l_other, own.mean - other.mean),
+         np.linalg.solve(l_other, l_own).T)
+        for own, l_own, other, l_other in ((g1, l1, g2, l2), (g2, l2, g1, l1))
+    ]
+    log_ratios = np.empty((2, n_samples))
+    block = max(1, _JS_BLOCK_FLOATS // q)
+    for start in range(0, n_samples, block):
+        z = rng.standard_normal((min(block, n_samples - start), q))
+        maha_own = np.sum(z * z, axis=1)
+        rows = slice(start, start + z.shape[0])
+        for out, (l_own, l_other, offset, to_other) in zip(log_ratios, directions):
+            w = offset + z @ to_other
+            lp_own = log_density(maha_own, l_own)
+            lp_other = log_density(np.sum(w * w, axis=1), l_other)
+            out[rows] = lp_own - (np.logaddexp(lp_own, lp_other) - _LN2)
 
-    term1 = expected_log_ratio(g1, l1, g2, l2)
-    term2 = expected_log_ratio(g2, l2, g1, l1)
+    term1, term2 = (float(np.mean(out)) / _LN2 for out in log_ratios)
     return float(np.clip(0.5 * (term1 + term2), 0.0, 1.0))

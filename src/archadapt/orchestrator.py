@@ -16,6 +16,8 @@ and one pass over the last one's rows fits every step (fit_prefixes).
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 import typing
 import zlib
@@ -287,6 +289,70 @@ def load_records(path) -> list[dict]:
     return records
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_threads(fn, arg_tuples: list[tuple]) -> list:
+    """[fn(*args) for args in arg_tuples], shared out over the cores.
+
+    The calling thread and one thread per further core, up to one per
+    call, each take every n-th call; with one core or one call no thread
+    starts. fn must release the GIL for this to gain anything (numpy's
+    draws, BLAS and LAPACK do). When calls raise, the calls past the
+    lowest-index failure that have not started are skipped, and that
+    failure's exception is raised, as a serial loop would raise it. An
+    exception in the calling thread itself (Ctrl-C) skips every call not
+    started. No thread started here is alive when this returns or raises.
+    """
+    n = max(1, min(len(arg_tuples), _cores()))
+    results = [None] * len(arg_tuples)
+    errors: dict[int, Exception] = {}
+    skip_past = [len(arg_tuples)]  # calls with a higher index do not start
+    lock = threading.Lock()
+
+    def share(first: int) -> None:
+        for i in range(first, len(arg_tuples), n):
+            if i > skip_past[0]:
+                return
+            try:
+                results[i] = fn(*arg_tuples[i])
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+                    skip_past[0] = min(skip_past[0], i)
+                return
+
+    started = []
+    try:
+        for first in range(1, n):
+            thread = threading.Thread(target=share, args=(first,))
+            thread.start()
+            started.append(thread)
+        share(0)
+        for thread in started:
+            thread.join()
+    except BaseException:
+        skip_past[0] = -1
+        for thread in started:
+            thread.join()
+        raise
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _step_distances(fit, base, n_samples: int, js_seed: int) -> tuple[float, float]:
+    return (
+        wasserstein2_gaussian(fit, base),
+        js_divergence_mc(fit, base, n_samples=n_samples, seed=js_seed),
+    )
+
+
 def compare_distance_metrics(
     plan: GrowthPlan,
     seeds: tuple[int, ...] = (0, 1, 2),
@@ -295,18 +361,22 @@ def compare_distance_metrics(
     """Mean squared-Wasserstein and Jensen-Shannon from the first snapshot.
 
     Rebuilds the plan once per seed and averages both distances from
-    step 0 to every later step.
+    step 0 to every later step. A seed's steps run in threads, up to one
+    per core (_in_threads); the sums are taken in seed and step order, so
+    the rows do not depend on the core count.
     """
     if not seeds:
         raise InvalidConfig("compare_distance_metrics needs at least one seed")
     sums = [[0.0, 0.0] for _ in range(1, plan.n_steps)]  # [wd, js] of steps 1, 2, ...
     for seed in seeds:
         fits = _fit_steps(_snapshots(replace(plan, seed=seed)))
-        for j, pair in enumerate(sums, start=1):
-            pair[0] += wasserstein2_gaussian(fits[j], fits[0])
-            pair[1] += js_divergence_mc(
-                fits[j], fits[0], n_samples=n_samples, seed=derive_seed(seed, j, "js")
-            )
+        steps = [
+            (fits[j], fits[0], n_samples, derive_seed(seed, j, "js"))
+            for j in range(1, plan.n_steps)
+        ]
+        for pair, (wd, js) in zip(sums, _in_threads(_step_distances, steps)):
+            pair[0] += wd
+            pair[1] += js
     return [
         {"step": j, "wd": wd / len(seeds), "js": js / len(seeds)}
         for j, (wd, js) in enumerate(sums, start=1)

@@ -331,13 +331,15 @@ class TestErrors:
         assert f"--step: step {step} outside plan of 3 steps" in capsys.readouterr().err
 
     # A NaN lam or shift used to print the first architecture in encoding
-    # order and exit 0.
+    # order and exit 0, and an infinite shift the lam = 0 maximizer.
     @pytest.mark.parametrize("flags, code, message", [
         (["--lam", "nan"], 1, "config error: lam must be finite and >= 0, got nan"),
         (["--lam", "-0.001"], 1, "config error: lam must be finite and >= 0, got -0.001"),
         (["--lam", "0.001", "--shift", "nan"], 2,
          "error: shift must be positive when lam != 0, got nan"),
-    ], ids=["nan-lam", "negative-lam", "nan-shift"])
+        (["--lam", "0.001", "--shift", "inf"], 2,
+         "error: shift must be finite when lam != 0, got inf"),
+    ], ids=["nan-lam", "negative-lam", "nan-shift", "inf-shift"])
     def test_oracle_bad_lam_or_shift(self, config_file, capsys, flags, code, message):
         assert main(["oracle", "--config", str(config_file), "--step", "1", *flags]) == code
         captured = capsys.readouterr()

@@ -108,6 +108,11 @@ class TestReward:
         with pytest.raises(aa.DivisionByZeroShift):
             aa.reward(0.8, 0.7, 300.0, 200.0, lam=2.5e-4, shift=float("nan"))
 
+    def test_infinite_shift_raises(self):
+        # lam / inf is 0: it used to drop the cost penalty.
+        with pytest.raises(aa.InvalidData, match="finite"):
+            aa.reward(0.8, 0.7, 300.0, 200.0, lam=2.5e-4, shift=float("inf"))
+
     def test_zero_lam_ignores_shift(self):
         assert aa.reward(0.8, 0.7, 300.0, 200.0, lam=0.0, shift=0.5) == \
             pytest.approx(0.1)

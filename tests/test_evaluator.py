@@ -144,6 +144,11 @@ class TestOracle:
         with pytest.raises(aa.DivisionByZeroShift):
             aa.oracle_best(TOY, _meta(0.5), aa.SurrogateConfig(), lam=0.1, shift=shift)
 
+    def test_infinite_shift_with_penalty_raises(self):
+        # lam / inf is 0, so it used to give the lam = 0 maximizer.
+        with pytest.raises(aa.InvalidData, match="finite"):
+            aa.oracle_best(TOY, _meta(0.5), aa.SurrogateConfig(), lam=0.1, shift=float("inf"))
+
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1e-3])
     def test_nonfinite_or_negative_lam_raises(self, lam):
         with pytest.raises(aa.InvalidConfig, match="lam"):

@@ -1,10 +1,13 @@
 """Tests for Gaussian summaries and the distance zoo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import archadapt as aa
+from archadapt import gaussian
 from archadapt.gaussian import sqrt_spd
 
 
@@ -334,6 +337,13 @@ class TestJS:
         assert got == pytest.approx(expected, abs=0.01)
 
     @staticmethod
+    def _overlapping_pair(q):
+        rng = np.random.default_rng(q)
+        a, b = rng.standard_normal((2, q, q)) / np.sqrt(q)
+        g1 = _summary(rng.standard_normal(q), a @ a.T + np.eye(q))
+        return g1, _summary(g1.mean + 0.3 * rng.standard_normal(q), b @ b.T + np.eye(q))
+
+    @staticmethod
     def _pushed_through_reference(g1, g2, n_samples, seed):
         """The estimate with each draw pushed through its Gaussian and both
         log-densities taken by inverse Cholesky factors, term by term."""
@@ -356,15 +366,56 @@ class TestJS:
 
     @pytest.mark.parametrize("q", [1, 4, 32, 96])
     def test_whitened_coordinates_match_pushed_through_draws(self, q):
-        rng = np.random.default_rng(q)
-        a, b = rng.standard_normal((2, q, q)) / np.sqrt(q)
-        g1 = _summary(rng.standard_normal(q), a @ a.T + np.eye(q))
-        g2 = _summary(g1.mean + 0.3 * rng.standard_normal(q), b @ b.T + np.eye(q))
+        g1, g2 = self._overlapping_pair(q)
         for seed in range(3):
             expected = self._pushed_through_reference(g1, g2, 2000, seed)
             assert 0.0 < expected < 1.0
             got = aa.js_divergence_mc(g1, g2, n_samples=2000, seed=seed)
             assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @staticmethod
+    def _whole_array_reference(g1, g2, n_samples, seed):
+        """The estimate with every draw taken and pushed through in one array."""
+        q = g1.dim
+        l1, l2 = np.linalg.cholesky(g1.cov), np.linalg.cholesky(g2.cov)
+        z = np.random.default_rng(seed).standard_normal((n_samples, q))
+        maha_own = np.sum(z * z, axis=1)
+        ln2 = float(np.log(2.0))
+
+        def log_density(maha, chol):
+            return -0.5 * (maha + 2.0 * np.sum(np.log(np.diag(chol))) + q * np.log(2.0 * np.pi))
+
+        def expected_log_ratio(own, l_own, other, l_other):
+            w = np.linalg.solve(l_other, own.mean - other.mean) + z @ np.linalg.solve(l_other, l_own).T
+            lp_own = log_density(maha_own, l_own)
+            lp_other = log_density(np.sum(w * w, axis=1), l_other)
+            lp_mix = np.logaddexp(lp_own, lp_other) - ln2
+            return float(np.mean(lp_own - lp_mix)) / ln2
+
+        term1 = expected_log_ratio(g1, l1, g2, l2)
+        term2 = expected_log_ratio(g2, l2, g1, l1)
+        return float(np.clip(0.5 * (term1 + term2), 0.0, 1.0))
+
+    @pytest.mark.parametrize("q", [1, 3, 96])
+    def test_row_blocks_equal_one_whole_array_pass(self, q):
+        g1, g2 = self._overlapping_pair(q)
+        block = max(1, gaussian._JS_BLOCK_FLOATS // q)
+        for n_samples in (1, block - 1, block, block + 1, 4000):
+            for seed in range(2):
+                expected = self._whole_array_reference(g1, g2, n_samples, seed)
+                assert aa.js_divergence_mc(g1, g2, n_samples=n_samples, seed=seed) == expected
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # The whole-array pass peaked at 44.5 MiB here, the streamed one at 1.7.
+        g1, g2 = self._overlapping_pair(96)
+        aa.js_divergence_mc(g1, g2, n_samples=10, seed=0)
+        tracemalloc.start()
+        try:
+            aa.js_divergence_mc(g1, g2, n_samples=20000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_rejects_nonpositive_sample_count(self, n_samples):

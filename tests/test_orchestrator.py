@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -234,6 +236,140 @@ class TestDistanceComparison:
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4), feature_dim=4, seed=7)
         with pytest.raises(aa.InvalidConfig, match="seed"):
             aa.compare_distance_metrics(plan, seeds=())
+
+    def test_rows_do_not_depend_on_the_core_count(self, monkeypatch):
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
+                             feature_dim=6, base_samples=900, seed=9)
+        rows = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(orchestrator, "_cores", lambda: cores)
+            rows[cores] = json.dumps(
+                aa.compare_distance_metrics(plan, seeds=(4, 5), n_samples=700)
+            )
+        assert rows[1] == rows[2] == rows[3]
+
+    def test_a_failing_step_raises_its_error_in_the_caller(self, monkeypatch):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 6, 8),
+                             feature_dim=4, seed=7, base_samples=400)
+        step2 = orchestrator.derive_seed(0, 2, "js")
+        real_js = orchestrator.js_divergence_mc
+
+        def js(fit, base, n_samples, seed):
+            if seed == step2:
+                raise aa.NotSPD("step 2")
+            return real_js(fit, base, n_samples=n_samples, seed=seed)
+
+        monkeypatch.setattr(orchestrator, "js_divergence_mc", js)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(aa.NotSPD, match="step 2"):
+            aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200)
+        assert threading.active_count() == threads
+
+
+class TestInThreads:
+    """orchestrator._in_threads, the thread map behind compare_distance_metrics."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cores(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+
+    def _run(self, fn, n_calls):
+        threads = threading.active_count()
+        try:
+            return orchestrator._in_threads(fn, [(i,) for i in range(n_calls)])
+        finally:
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_results_in_call_order(self, monkeypatch, cores):
+        monkeypatch.setattr(orchestrator, "_cores", lambda: cores)
+        names = set()
+
+        def fn(i):
+            names.add(threading.current_thread().name)
+            return i * i
+
+        assert self._run(fn, 5) == [i * i for i in range(5)]
+        assert len(names) == min(cores, 5)
+        assert self._run(fn, 0) == []
+
+    def test_one_call_starts_no_thread(self):
+        names = []
+        self._run(lambda i: names.append(threading.current_thread().name), 1)
+        assert names == [threading.current_thread().name]
+
+    def test_lowest_index_failure_is_raised_and_later_calls_skipped(self):
+        called = set()
+        three_failed = threading.Event()
+
+        def fn(i):
+            called.add(i)
+            if i == 3:
+                three_failed.set()
+                raise aa.InvalidData("call 3")
+            if i == 2:
+                assert three_failed.wait(timeout=10)
+                raise aa.NotSPD("call 2")
+            return i
+
+        # The caller takes calls 0, 2, 4 and the thread 1, 3, 5. Call 3 fails
+        # first; call 2 still runs, and its error is the one raised.
+        with pytest.raises(aa.NotSPD, match="call 2"):
+            self._run(fn, 6)
+        assert called == {0, 1, 2, 3}
+
+    def test_interrupt_in_the_caller_skips_calls_not_started(self):
+        called = set()
+        thread_busy = threading.Event()
+
+        def fn(i):
+            called.add(i)
+            if i == 0:
+                assert thread_busy.wait(timeout=10)
+                raise KeyboardInterrupt
+            if i == 1:
+                thread_busy.set()
+                time.sleep(0.2)  # the caller is interrupted meanwhile
+            return i
+
+        with pytest.raises(KeyboardInterrupt):
+            self._run(fn, 6)
+        assert called == {0, 1}
+
+    def test_stress_more_threads_than_cores(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for failing in (set(), {0}, {96, 193, 290, 387}, {399}):
+                called = set()
+
+                def fn(i):
+                    called.add(i)
+                    if i in failing:
+                        raise aa.InvalidData(f"call {i}")
+                    return float(np.sum(np.arange(i + 1.0)))
+
+                started = time.perf_counter()
+                if not failing:
+                    assert self._run(fn, 400) == [i * (i + 1) / 2 for i in range(400)]
+                else:
+                    first = min(failing)
+                    with pytest.raises(aa.InvalidData, match=f"call {first}$"):
+                        self._run(fn, 400)
+                    assert set(range(first + 1)) <= called
+                assert time.perf_counter() - started < 30
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_core_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.undo()
+        monkeypatch.delattr(orchestrator.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: None)
+        assert orchestrator._cores() == 1
+        monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 3)
+        assert orchestrator._cores() == 3
 
 
 class TestLambdaSweep:
