@@ -208,6 +208,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_distance(args) -> int:
     if args.seed < 0:
         raise _UsageError(f"archadapt distance: argument --seed: must be >= 0, got {args.seed}")
+    if args.samples < 1:
+        raise _UsageError(f"archadapt distance: argument --samples: must be >= 1, got {args.samples}")
     g1 = fit_gaussian(load_features_csv(args.first))
     g2 = fit_gaussian(load_features_csv(args.second))
     d = wasserstein2_gaussian(g1, g2)

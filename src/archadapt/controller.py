@@ -56,10 +56,11 @@ alone, because (checked with numpy 2.4 on scipy-openblas 0.3.31):
   never numpy's reduction, which may go pairwise for a lone column only,
   nor builtin ``sum``, which compensates from Python 3.12 on.
 
-A rollout writes its decisions once, into one dense record indexed
-(step, run, head row) and zero wherever a run made no decision (``_Rollout``).
-``_backward`` reads it as its head arrays, ``sample`` and ``score`` read their
-decisions off it, and ``_train_many`` sums each run's entropies down it.
+A rollout writes each step once, into one dense record indexed by step and
+run (``_Rollout``): the GRU's input rows, gates and states, and its decisions
+by head row, zero where a run made none. ``_backward`` reads views of the
+steps taken, ``sample`` and ``score`` read their decisions off it, and
+``_train_many`` sums each run's entropies down it.
 
 Sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
 would (cumulative sum, normalize by its last entry, right-side search of
@@ -81,12 +82,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datagen import SnapshotMeta
-from .errors import (
-    DivisionByZeroShift,
-    InvalidConfig,
-    InvalidData,
-    NumericalError,
-)
+from .errors import InvalidConfig, NumericalError, _checked_shift
 from .evaluator import Evaluator
 from .search_space import Architecture, SpaceConfig, _validate, madds, min_arch
 
@@ -321,9 +317,7 @@ def bucket_index(shift: float, cfg: TrainerConfig) -> int:
 
 
 def _checked_bucket(shift: float, cfg: TrainerConfig) -> int:
-    if not np.isfinite(shift) or shift < 0:
-        raise InvalidData(f"shift must be finite and nonnegative, got {shift}")
-    return bucket_index(shift, cfg)
+    return bucket_index(_checked_shift(shift), cfg)
 
 
 @dataclass(frozen=True)
@@ -397,25 +391,30 @@ def _softmax_logprobs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Rollout(NamedTuple):
-    """K runs' passes over their decision sequences, plus what backward needs.
+    """K runs' passes over their decision sequences, as one dense record.
 
-    ``steps[t]`` holds step t of every run: the rows of W @ x fed to it
-    (row k * n_tokens + s for run k's token s), the r and z gate
-    activations (concatenated), n, U_n @ h_prev and h, each (K, ., 1).
-    Past its last decision (its last hit), run k steps on its last token.
-
-    The decisions are one dense record, zero-filled, over the longest
-    possible trajectory (t_max = n_units * (1 + 2 * max depth) steps):
-    ``probs``, ``logp`` and ``hit`` are (t_max, K, n_head), the head rows
-    of the kind run k decided at step t holding its probabilities,
-    log-probabilities and a one-hot of its choice, and ``entropy`` (t_max,
-    K) that decision's entropy. The rows of the other kinds, and every
-    entry past a run's last decision, stay zero.
+    Row t of each array is step t of every run, over the longest possible
+    trajectory (t_max = n_units * (1 + 2 * max depth) steps), of which
+    ``n_steps`` were taken; later rows of the GRU part are left unwritten.
+    That part: ``sources``, the row of W @ x fed to each run (k * n_tokens
+    + s for run k's token s); the r|z gates ``rz``, ``n`` and U @ h_prev
+    ``uh``, each (t_max, K, ., 1); and ``h``, h0 and then each step's h, so
+    h[t] is step t's h_prev. Past its last decision (its last hit), run k
+    steps on its last token. The decisions, zero-filled: ``probs``, ``logp``
+    and ``hit`` are (t_max, K, n_head), the head rows of the kind run k
+    decided at step t holding its probabilities, log-probabilities and a
+    one-hot of its choice, and ``entropy`` (t_max, K) that decision's
+    entropy; other kinds' rows, and entries past a run's last decision, are 0.
     """
 
     enc: _Encoded
     archs: list[Architecture]
-    steps: list[tuple]
+    n_steps: int
+    sources: np.ndarray
+    rz: np.ndarray
+    n: np.ndarray
+    uh: np.ndarray
+    h: np.ndarray
     probs: np.ndarray
     logp: np.ndarray
     hit: np.ndarray
@@ -456,8 +455,7 @@ def _rollout(
     p, space = params.arrays, params.space
     # Per kind code: its (K, n, H) head weights, (K, n, 1) bias and head rows.
     heads = [(p["head_w"][:, rows], p["head_b"][:, rows, None], rows) for rows, _ in _kinds(space).values()]
-    h = enc.h0[:, :, None]
-    n_runs, hid, _ = h.shape
+    n_runs, hid = enc.h0.shape
     runs = range(n_runs)
     w, u, b, tokens = p["gru_w"], p["gru_u"], p["gru_b"][..., None], p["token_emb"]
     b_rz, b_n = b[:, : 2 * hid], b[:, 2 * hid :]
@@ -466,15 +464,17 @@ def _rollout(
     # row k * n_tokens + s is run k's token s.
     wx_all = np.matmul(w[:, None], tokens[..., None]).reshape(n_runs * n_tokens, 3 * hid, 1)
     wx_rz_all, wx_n_all = wx_all[:, : 2 * hid], wx_all[:, 2 * hid :]
-    exp, tanh, add, matmul = np.exp, np.tanh, np.add, np.matmul
+    exp, tanh, add, divide, matmul = np.exp, np.tanh, np.add, np.divide, np.matmul
     t_max = space.n_units * (1 + 2 * space.depth_choices[-1])
-    out = _Rollout(
-        enc,
-        [None] * n_runs,
-        [],
-        *np.zeros((3, t_max, n_runs, p["head_b"].shape[1])),
-        np.zeros((t_max, n_runs)),
-    )
+    # The record (see _Rollout); step t writes row t of each array in place.
+    sources = np.empty((t_max, n_runs), int)
+    rzs, ns, uhs = [np.empty((t_max, n_runs, size, 1)) for size in (2 * hid, hid, 3 * hid)]
+    hs = np.concatenate((enc.h0[None, :, :, None], np.empty((t_max, n_runs, hid, 1))))
+    all_probs, all_logp, hits = np.zeros((3, t_max, n_runs, p["head_b"].shape[1]))
+    entropies = np.zeros((t_max, n_runs))
+    archs = [None] * n_runs
+    steps = zip(hs[1:], uhs, rzs, ns, sources)  # each step's GRU rows, as views
+    h = hs[0]
     offsets = [k * n_tokens for k in runs]
     source = offsets[:]  # each run's next input row of wx_all
     walks = [_grammar(space) for _ in runs]
@@ -491,14 +491,13 @@ def _rollout(
             wx_rz, wx_n = wx_rz_all[source[0] : source[0] + 1], wx_n_all[source[0] : source[0] + 1]
         else:
             wx_rz, wx_n = wx_rz_all.take(source, axis=0), wx_n_all.take(source, axis=0)
-        h_prev = h
-        uh = matmul(u, h_prev)
-        rz = one_rz / (one_rz + exp(-(wx_rz + uh[:, : 2 * hid] + b_rz)))
+        h_prev, (h, uh, rz, n, step_sources) = h, next(steps)
+        matmul(u, h_prev, out=uh)
+        divide(one_rz, one_rz + exp(-(wx_rz + uh[:, : 2 * hid] + b_rz)), out=rz)
         z = rz[:, hid:]
-        unh = uh[:, 2 * hid :]
-        n = tanh(wx_n + rz[:, :hid] * unh + b_n)
-        h = (one_h - z) * h_prev + z * n
-        out.steps.append((source[:], rz, n, unh, h))
+        tanh(wx_n + rz[:, :hid] * uh[:, 2 * hid :] + b_n, out=n)
+        add((one_h - z) * h_prev, z * n, out=h)
+        step_sources[:] = source
 
         groups: dict[int, list[int]] = {}
         for k in active:
@@ -525,9 +524,9 @@ def _rollout(
             # A lone run's index is an int and its head a 1-D row: basic
             # indexing, cheaper than a list, and no transpose.
             at = idx[0] if one else idx
-            out.probs[t, at, rows] = probs if one else probs.T
-            out.logp[t, at, rows] = logp if one else logp.T
-            out.entropy[t, at] = entropy
+            all_probs[t, at, rows] = probs if one else probs.T
+            all_logp[t, at, rows] = logp if one else logp.T
+            entropies[t, at] = entropy
             for i, (k, e) in enumerate(zip(idx, [float(entropy)] if one else entropy.tolist())):
                 if not math.isfinite(e):
                     # NaN here means a non-finite logit somewhere in this head.
@@ -539,15 +538,15 @@ def _rollout(
                 else:
                     c = int((cdf if one else cdf[:, i]).searchsorted(rngs[k].random(), "right"))
                 row = rows.start + c
-                out.hit[t, k, row] = 1.0
+                hits[t, k, row] = 1.0
                 source[k] = offsets[k] + 1 + row  # token_emb row 0 is the start token
                 try:
                     kind[k] = walks[k].send(c)
                 except StopIteration as done:
-                    out.archs[k] = done.value
+                    archs[k] = done.value
                     active.remove(k)
         t += 1
-    return out
+    return _Rollout(enc, archs, t, sources, rzs, ns, uhs, hs, all_probs, all_logp, hits, entropies)
 
 
 def _forward(
@@ -624,14 +623,11 @@ def reward(
     """Accuracy gain minus the shift-scaled cost increase.
 
     R = (v_new - v_prev) - (lam / shift) * (c_new - c_prev), with MAdds in
-    raw millions. A larger shift relaxes the cost penalty. A shift that
-    is not positive (NaN included) raises DivisionByZeroShift, and an
-    infinite one InvalidData.
+    raw millions. A larger shift relaxes the cost penalty. A shift of 0
+    raises DivisionByZeroShift, and a NaN, negative or infinite one
+    InvalidData.
     """
-    if not shift > 0.0:
-        raise DivisionByZeroShift(f"shift must be positive, got {shift}")
-    if shift == math.inf:
-        raise InvalidData(f"shift must be finite, got {shift}")
+    _checked_shift(shift, divided=True)
     return (v_new - v_prev) - (lam / shift) * (c_new - c_prev)
 
 
@@ -644,18 +640,17 @@ def _backward(
     """(K, P) gradients of advantage*logpi + w_e*entropy - wd*||theta||^2/2.
 
     Row k is run k's flat gradient at its own advantage. Every per-step
-    quantity is stacked in rollout order as (T, K, ...). A run's steps past
-    its length get zero head gradients, so its hidden-state gradient stays
-    zero there and every sum over steps ends in zeros (see the module
-    docstring). Only the recurrence runs step by step, for all runs at once.
+    quantity is a (T, K, ...) view of the rollout's record, T its n_steps.
+    A run's steps past its length get zero head gradients, so its hidden-state
+    gradient stays zero there and every sum over steps ends in zeros (see the
+    module docstring). Only the recurrence runs step by step, for all runs.
     """
     p, enc = params.arrays, roll.enc
     grad = np.zeros_like(params.flat)
     g = params.unflatten(grad)
-    sources, rz, n, unh, hs = map(np.array, zip(*roll.steps))
-    n_steps, (n_runs, hid) = len(roll.steps), enc.h0.shape
-    # The state each step started from: h0, then the previous step's.
-    h_prev = np.concatenate((enc.h0[None, :, :, None], hs[:-1]))
+    n_steps, (n_runs, hid) = roll.n_steps, enc.h0.shape
+    sources, rz, n, uh, h_prev = [a[:n_steps] for a in (roll.sources, roll.rz, roll.n, roll.uh, roll.h)]
+    hs, unh = roll.h[1 : n_steps + 1], uh[:, :, 2 * hid :]
 
     # Heads: d/dlogits of logp[choice] is hit - probs; of the entropy,
     # -probs * (logp + H), all (T, K, n_head) from the rollout's record, whose

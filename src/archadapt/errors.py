@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a shift."""
+
+import math
 
 
 class ArchAdaptError(Exception):
@@ -62,3 +64,16 @@ class NumericalError(ArchAdaptError):
 
 class DivisionByZeroShift(ArchAdaptError):
     """Reward requested with a zero distribution shift."""
+
+
+def _checked_shift(shift: float, divided: bool = False, when: str = "") -> float:
+    """shift, if usable as d_t; else InvalidData when it is NaN, negative or
+    infinite, and, where it is divided by, DivisionByZeroShift when it is 0.
+    when (" when lam != 0", say) ends the message."""
+    if math.isinf(shift):
+        raise InvalidData(f"shift must be finite{when}, got {shift}")
+    if not shift >= 0.0:
+        raise InvalidData(f"shift must be {'positive' if divided else 'nonnegative'}{when}, got {shift}")
+    if divided and shift == 0.0:
+        raise DivisionByZeroShift(f"shift must be positive{when}, got {shift}")
+    return shift

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .datagen import SnapshotMeta
-from .errors import DivisionByZeroShift, InvalidConfig, InvalidData
+from .errors import InvalidConfig, _checked_shift
 from .search_space import (  # noqa: F401 (enumerate_space: perfbench/tracer.py wraps it here)
     Architecture,
     SpaceConfig,
@@ -145,15 +145,13 @@ def oracle_best(
     (search_space.unit_tables) and only the winner is built, so V and
     MAdds are bit for bit what surrogate_accuracy and madds give it. A
     negative or non-finite lam raises InvalidConfig; with lam != 0, a
-    shift that is not positive (NaN included) raises DivisionByZeroShift
-    and an infinite one InvalidData.
+    shift of 0 raises DivisionByZeroShift and a NaN, negative or infinite
+    one InvalidData.
     """
     if not 0.0 <= lam < math.inf:
         raise InvalidConfig(f"lam must be finite and >= 0, got {lam}")
-    if lam != 0.0 and not shift > 0.0:
-        raise DivisionByZeroShift(f"shift must be positive when lam != 0, got {shift}")
-    if lam != 0.0 and shift == math.inf:
-        raise InvalidData(f"shift must be finite when lam != 0, got {shift}")
+    if lam != 0.0:
+        _checked_shift(shift, divided=True, when=" when lam != 0")
     ref_cost = _reference_madds(cfg, space)
     s = complexity_score(meta)
     d_star = target_depth(s)

@@ -245,6 +245,11 @@ _JSON_TYPES = {
 }
 
 
+def _is_json_type(value, kind) -> bool:
+    """isinstance, except that a JSON boolean, an int to Python, is only a bool."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def write_records(records: list[AdaptationRecord], out_dir) -> Path:
     """Write records.json (stable bytes), trace CSVs, and timings.json."""
     out = Path(out_dir)
@@ -281,7 +286,7 @@ def load_records(path) -> list[dict]:
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise InvalidData(f"{path} is not a records.json: record {i} is not an object")
-        bad = [name for name, kind in _JSON_TYPES.items() if not isinstance(rec.get(name), kind)]
+        bad = [name for name, kind in _JSON_TYPES.items() if not _is_json_type(rec.get(name), kind)]
         if bad:
             raise InvalidData(
                 f"{path} is not a records.json: record {i} lacks or mistypes {', '.join(bad)}"

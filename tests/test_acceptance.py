@@ -29,15 +29,27 @@ def _emit(line):
 
 @contextmanager
 def _criterion(num, name, tolerance):
+    """Time the block and emit its verdict line; the block may append text
+    on how far it passed (its margins) to the list it is given."""
     t0 = time.perf_counter()
+    margins = []
     try:
-        yield
+        yield margins
     except BaseException:
         _emit(f"criterion {num:2d} FAIL  {name}  ({tolerance})  "
               f"[{time.perf_counter() - t0:.1f}s]")
         raise
     _emit(f"criterion {num:2d} PASS  {name}  ({tolerance})  "
-          f"[{time.perf_counter() - t0:.1f}s]")
+          f"[{time.perf_counter() - t0:.1f}s]" + "".join(f"  {m}" for m in margins))
+
+
+def _gaps(means):
+    """Each mean, and the smallest step between neighbours (with its share
+    of the larger one), as margin text."""
+    gaps = [abs(b - a) for a, b in zip(means, means[1:])]
+    i = int(np.argmin(gaps))
+    return (f"means {', '.join(f'{m:.2f}' for m in means)}; smallest gap "
+            f"{gaps[i]:.2f} ({100 * gaps[i] / max(means[i], means[i + 1]):.1f}%)")
 
 
 # -- shared fixtures ---------------------------------------------------
@@ -261,7 +273,7 @@ def test_criterion_06_gate_behavior():
 def test_criterion_07_wd_penalty_ablation():
     with _criterion(7, "cost penalty shrinks networks at equal accuracy",
                     "mean adapted MAdds lam=0 >= lam>0, "
-                    "mean |dV| <= 0.02, 10 seeds, <15min"):
+                    "mean |dV| <= 0.02, 10 seeds, <15min") as margins:
         t0 = time.perf_counter()
         with_m, without_m, dvs = [], [], []
         for seed in range(10):
@@ -282,11 +294,13 @@ def test_criterion_07_wd_penalty_ablation():
         assert np.mean(without_m) >= np.mean(with_m)
         assert np.mean(dvs) <= 0.02
         assert time.perf_counter() - t0 < 900.0
+        margins.append(f"mean MAdds {np.mean(without_m):.2f} at lam=0, "
+                       f"{np.mean(with_m):.2f} at lam>0; mean |dV| {np.mean(dvs):.4f}")
 
 
 def test_criterion_08_lambda_sweep_monotone():
     with _criterion(8, "final MAdds non-increasing in lambda",
-                    "lambda in {0, 1e-4, 1e-3, 1e-2}, 10 seeds, <15min"):
+                    "lambda in {0, 1e-4, 1e-3, 1e-2}, 10 seeds, <15min") as margins:
         t0 = time.perf_counter()
         space = aa.SpaceConfig()  # full-size costs, hundreds of MAdds
         lambdas = (0.0, 1e-4, 1e-3, 1e-2)
@@ -305,6 +319,7 @@ def test_criterion_08_lambda_sweep_monotone():
         for bigger, smaller in zip(means, means[1:]):
             assert bigger >= smaller - 1e-9, means
         assert time.perf_counter() - t0 < 900.0
+        margins.append(_gaps(means))
 
 
 def test_criterion_09_reproducible_records(tmp_path):
@@ -351,7 +366,7 @@ def test_criterion_09_reproducible_records(tmp_path):
 def test_criterion_10_shift_scaled_adaptation():
     with _criterion(10, "adapted MAdds non-decreasing in shift",
                     "d_t varied by prototype radius {1, 5, 25}, "
-                    "surrogate fixed, 10 seeds"):
+                    "surrogate fixed, 10 seeds") as margins:
         means = []
         for radius in (1.0, 5.0, 25.0):
             collected = []
@@ -372,3 +387,4 @@ def test_criterion_10_shift_scaled_adaptation():
             means.append(np.mean(collected))
         for smaller, bigger in zip(means, means[1:]):
             assert bigger >= smaller - 1e-9, means
+        margins.append(_gaps(means))

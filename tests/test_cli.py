@@ -199,11 +199,19 @@ class TestSweeps:
         assert (out / "without" / "records.json").exists()
 
 
-# A record with every field, but a text shift.
-_MISTYPED_RECORDS = json.dumps({"records": [{
-    "t": 1, "shift": "0.5", "drop": 0.1, "adapted": True, "prev_arch": "a", "new_arch": "b",
+_RECORD = {
+    "t": 1, "shift": 0.5, "drop": 0.1, "adapted": True, "prev_arch": "a", "new_arch": "b",
     "v_prev": 0.5, "v_new": 0.6, "madds_prev": 1.0, "madds_new": 2.0, "trace_file": None,
-}]}) + "\n"
+}
+
+
+def _records_with(**fields):
+    """A records.json of one record with every field, some of them replaced."""
+    return json.dumps({"records": [{**_RECORD, **fields}]}) + "\n"
+
+
+# A record with every field, but a text shift.
+_MISTYPED_RECORDS = _records_with(shift="0.5")
 
 
 class TestErrors:
@@ -256,9 +264,12 @@ class TestErrors:
     @pytest.mark.parametrize(
         "text",
         ["not json\n", '{"rows": []}\n', "[1, 2]\n", '{"records": 5}\n',
-         '{"records": [{"t": 1}]}\n', '{"records": [[1, 2]]}\n', _MISTYPED_RECORDS],
+         '{"records": [{"t": 1}]}\n', '{"records": [[1, 2]]}\n', _MISTYPED_RECORDS,
+         # A JSON boolean used to pass as the number 1 or 0 (bool is an int).
+         _records_with(t=True), _records_with(shift=False), _records_with(v_new=True)],
         ids=["not-json", "no-records-key", "not-an-object", "records-not-a-list",
-             "entry-missing-field", "entry-not-an-object", "entry-mistyped-field"])
+             "entry-missing-field", "entry-not-an-object", "entry-mistyped-field",
+             "bool-t", "bool-shift", "bool-v_new"])
     def test_report_on_a_file_that_is_no_records_json_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "records.json"
         path.write_text(text)
@@ -367,6 +378,16 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "archadapt distance: argument --seed: must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_distance_nonpositive_samples_is_usage_error(self, tmp_path, capsys, samples):
+        # It used to exit 2 with "error: n_samples must be positive".
+        path = tmp_path / "x.csv"
+        _write_features(path, 0)
+        assert main(["distance", str(path), str(path), "--js", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"archadapt distance: argument --samples: must be >= 1, got {samples}\n"
 
     def test_set_item_without_equals(self, tmp_path, config_file, capsys):
         assert main(["adapt", "--config", str(config_file), "--set", "plan.seed",

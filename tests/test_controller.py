@@ -100,12 +100,12 @@ class TestReward:
             aa.reward(0.8, 0.7, 300.0, 200.0, lam=2.5e-4, shift=0.0)
 
     def test_negative_shift_raises(self):
-        with pytest.raises(aa.DivisionByZeroShift):
+        with pytest.raises(aa.InvalidData):
             aa.reward(0.8, 0.7, 300.0, 200.0, lam=2.5e-4, shift=-1.0)
 
     def test_nan_shift_raises(self):
         # It used to give a NaN reward.
-        with pytest.raises(aa.DivisionByZeroShift):
+        with pytest.raises(aa.InvalidData):
             aa.reward(0.8, 0.7, 300.0, 200.0, lam=2.5e-4, shift=float("nan"))
 
     def test_infinite_shift_raises(self):
@@ -632,6 +632,29 @@ class TestRolloutRecord:
                     assert not probs[others].any() and not logp[others].any()
                 for record in (roll.hit, roll.probs, roll.logp, roll.entropy):
                     assert not record[length:, k].any()
+
+    @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_backward_reads_only_the_steps_taken(self, space, n_runs):
+        # Teacher-forced runs of two lengths, both short of t_max: one with
+        # its first unit at the deepest depth, one at min_arch.
+        shallow = aa.min_arch(space)
+        deep = search_space.Architecture(units=[aa.max_arch(space).units[0], *shallow.units[1:]])
+        actions = [search_space._validate([deep, shallow][k % 2], space) for k in range(n_runs)]
+        runs = _rows([aa.init_params(space, SMALL_CFG, seed=30 + k) for k in range(n_runs)])
+        enc = controller._encode(runs.arrays, arch_onehot(shallow, space), 1)
+        roll = controller._rollout(runs, enc, actions=actions)
+        assert roll.n_steps == len(actions[0]) < len(roll.hit)
+        cfg = dataclasses.replace(SMALL_CFG, entropy_weight=0.1)
+        advantages = np.linspace(-1.0, 1.0, n_runs)
+        grad = controller._backward(runs, roll, advantages, cfg)
+
+        # Every row past the steps taken (past h0 and theirs, for h) is filled.
+        roll.sources[roll.n_steps :] = -1
+        roll.h[roll.n_steps + 1 :] = np.nan
+        for record in (roll.rz, roll.n, roll.uh, roll.probs, roll.logp, roll.hit, roll.entropy):
+            record[roll.n_steps :] = np.nan
+        assert controller._backward(runs, roll, advantages, cfg).tobytes() == grad.tobytes()
 
     @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
     def test_score_of_max_arch_fills_every_step(self, space):

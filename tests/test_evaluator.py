@@ -141,7 +141,7 @@ class TestOracle:
     @pytest.mark.parametrize("shift", [float("nan"), -1.0])
     def test_nan_or_negative_shift_with_penalty_raises(self, shift):
         # A NaN shift used to give the first architecture in encoding order.
-        with pytest.raises(aa.DivisionByZeroShift):
+        with pytest.raises(aa.InvalidData):
             aa.oracle_best(TOY, _meta(0.5), aa.SurrogateConfig(), lam=0.1, shift=shift)
 
     def test_infinite_shift_with_penalty_raises(self):
