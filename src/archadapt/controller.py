@@ -66,8 +66,8 @@ Sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
 would (cumulative sum, normalize by its last entry, right-side search of
 one uniform), without choice's per-call validation; non-finite logits
 raise NumericalError instead. A single run's logits stay a 1-D row, whose
-reductions give numpy scalars: that, and slicing its one input row of
-W @ x, keep its decisions about as cheap as a loop written for one run.
+reductions give numpy scalars: that, and views of its W @ x rows made once
+per rollout, keep its decisions about as cheap as a loop written for one run.
 """
 
 from __future__ import annotations
@@ -464,6 +464,7 @@ def _rollout(
     # row k * n_tokens + s is run k's token s.
     wx_all = np.matmul(w[:, None], tokens[..., None]).reshape(n_runs * n_tokens, 3 * hid, 1)
     wx_rz_all, wx_n_all = wx_all[:, : 2 * hid], wx_all[:, 2 * hid :]
+    wx_rows = list(zip(wx_rz_all[:, None], wx_n_all[:, None])) if n_runs == 1 else None
     exp, tanh, add, divide, matmul = np.exp, np.tanh, np.add, np.divide, np.matmul
     t_max = space.n_units * (1 + 2 * space.depth_choices[-1])
     # The record (see _Rollout); step t writes row t of each array in place.
@@ -487,8 +488,8 @@ def _rollout(
     one_h = one_rz[:, :hid]
 
     while active:
-        if n_runs == 1:  # a slice: cheaper than take on the per-decision path
-            wx_rz, wx_n = wx_rz_all[source[0] : source[0] + 1], wx_n_all[source[0] : source[0] + 1]
+        if n_runs == 1:  # a lone run's row views, made once: cheaper than take
+            wx_rz, wx_n = wx_rows[source[0]]
         else:
             wx_rz, wx_n = wx_rz_all.take(source, axis=0), wx_n_all.take(source, axis=0)
         h_prev, (h, uh, rz, n, step_sources) = h, next(steps)
