@@ -470,12 +470,12 @@ def _rollout(
     # The record (see _Rollout); step t writes row t of each array in place.
     sources = np.empty((t_max, n_runs), int)
     rzs, ns, uhs = [np.empty((t_max, n_runs, size, 1)) for size in (2 * hid, hid, 3 * hid)]
-    hs = np.concatenate((enc.h0[None, :, :, None], np.empty((t_max, n_runs, hid, 1))))
+    hs = np.empty((t_max + 1, n_runs, hid, 1))
+    hs[0, ..., 0] = enc.h0
     all_probs, all_logp, hits = np.zeros((3, t_max, n_runs, p["head_b"].shape[1]))
     entropies = np.zeros((t_max, n_runs))
     archs = [None] * n_runs
-    steps = zip(hs[1:], uhs, rzs, ns, sources)  # each step's GRU rows, as views
-    h = hs[0]
+    steps = zip(hs, hs[1:], uhs, rzs, ns, sources)  # each step's GRU rows, as views
     offsets = [k * n_tokens for k in runs]
     source = offsets[:]  # each run's next input row of wx_all
     walks = [_grammar(space) for _ in runs]
@@ -492,13 +492,13 @@ def _rollout(
             wx_rz, wx_n = wx_rows[source[0]]
         else:
             wx_rz, wx_n = wx_rz_all.take(source, axis=0), wx_n_all.take(source, axis=0)
-        h_prev, (h, uh, rz, n, step_sources) = h, next(steps)
+        h_prev, h, uh, rz, n, step_sources = next(steps)
         matmul(u, h_prev, out=uh)
         divide(one_rz, one_rz + exp(-(wx_rz + uh[:, : 2 * hid] + b_rz)), out=rz)
         z = rz[:, hid:]
         tanh(wx_n + rz[:, :hid] * uh[:, 2 * hid :] + b_n, out=n)
         add((one_h - z) * h_prev, z * n, out=h)
-        step_sources[:] = source
+        step_sources[...] = source
 
         groups: dict[int, list[int]] = {}
         for k in active:
