@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -311,13 +311,38 @@ def arch_onehot(arch: Architecture, space: SpaceConfig) -> np.ndarray:
 
 
 def bucket_index(shift: float, cfg: TrainerConfig) -> int:
-    """Bucket of a shift value; out-of-range shifts clamp to the end buckets."""
+    """Bucket of a shift value; finite out-of-range shifts clamp to the end
+    buckets, and a NaN, negative or infinite one raises InvalidData."""
     edges = cfg.bucket_edges if cfg.bucket_edges is not None else default_bucket_edges(cfg.bucket_count)
-    return int(np.searchsorted(np.asarray(edges), shift, side="left"))
+    return int(np.searchsorted(np.asarray(edges), _checked_shift(shift), side="left"))
 
 
-def _checked_bucket(shift: float, cfg: TrainerConfig) -> int:
-    return bucket_index(_checked_shift(shift), cfg)
+def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> TrainerConfig:
+    """Fill in bucket edges, log-spaced over the observed shift range.
+
+    The end edges are the smallest and largest positive shifts exactly
+    (a single edge is the smallest), so the smallest shift lands in
+    bucket 0 and the largest in bucket bucket_count - 2 whatever the
+    roundoff of the log spacing. A range too narrow for strictly
+    increasing edges (one shift, or all within a few ulp) widens to
+    (lo / 10, lo * 10). Where that also fails, because lo / 10 underflows
+    or lo * 10 overflows, and where no shift is positive, the edges are
+    default_bucket_edges.
+    """
+    if trainer.bucket_edges is not None or trainer.bucket_count < 2:
+        return trainer
+    fallback = replace(trainer, bucket_edges=default_bucket_edges(trainer.bucket_count))
+    positive = sorted(s for s in shifts if s > 0)
+    if not positive:
+        return fallback
+    for lo, hi in ((positive[0], positive[-1]), (positive[0] / 10.0, positive[0] * 10.0)):
+        with np.errstate(all="ignore"):
+            edges = np.logspace(np.log10(lo), np.log10(hi), trainer.bucket_count - 1)
+        edges[-1] = hi
+        edges[0] = lo
+        if hi > lo and np.isfinite(edges).all() and np.all(edges[1:] > edges[:-1]):
+            return replace(trainer, bucket_edges=tuple(edges))
+    return fallback
 
 
 @dataclass(frozen=True)
@@ -360,7 +385,7 @@ def embed_state(
     cfg: TrainerConfig,
 ) -> PolicyState:
     """Validated conditioning inputs; the encoder runs with each forward pass."""
-    bucket = _checked_bucket(shift, cfg)
+    bucket = bucket_index(shift, cfg)
     _validate(prev_arch, params.space)
     return PolicyState(prev_arch=prev_arch, shift=float(shift), bucket=bucket)
 
@@ -820,7 +845,7 @@ def _train_many(
     v_prev = evaluate(prev_arch, meta)
     c_prev = madds(prev_arch, space)
     onehot = arch_onehot(prev_arch, space)
-    bucket = _checked_bucket(shift, cfg)
+    bucket = bucket_index(shift, cfg)
     m, v = np.zeros((2, *params.flat.shape))
     baseline = np.full(n_runs, np.nan)
     # stats[:, k, b]: run k's reward, entropy and MAdds at batch entry b.

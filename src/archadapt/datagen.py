@@ -256,12 +256,15 @@ def load_snapshot(csv_path) -> Snapshot:
             raise InvalidData(f"{sidecar}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
-    try:
-        meta = SnapshotMeta(
-            **{f.name: _META_TYPES[f.name](values[f.name]) for f in fields(SnapshotMeta)}
-        )
-    except KeyError as exc:
-        raise InvalidData(f"{sidecar}: missing meta key {exc}") from exc
+    parsed = {}
+    for key, parse in _META_TYPES.items():
+        if key not in values:
+            raise InvalidData(f"{sidecar}: missing meta key {key!r}")
+        try:
+            parsed[key] = parse(values[key])
+        except ValueError as exc:
+            raise InvalidData(f"{sidecar}: meta key {key!r} must be {parse.__name__}, got {values[key]!r}") from exc
+    meta = SnapshotMeta(**parsed)
     if meta.n_samples != features.shape[0]:
         raise InvalidData(
             f"{sidecar}: n_samples {meta.n_samples} does not match "

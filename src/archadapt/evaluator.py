@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .datagen import SnapshotMeta
-from .errors import InvalidConfig, _checked_shift
+from .errors import InvalidConfig, InvalidData, _checked_shift
 from .search_space import (  # noqa: F401 (enumerate_space: perfbench/tracer.py wraps it here)
     Architecture,
     SpaceConfig,
@@ -71,8 +71,11 @@ def complexity_score(meta: SnapshotMeta) -> float:
     """Scalar dataset complexity in [0, 1].
 
     Half from the volume fraction, half from the log class ratio, so both
-    growth scenarios move the score.
+    growth scenarios move the score. A non-finite volume fraction raises
+    InvalidData.
     """
+    if not math.isfinite(meta.volume_fraction):
+        raise InvalidData(f"volume_fraction must be finite, got {meta.volume_fraction}")
     if meta.max_classes < 2:
         raise InvalidConfig(f"max_classes must be >= 2, got {meta.max_classes}")
     if meta.n_classes < 1:

@@ -30,15 +30,15 @@ from .controller import (
     TraceRow,
     TrainerConfig,
     _train_many,
-    default_bucket_edges,
     embed_state,
     greedy_decode,
     init_params,
+    resolve_bucket_edges,
     train,
     write_trace,
 )
 from .datagen import GrowthPlan, Snapshot, default_feature_extractor, gen_snapshot, prefix_snapshot
-from .errors import DimensionMismatch, DivisionByZeroShift, InvalidConfig, InvalidData
+from .errors import DimensionMismatch, InvalidConfig, InvalidData, _checked_shift
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
 from .gaussian import (  # noqa: F401 (fit_gaussian: perfbench/tracer.py wraps it here)
     fit_gaussian,
@@ -122,34 +122,6 @@ def _fit_steps(snapshots: list[Snapshot], feature_extractor=default_feature_extr
     return fit_prefixes(features, lengths)
 
 
-def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> TrainerConfig:
-    """Fill in bucket edges, log-spaced over the observed shift range.
-
-    The end edges are the smallest and largest positive shifts exactly
-    (a single edge is the smallest), so the smallest shift lands in
-    bucket 0 and the largest in bucket bucket_count - 2 whatever the
-    roundoff of the log spacing. A range too narrow for strictly
-    increasing edges (one shift, or all within a few ulp) widens to
-    (lo / 10, lo * 10). Where that also fails, because lo / 10 underflows
-    or lo * 10 overflows, and where no shift is positive, the edges are
-    default_bucket_edges.
-    """
-    if trainer.bucket_edges is not None or trainer.bucket_count < 2:
-        return trainer
-    fallback = replace(trainer, bucket_edges=default_bucket_edges(trainer.bucket_count))
-    positive = sorted(s for s in shifts if s > 0)
-    if not positive:
-        return fallback
-    for lo, hi in ((positive[0], positive[-1]), (positive[0] / 10.0, positive[0] * 10.0)):
-        with np.errstate(all="ignore"):
-            edges = np.logspace(np.log10(lo), np.log10(hi), trainer.bucket_count - 1)
-        edges[-1] = hi
-        edges[0] = lo
-        if hi > lo and np.isfinite(edges).all() and np.all(edges[1:] > edges[:-1]):
-            return replace(trainer, bucket_edges=tuple(edges))
-    return fallback
-
-
 def _setup(cfg: RunConfig, feature_extractor):
     """What every run over the plan starts from.
 
@@ -200,10 +172,7 @@ def run_adaptation(
         adapted = should_adapt(drop, cfg.gate)
         started = time.perf_counter()
         if adapted:
-            if shift == 0.0:
-                raise DivisionByZeroShift(
-                    f"step {i}: the gate fired (drop {drop:g}) but the shift is 0"
-                )
+            _checked_shift(shift, divided=True, when=f" at step {i}, where the gate fired (drop {drop:g})")
             step_cfg = replace(trainer, seed=derive_seed(cfg.master_seed, i, "train"))
             params, trace = train(params, arch, shift, cur_meta, evaluate, step_cfg)
             new_arch = greedy_decode(params, embed_state(params, arch, shift, step_cfg))
@@ -405,9 +374,7 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
     snapshots, shifts, trainer, evaluate, arch, base_params = _setup(
         cfg, default_feature_extractor
     )
-    shift = shifts[0]
-    if shift == 0.0:
-        raise DivisionByZeroShift("step 1: lambda_sweep forces adaptation but the shift is 0")
+    shift = _checked_shift(shifts[0], divided=True, when=" at step 1, where lambda_sweep forces adaptation")
     cur_meta = snapshots[1].meta
     seeds = [derive_seed(cfg.master_seed, 1, "train")] * len(lambdas)
     runs = base_params._over(np.tile(base_params.flat, (len(lambdas), 1)))

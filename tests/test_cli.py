@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import typing
 
 import numpy as np
@@ -128,6 +129,22 @@ class TestGate:
         line = capsys.readouterr().out.strip()
         assert line.startswith("H_t=")
         assert line.endswith("adapt=true")
+
+    # Both used to escape cli.main as a ValueError traceback and exit 1.
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_classes", "abc", "meta key 'n_classes' must be int, got 'abc'"),
+        ("volume_fraction", "nan", "volume_fraction must be finite, got nan"),
+    ], ids=["n_classes", "volume_fraction"])
+    def test_bad_sidecar_value_exits_2(self, tmp_path, config_file, capsys, key, value, message):
+        out = tmp_path / "snaps"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        capsys.readouterr()
+        sidecar = out / "snapshot_001.meta"
+        sidecar.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={value}", sidecar.read_text()))
+        assert main(["gate", str(out / "snapshot_000.csv"), str(out / "snapshot_001.csv"),
+                     "--config", str(config_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 class TestAdapt:

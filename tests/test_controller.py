@@ -142,6 +142,12 @@ class TestBuckets:
         got = {bucket_index(s, cfg) for s in (0.5, 1.5, 2.5, 3.5)}
         assert got == {0, 1, 2, 3}
 
+    # inf used to clamp to the last bucket; bucket_index now checks its shift.
+    @pytest.mark.parametrize("shift", [float("nan"), -1.0, float("inf")])
+    def test_rejects_a_shift_that_is_not_finite_and_nonnegative(self, shift):
+        with pytest.raises(aa.InvalidData, match="shift"):
+            bucket_index(shift, SMALL_CFG)
+
 
 class TestEmbedState:
     @pytest.mark.parametrize("shift", [float("nan"), -1.0, float("inf")])

@@ -1,5 +1,6 @@
 """Tests for synthetic growing-dataset generation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -352,6 +353,17 @@ class TestSnapshotIO:
             aa.load_snapshot(path)
         sidecar.write_text(text.replace("max_classes=2\n", ""))
         with pytest.raises(aa.InvalidData, match="missing meta key 'max_classes'"):
+            aa.load_snapshot(path)
+
+    # A value its field type cannot parse used to escape as ValueError.
+    @pytest.mark.parametrize("key, value", [("t", "1.5"), ("n_classes", "abc"),
+                                            ("volume_fraction", "x")])
+    def test_unparsable_sidecar_value_names_the_key(self, tmp_path, key, value):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2,), base_samples=10)
+        path = tmp_path / "snap.csv"
+        sidecar = aa.save_snapshot(aa.gen_snapshot(plan, 0), path)
+        sidecar.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={value}", sidecar.read_text()))
+        with pytest.raises(aa.InvalidData, match=f"snap.meta: meta key '{key}' .*'{value}'"):
             aa.load_snapshot(path)
 
     def test_missing_sidecar_or_line_without_equals(self, tmp_path):

@@ -46,6 +46,14 @@ class TestComplexityScore:
         with pytest.raises(aa.InvalidConfig, match="classes"):
             aa.complexity_score(meta)
 
+    # NaN used to crash target_depth with ValueError, and inf to clamp to 1.
+    @pytest.mark.parametrize("volume_fraction", [float("nan"), float("inf")])
+    def test_rejects_a_volume_fraction_that_is_not_finite(self, volume_fraction):
+        meta = SnapshotMeta(t=0, n_classes=2, n_samples=100,
+                            volume_fraction=volume_fraction, max_classes=4)
+        with pytest.raises(aa.InvalidData, match="volume_fraction must be finite"):
+            aa.complexity_score(meta)
+
 
 class TestTargets:
     def test_capacity_line(self):
