@@ -265,6 +265,13 @@ def load_snapshot(csv_path) -> Snapshot:
         except ValueError as exc:
             raise InvalidData(f"{sidecar}: meta key {key!r} must be {parse.__name__}, got {values[key]!r}") from exc
     meta = SnapshotMeta(**parsed)
+    vf = meta.volume_fraction  # a NaN is left to complexity_score, which rejects it
+    for key, rule, bad in (("n_classes", ">= 1", meta.n_classes < 1),
+                           ("max_classes", ">= 2", meta.max_classes < 2),
+                           ("n_classes", f"<= max_classes {meta.max_classes}", meta.n_classes > meta.max_classes),
+                           ("volume_fraction", "in (0, 1]", vf <= 0 or vf > 1)):
+        if bad:
+            raise InvalidData(f"{sidecar}: meta key {key!r} must be {rule}, got {values[key]}")
     if meta.n_samples != features.shape[0]:
         raise InvalidData(
             f"{sidecar}: n_samples {meta.n_samples} does not match "

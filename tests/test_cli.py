@@ -130,11 +130,18 @@ class TestGate:
         assert line.startswith("H_t=")
         assert line.endswith("adapt=true")
 
-    # Both used to escape cli.main as a ValueError traceback and exit 1.
+    # The first two used to escape cli.main as a ValueError traceback and
+    # exit 1; the class counts exited 1 as a config error, and the last two
+    # gated with exit 0.
     @pytest.mark.parametrize("key, value, message", [
         ("n_classes", "abc", "meta key 'n_classes' must be int, got 'abc'"),
         ("volume_fraction", "nan", "volume_fraction must be finite, got nan"),
-    ], ids=["n_classes", "volume_fraction"])
+        ("max_classes", "1", "snapshot_001.meta: meta key 'max_classes' must be >= 2, got 1"),
+        ("n_classes", "0", "snapshot_001.meta: meta key 'n_classes' must be >= 1, got 0"),
+        ("volume_fraction", "-5", "snapshot_001.meta: meta key 'volume_fraction' must be in (0, 1], got -5"),
+        ("n_classes", "99", "snapshot_001.meta: meta key 'n_classes' must be <= max_classes 8, got 99"),
+    ], ids=["n_classes", "volume_fraction", "max_classes_1", "n_classes_0", "volume_fraction_-5",
+            "n_classes_99"])
     def test_bad_sidecar_value_exits_2(self, tmp_path, config_file, capsys, key, value, message):
         out = tmp_path / "snaps"
         main(["simulate", "--config", str(config_file), "--out", str(out)])

@@ -366,6 +366,22 @@ class TestSnapshotIO:
         with pytest.raises(aa.InvalidData, match=f"snap.meta: meta key '{key}' .*'{value}'"):
             aa.load_snapshot(path)
 
+    # Values no plan writes; each used to load.
+    @pytest.mark.parametrize("key, value, rule", [
+        ("n_classes", "0", ">= 1"), ("max_classes", "1", ">= 2"), ("n_classes", "3", "<= max_classes 2"),
+        ("volume_fraction", "-5", "in (0, 1]"), ("volume_fraction", "0", "in (0, 1]"),
+        ("volume_fraction", "1.5", "in (0, 1]"), ("volume_fraction", "-inf", "in (0, 1]"),
+    ], ids=["n_classes_0", "max_classes_1", "n_classes_3", "volume_fraction_-5", "volume_fraction_0",
+            "volume_fraction_1.5", "volume_fraction_-inf"])
+    def test_sidecar_value_out_of_range_names_the_key(self, tmp_path, key, value, rule):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2,), base_samples=10)
+        path = tmp_path / "snap.csv"
+        sidecar = aa.save_snapshot(aa.gen_snapshot(plan, 0), path)
+        sidecar.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={value}", sidecar.read_text()))
+        message = f"snap.meta: meta key '{key}' must be {rule}, got {value}"
+        with pytest.raises(aa.InvalidData, match=re.escape(message)):
+            aa.load_snapshot(path)
+
     def test_missing_sidecar_or_line_without_equals(self, tmp_path):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2,), base_samples=10)
         path = tmp_path / "snap.csv"

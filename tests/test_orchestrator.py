@@ -266,105 +266,59 @@ class TestDistanceComparison:
             aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200)
         assert threading.active_count() == threads
 
+    def _compare_with_js_hook(self, monkeypatch, plan, hook):
+        """compare_distance_metrics of seed 0 on three cores, calling hook(step)
+        in place of each step's JS; no thread outlives the call."""
+        steps = {orchestrator.derive_seed(0, j, "js"): j for j in range(1, plan.n_steps)}
 
-class TestInThreads:
-    """orchestrator._in_threads, the thread map behind compare_distance_metrics."""
+        def js(fit, base, n_samples, seed):
+            hook(steps[seed])
+            return 0.0
 
-    @pytest.fixture(autouse=True)
-    def _two_cores(self, monkeypatch):
-        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
-
-    def _run(self, fn, n_calls):
+        monkeypatch.setattr(orchestrator, "js_divergence_mc", js)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 3)
         threads = threading.active_count()
         try:
-            return orchestrator._in_threads(fn, [(i,) for i in range(n_calls)])
+            return aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200)
         finally:
             assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
-    def test_results_in_call_order(self, monkeypatch, cores):
-        monkeypatch.setattr(orchestrator, "_cores", lambda: cores)
-        names = set()
+    def test_one_step_plan_gives_no_rows(self, monkeypatch):
+        # A pool of min(n_steps - 1, cores) = 0 threads would raise ValueError.
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2,), feature_dim=4,
+                             seed=7, base_samples=400)
+        assert self._compare_with_js_hook(monkeypatch, plan, lambda step: None) == []
 
-        def fn(i):
-            names.add(threading.current_thread().name)
-            return i * i
-
-        assert self._run(fn, 5) == [i * i for i in range(5)]
-        assert len(names) == min(cores, 5)
-        assert self._run(fn, 0) == []
-
-    def test_one_call_starts_no_thread(self):
-        names = []
-        self._run(lambda i: names.append(threading.current_thread().name), 1)
-        assert names == [threading.current_thread().name]
-
-    def test_lowest_index_failure_is_raised_and_later_calls_skipped(self):
-        called = set()
+    def test_earliest_failing_step_is_raised_when_a_later_one_fails_first(self, monkeypatch):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 6, 8),
+                             feature_dim=4, seed=7, base_samples=400)
         three_failed = threading.Event()
 
-        def fn(i):
-            called.add(i)
-            if i == 3:
+        def fails(step):
+            if step == 3:
                 three_failed.set()
-                raise aa.InvalidData("call 3")
-            if i == 2:
+                raise aa.InvalidData("step 3")
+            if step == 2:
                 assert three_failed.wait(timeout=10)
-                raise aa.NotSPD("call 2")
-            return i
+                time.sleep(0.2)  # step 3's error is stored well before this one
+                raise aa.NotSPD("step 2")
 
-        # The caller takes calls 0, 2, 4 and the thread 1, 3, 5. Call 3 fails
-        # first; call 2 still runs, and its error is the one raised.
-        with pytest.raises(aa.NotSPD, match="call 2"):
-            self._run(fn, 6)
-        assert called == {0, 1, 2, 3}
+        with pytest.raises(aa.NotSPD, match="step 2"):
+            self._compare_with_js_hook(monkeypatch, plan, fails)
+        assert three_failed.is_set()
 
-    def test_interrupt_in_the_caller_skips_calls_not_started(self):
-        called = set()
-        thread_busy = threading.Event()
+    def test_interrupt_in_a_step_reaches_the_caller(self, monkeypatch):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 6, 8),
+                             feature_dim=4, seed=7, base_samples=400)
 
-        def fn(i):
-            called.add(i)
-            if i == 0:
-                assert thread_busy.wait(timeout=10)
+        def fails(step):
+            if step == 2:
                 raise KeyboardInterrupt
-            if i == 1:
-                thread_busy.set()
-                time.sleep(0.2)  # the caller is interrupted meanwhile
-            return i
 
         with pytest.raises(KeyboardInterrupt):
-            self._run(fn, 6)
-        assert called == {0, 1}
-
-    def test_stress_more_threads_than_cores(self, monkeypatch):
-        monkeypatch.setattr(orchestrator, "_cores", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for failing in (set(), {0}, {96, 193, 290, 387}, {399}):
-                called = set()
-
-                def fn(i):
-                    called.add(i)
-                    if i in failing:
-                        raise aa.InvalidData(f"call {i}")
-                    return float(np.sum(np.arange(i + 1.0)))
-
-                started = time.perf_counter()
-                if not failing:
-                    assert self._run(fn, 400) == [i * (i + 1) / 2 for i in range(400)]
-                else:
-                    first = min(failing)
-                    with pytest.raises(aa.InvalidData, match=f"call {first}$"):
-                        self._run(fn, 400)
-                    assert set(range(first + 1)) <= called
-                assert time.perf_counter() - started < 30
-        finally:
-            sys.setswitchinterval(interval)
+            self._compare_with_js_hook(monkeypatch, plan, fails)
 
     def test_core_count_without_affinity_call(self, monkeypatch):
-        monkeypatch.undo()
         monkeypatch.delattr(orchestrator.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: None)
         assert orchestrator._cores() == 1
