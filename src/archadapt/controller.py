@@ -62,6 +62,13 @@ by head row, zero where a run made none. ``_backward`` reads views of the
 steps taken, ``sample`` and ``score`` read their decisions off it, and
 ``_train_many`` sums each run's entropies down it.
 
+``_train_many`` owns its (K, P) workspace: the gradient, the batch's sum,
+two scratch arrays and the finite check's mask, made once per call.
+``_backward`` and ``_apply_update`` write into it with ``out=``, one pass of
+the plain expression at a time and in its order, so an iteration allocates
+no (K, P) array (each one freed would be trimmed off the heap and faulted
+back in) and every bit is the plain expression's.
+
 Sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
 would (cumulative sum, normalize by its last entry, right-side search of
 one uniform), without choice's per-call validation; non-finite logits
@@ -75,6 +82,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -223,6 +231,11 @@ class ControllerParams:
         """
         lead = vector.shape[:-1]
         return {name: vector[..., i:j].reshape(lead + shape) for (name, shape), i, j in self._spans}
+
+    @cached_property
+    def _row(self) -> "ControllerParams":
+        """One (P,) parameter set as the row of a (1, P) params, made once."""
+        return self._over(self._flat[None])
 
     def copy(self) -> "ControllerParams":
         return self._over(self._flat.copy())
@@ -583,7 +596,7 @@ def _forward(
     greedy: bool = False,
 ) -> tuple[ControllerParams, _Rollout]:
     """Encode pstate with the current params as one row, then roll the GRU out once."""
-    row = params._over(params.flat[None])
+    row = params._row
     enc = _encode(row.arrays, arch_onehot(pstate.prev_arch, params.space), pstate.bucket)
     roll = _rollout(
         row,
@@ -662,6 +675,8 @@ def _backward(
     roll: _Rollout,
     advantages: Sequence[float],
     cfg: TrainerConfig,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """(K, P) gradients of advantage*logpi + w_e*entropy - wd*||theta||^2/2.
 
@@ -670,10 +685,17 @@ def _backward(
     A run's steps past its length get zero head gradients, so its hidden-state
     gradient stays zero there and every sum over steps ends in zeros (see the
     module docstring). Only the recurrence runs step by step, for all runs.
+
+    The gradients go into out, a (K, P) array, and the weight decay's term
+    through scratch, another; neither's contents are read, and each is
+    allocated when None.
     """
     p, enc = params.arrays, roll.enc
-    grad = np.zeros_like(params.flat)
+    grad = np.zeros_like(params.flat) if out is None else out
     g = params.unflatten(grad)
+    # Every other role is written whole below.
+    g["token_emb"][...] = 0.0
+    g["shift_emb"][...] = 0.0
     n_steps, (n_runs, hid) = roll.n_steps, enc.h0.shape
     sources, rz, n, uh, h_prev = [a[:n_steps] for a in (roll.sources, roll.rz, roll.n, roll.uh, roll.h)]
     hs, unh = roll.h[1 : n_steps + 1], uh[:, :, 2 * hid :]
@@ -732,7 +754,7 @@ def _backward(
     g["enc_b1"][...] = de1pre
 
     if cfg.weight_decay != 0.0:
-        grad -= cfg.weight_decay * params.flat
+        grad -= np.multiply(cfg.weight_decay, params.flat, out=scratch)
     return grad
 
 
@@ -772,27 +794,34 @@ def _apply_update(
     m: np.ndarray,
     v: np.ndarray,
     step: int,
+    scratch: Sequence[np.ndarray],
+    finite: np.ndarray,
 ) -> None:
     """Ascend the objective of every run, as update number step of training.
 
-    Adam's (K, P) moments m and v, one row per run, are updated in place.
-    The one place parameters change: a non-finite gradient in any run
-    raises NumericalError before anything is touched.
+    Adam's (K, P) moments m and v, one row per run, are updated in place,
+    and scratch, two (K, P) float arrays, and finite, a (K, P) bool array,
+    overwritten. Each pass is one of the textbook expression's, in its
+    order, so the bits are its bits too. The one place parameters change:
+    a non-finite gradient in any run raises NumericalError before anything
+    is touched.
     """
-    if not np.isfinite(flat_grad).all():
+    if not np.isfinite(flat_grad, out=finite).all():
         bad = [k for k, g in params.unflatten(flat_grad).items() if not np.isfinite(g).all()]
         raise NumericalError(f"non-finite gradient in {', '.join(map(repr, bad))}")
-    flat = params.flat
-    lr = cfg.learning_rate
+    flat, lr = params.flat, cfg.learning_rate
+    num, den = scratch
     if not cfg.use_adam:
-        flat += lr * flat_grad
+        flat += np.multiply(lr, flat_grad, out=num)
         return
     m *= _ADAM_BETA1
-    m += (1.0 - _ADAM_BETA1) * flat_grad
+    m += np.multiply(1.0 - _ADAM_BETA1, flat_grad, out=num)
     v *= _ADAM_BETA2
-    v += (1.0 - _ADAM_BETA2) * flat_grad * flat_grad
-    m_hat, v_hat = m / (1.0 - _ADAM_BETA1**step), v / (1.0 - _ADAM_BETA2**step)
-    flat += lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    v += np.multiply(np.multiply(1.0 - _ADAM_BETA2, flat_grad, out=num), flat_grad, out=num)
+    # flat += lr * m_hat / (sqrt(v_hat) + eps)
+    np.multiply(lr, np.divide(m, 1.0 - _ADAM_BETA1**step, out=num), out=num)
+    np.add(np.sqrt(np.divide(v, 1.0 - _ADAM_BETA2**step, out=den), out=den), _ADAM_EPS, out=den)
+    flat += np.divide(num, den, out=num)
 
 
 def _advance_baseline(baseline: np.ndarray, rewards: np.ndarray, cfg: TrainerConfig) -> np.ndarray:
@@ -812,6 +841,12 @@ class TraceRow:
     reward: float
     entropy: float
     madds: float
+
+
+def _check_lams(lams: Sequence[float]) -> None:
+    """Raise InvalidConfig unless every cost penalty is finite and >= 0."""
+    if not all(0.0 <= lam < math.inf for lam in lams):
+        raise InvalidConfig(f"each lam must be finite and >= 0, got {list(lams)}")
 
 
 def _train_many(
@@ -838,8 +873,7 @@ def _train_many(
             f"need (K, P) params with K >= 1 and one lam and one seed per run, got params of "
             f"shape {params.flat.shape}, {len(lams)} lams and {len(seeds)} seeds"
         )
-    if not all(0.0 <= lam < math.inf for lam in lams):
-        raise InvalidConfig(f"each lam must be finite and >= 0, got {list(lams)}")
+    _check_lams(lams)
     space = params.space
     rngs = [np.random.default_rng(seed) for seed in seeds]
     v_prev = evaluate(prev_arch, meta)
@@ -847,6 +881,9 @@ def _train_many(
     onehot = arch_onehot(prev_arch, space)
     bucket = bucket_index(shift, cfg)
     m, v = np.zeros((2, *params.flat.shape))
+    # Every iteration's (K, P) workspace (see the module docstring).
+    grad, total, *scratch = np.empty((4, *params.flat.shape))
+    finite = np.empty(params.flat.shape, bool)
     baseline = np.full(n_runs, np.nan)
     # stats[:, k, b]: run k's reward, entropy and MAdds at batch entry b.
     stats = np.empty((3, n_runs, cfg.batch_size))
@@ -870,10 +907,16 @@ def _train_many(
         # np.mean of each run's batch: its sum along the last axis over the count.
         means = np.add.reduce(stats, axis=2) / cfg.batch_size
         used = means[0] - _advance_baseline(baseline, means[0], cfg)
-        flat_grad = sum(_backward(params, roll, stats[0, :, b] - used, cfg) for b, roll in enumerate(batch))
-        flat_grad /= cfg.batch_size
-        _apply_update(params, flat_grad, cfg, m, v, it + 1)
-        del flat_grad  # not alive through the next backward pass
+        # The batch's sum in entry order from 0 + its first gradient, as
+        # builtin sum took it, so an exact zero is +0.0 (module docstring).
+        for b, roll in enumerate(batch):
+            _backward(params, roll, stats[0, :, b] - used, cfg, out=grad, scratch=scratch[0])
+            if b:
+                total += grad
+            else:
+                np.add(grad, 0.0, out=total)
+        total /= cfg.batch_size
+        _apply_update(params, total, cfg, m, v, it + 1, scratch, finite)
 
         for trace, *row in zip(traces, *means.tolist()):
             trace.append(TraceRow(it, *row))
@@ -895,8 +938,7 @@ def train(
     update. Updates params in place and returns it with the per-iteration
     trace.
     """
-    row = params._over(params.flat[None])
-    [trace] = _train_many(row, prev_arch, shift, meta, evaluate, cfg, [cfg.lam], [cfg.seed])
+    [trace] = _train_many(params._row, prev_arch, shift, meta, evaluate, cfg, [cfg.lam], [cfg.seed])
     return params, trace
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .controller import (
     TraceRow,
     TrainerConfig,
+    _check_lams,
     _train_many,
     embed_state,
     greedy_decode,
@@ -318,9 +319,11 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
     row of a tiled parameter buffer per lambda (see controller._train_many);
     each row is the one a lone training at that lambda gives. Returns one
     row per lambda with the greedy architecture, its V, and its MAdds; no
-    lambdas give no rows. A zero first shift raises DivisionByZeroShift
-    naming step 1, and a negative or non-finite lambda InvalidConfig.
+    lambdas give no rows. A negative or non-finite lambda raises
+    InvalidConfig before anything is drawn, and a zero first shift
+    DivisionByZeroShift naming step 1.
     """
+    _check_lams(lambdas)
     if not lambdas:
         return []
     snapshots, shifts, trainer, evaluate, arch, base_params = _setup(

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +582,17 @@ class TestFlatBuffer:
         assert params.flat.any()
         assert not np.shares_memory(params.flat, other.flat)
 
+    def test_lone_row_view_is_made_once(self):
+        # sample, score, greedy_decode and train read one (P,) set as a (1, P) row.
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        row = params._row
+        assert row.flat.shape == (1, params.flat.size) and row.flat.base is params.flat
+        pstate = _pstate(params, SMALL_CFG)
+        aa.sample(params, pstate, np.random.default_rng(0))
+        aa.greedy_decode(params, pstate)
+        assert params._row is row
+        assert params.copy()._row.flat.base is not params.flat
+
     def test_equality_is_a_bool(self):
         # Array fields make field-wise == ambiguous, so params compare by
         # identity; a policy state holds no arrays and compares by value.
@@ -834,6 +846,109 @@ class TestLockstep:
             _train_many(runs, aa.min_arch(TOY), self.SHIFT, self.META, evaluate, cfgs[0],
                         [c.lam for c in cfgs], [c.seed for c in cfgs])
         assert np.array_equal(runs.flat, before)
+
+
+def _textbook_update(params, flat_grad, cfg, m, v, step):
+    """_apply_update's steps as plain expressions, each making its temporaries:
+    the reference that the passes into reused buffers must match bit for bit."""
+    flat, lr = params.flat, cfg.learning_rate
+    if not cfg.use_adam:
+        flat += lr * flat_grad
+        return
+    m *= controller._ADAM_BETA1
+    m += (1.0 - controller._ADAM_BETA1) * flat_grad
+    v *= controller._ADAM_BETA2
+    v += (1.0 - controller._ADAM_BETA2) * flat_grad * flat_grad
+    m_hat = m / (1.0 - controller._ADAM_BETA1**step)
+    v_hat = v / (1.0 - controller._ADAM_BETA2**step)
+    flat += lr * m_hat / (np.sqrt(v_hat) + controller._ADAM_EPS)
+
+
+# Settings of the acceptance tests' search trainer: P = 12,185 on the
+# default space and 7,477 on TOY.
+SEARCH_CFG = TrainerConfig(learning_rate=0.005, hidden_size=32, encoder_hidden=32,
+                           arch_embed_dim=16, shift_embed_dim=8, token_embed_dim=16)
+
+
+class TestWorkspace:
+    """Training reuses its (K, P) buffers across iterations, with the bits
+    of fresh arrays."""
+
+    @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_backward_into_used_buffers_equals_a_fresh_call(self, space, n_runs):
+        runs = _rows([aa.init_params(space, SMALL_CFG, seed=50 + k) for k in range(n_runs)])
+        enc = controller._encode(runs.arrays, arch_onehot(aa.min_arch(space), space), 1)
+        roll = controller._rollout(runs, enc, rngs=[np.random.default_rng(60 + k) for k in range(n_runs)])
+        cfg = dataclasses.replace(SMALL_CFG, entropy_weight=0.1)
+        assert cfg.weight_decay > 0
+        advantages = np.linspace(-1.0, 1.0, n_runs)
+        fresh = controller._backward(runs, roll, advantages, cfg)
+        out, scratch = np.full((2, *runs.flat.shape), np.nan)
+        got = controller._backward(runs, roll, advantages, cfg, out=out, scratch=scratch)
+        assert got is out and got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
+    def test_batch_gradients_into_reused_buffers_equal_fresh_calls(self, space, monkeypatch):
+        backward, calls = controller._backward, []
+
+        def checked(params, roll, advantages, cfg, out=None, scratch=None):
+            fresh = backward(params, roll, advantages, cfg)
+            got = backward(params, roll, advantages, cfg, out=out, scratch=scratch)
+            assert got.tobytes() == fresh.tobytes()
+            calls.append(got is out)
+            return got
+
+        monkeypatch.setattr(controller, "_backward", checked)
+        runs = _rows([aa.init_params(space, SMALL_CFG, seed=70 + k) for k in range(3)])
+        cfg = dataclasses.replace(SMALL_CFG, iterations=4, batch_size=2)
+        _train_many(runs, aa.min_arch(space), 0.8, _toy_meta(), aa.make_evaluator(aa.SurrogateConfig(), space),
+                    cfg, [0.0, 0.01, 0.1], [1, 2, 3])
+        assert calls == [True] * 8
+
+    @pytest.mark.parametrize("use_adam", [True, False], ids=["adam", "plain"])
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_update_equals_the_textbook_expression(self, use_adam, n_runs):
+        cfg = dataclasses.replace(SMALL_CFG, use_adam=use_adam, learning_rate=0.01)
+        start = _rows([aa.init_params(TOY, cfg, seed=80 + k) for k in range(n_runs)])
+        ours, oracle = start.copy(), start.copy()
+        m, v = np.zeros((2, *start.flat.shape))
+        m_ref, v_ref = m.copy(), v.copy()
+        scratch = np.full((2, *start.flat.shape), np.nan)
+        finite = np.zeros(start.flat.shape, bool)
+        rng = np.random.default_rng(n_runs)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1e300, -1e300, 9e299]
+        for step in range(1, 5):
+            grad = rng.normal(size=start.flat.shape)
+            at = rng.choice(grad.size, size=len(special), replace=False)
+            grad.flat[at] = special
+            with np.errstate(over="ignore"):  # the square of 1e300
+                controller._apply_update(ours, grad, cfg, m, v, step, scratch, finite)
+                _textbook_update(oracle, grad, cfg, m_ref, v_ref, step)
+            assert ours.flat.tobytes() == oracle.flat.tobytes()
+            assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        assert not np.array_equal(ours.flat, start.flat)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+    @pytest.mark.parametrize("space, n_runs, bound", [(aa.SpaceConfig(), 4, 60), (TOY, 20, 120)],
+                             ids=["default-K4", "toy-K20"])
+    def test_training_faults_few_pages_per_iteration(self, space, n_runs, bound):
+        # Each (K, P) temporary of an iteration used to be freed, trimmed off
+        # the heap and faulted back in: about 360 and 1,160 faults per iteration.
+        resource = pytest.importorskip("resource")
+        runs = _rows([aa.init_params(space, SEARCH_CFG, seed=90 + k) for k in range(n_runs)])
+        evaluate = aa.make_evaluator(aa.SurrogateConfig(), space)
+
+        def train(iterations):
+            _train_many(runs, aa.min_arch(space), 1.0, _toy_meta(), evaluate,
+                        dataclasses.replace(SEARCH_CFG, iterations=iterations),
+                        [0.0] * n_runs, list(range(n_runs)))
+
+        train(5)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(40)
+        per_iteration = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40
+        assert per_iteration < bound
 
 
 def _sum_312(iterable, start=0):

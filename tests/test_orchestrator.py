@@ -347,6 +347,16 @@ class TestLambdaSweep:
             aa.lambda_sweep(_run_config(plan), (0.0, 1e-3))
         assert trained == []
 
+    @pytest.mark.parametrize("lam", [-1e-3, float("nan"), float("inf")])
+    def test_bad_lambda_raises_before_anything_is_drawn(self, monkeypatch, lam):
+        # Such a lambda used to pass the snapshots, fits and oracle first.
+        def no_draws(*args):
+            raise AssertionError("a snapshot was drawn")
+
+        monkeypatch.setattr(orchestrator, "gen_snapshot", no_draws)
+        with pytest.raises(aa.InvalidConfig, match="lam"):
+            aa.lambda_sweep(self._cfg(), (0.0, lam))
+
     def test_no_lambdas_no_rows(self):
         assert aa.lambda_sweep(self._cfg(), ()) == []
 
