@@ -50,8 +50,9 @@ alone, because (checked with numpy 2.4 on scipy-openblas 0.3.31):
   stacked as alone;
 - a run whose trajectory ends early keeps stepping with zero gradients,
   so every sum over steps, in a product or a reduction, only gains zeros
-  at its end. They change nothing but possibly the sign of an exact zero,
-  which the batch sum in ``_train_many`` (0 + gradient) turns into 0.0;
+  at its end. At most they make a gradient's exact zero -0.0, which no
+  update reads: x + (-0.0) is x, and the parameters and Adam's moments only
+  ever add multiples of gradients to values that are not -0.0;
 - a sum over a run's steps is a cumulative sum in step order (``_step_sum``),
   never numpy's reduction, which may go pairwise for a lone column only,
   nor builtin ``sum``, which compensates from Python 3.12 on.
@@ -62,8 +63,8 @@ by head row, zero where a run made none. ``_backward`` reads views of the
 steps taken, ``sample`` and ``score`` read their decisions off it, and
 ``_train_many`` sums each run's entropies down it.
 
-``_train_many`` owns its (K, P) workspace: the gradient, the batch's sum,
-two scratch arrays and the finite check's mask, made once per call.
+``_train_many`` owns its (K, P) workspace: the batch's sum, which the first
+gradient is written into, two scratch arrays and the finite check's mask.
 ``_backward`` and ``_apply_update`` write into it with ``out=``, one pass of
 the plain expression at a time and in its order, so an iteration allocates
 no (K, P) array (each one freed would be trimmed off the heap and faulted
@@ -882,7 +883,7 @@ def _train_many(
     bucket = bucket_index(shift, cfg)
     m, v = np.zeros((2, *params.flat.shape))
     # Every iteration's (K, P) workspace (see the module docstring).
-    grad, total, *scratch = np.empty((4, *params.flat.shape))
+    total, *scratch = np.empty((3, *params.flat.shape))
     finite = np.empty(params.flat.shape, bool)
     baseline = np.full(n_runs, np.nan)
     # stats[:, k, b]: run k's reward, entropy and MAdds at batch entry b.
@@ -907,14 +908,11 @@ def _train_many(
         # np.mean of each run's batch: its sum along the last axis over the count.
         means = np.add.reduce(stats, axis=2) / cfg.batch_size
         used = means[0] - _advance_baseline(baseline, means[0], cfg)
-        # The batch's sum in entry order from 0 + its first gradient, as
-        # builtin sum took it, so an exact zero is +0.0 (module docstring).
-        for b, roll in enumerate(batch):
-            _backward(params, roll, stats[0, :, b] - used, cfg, out=grad, scratch=scratch[0])
-            if b:
-                total += grad
-            else:
-                np.add(grad, 0.0, out=total)
+        # The batch's sum in entry order; scratch[1] is free until the update.
+        advantages = stats[0] - used[:, None]
+        _backward(params, batch[0], advantages[:, 0], cfg, out=total, scratch=scratch[0])
+        for b in range(1, cfg.batch_size):
+            total += _backward(params, batch[b], advantages[:, b], cfg, out=scratch[1], scratch=scratch[0])
         total /= cfg.batch_size
         _apply_update(params, total, cfg, m, v, it + 1, scratch, finite)
 

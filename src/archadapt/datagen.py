@@ -120,7 +120,7 @@ class GrowthPlan:
             if any(not (0.0 < s <= 1.0) for s in self.steps):
                 raise InvalidConfig(f"volume fractions must lie in (0, 1]: {self.steps}")
         else:
-            if any(int(s) != s or s < 1 for s in self.steps):
+            if any(not 1 <= s < np.inf or int(s) != s for s in self.steps):
                 raise InvalidConfig(f"class counts must be positive ints: {self.steps}")
             object.__setattr__(self, "steps", tuple(int(s) for s in self.steps))
         if self.max_classes is not None and self.max_classes < self.plan_max_classes():

@@ -395,6 +395,17 @@ class TestErrors:
         assert captured.out == "" and captured.err == message + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["nan", "inf"])
+    def test_non_finite_class_count_exits_1(self, tmp_path, config_file, capsys, count):
+        # It used to print the ValueError or OverflowError of int().
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config_file), "--set", f"plan.steps=2,{count}",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("config error: config section plan: class counts must be positive ints")
+        assert not out.exists()
+
     def test_distance_negative_seed_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         _write_features(path, 0)

@@ -220,6 +220,23 @@ class TestSampling:
         dof = len(space) - 1
         assert chi2 < dof + 4 * np.sqrt(2 * dof)
 
+    @pytest.mark.parametrize("draw", ["sample", "score"])
+    def test_all_zero_entropy_is_positive_zero(self, draw):
+        # With one choice per decision every step's entropy is zero, computed
+        # as -0.0; their sum is reported as 0.0, as builtin sum gave it.
+        space = aa.SpaceConfig(n_units=1, depth_choices=(2,), kernel_choices=(3,),
+                               expansion_choices=(3,), input_resolution=16,
+                               stem_channels=8, unit_out_channels=(8,), unit_strides=(2,))
+        params = aa.init_params(space, SMALL_CFG, seed=0)
+        pstate = _pstate(params, SMALL_CFG, space=space)
+        if draw == "sample":
+            traj = aa.sample(params, pstate, np.random.default_rng(0))
+        else:
+            traj = aa.score(params, pstate, aa.min_arch(space))
+        assert [d.entropy for d in traj.decisions] == [0.0] * 5
+        assert math.copysign(1.0, traj.entropy) == 1.0
+        assert math.copysign(1.0, traj.log_prob) == 1.0
+
 
 class TestGreedy:
     def test_idempotent(self):
@@ -928,6 +945,33 @@ class TestWorkspace:
             assert ours.flat.tobytes() == oracle.flat.tobytes()
             assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
         assert not np.array_equal(ours.flat, start.flat)
+
+    @pytest.mark.parametrize("use_adam", [True, False], ids=["adam", "plain"])
+    def test_update_ignores_the_sign_of_a_zero_gradient(self, use_adam):
+        # A lockstep batch sum may hold -0.0 where a lone run's holds 0.0
+        # (module docstring): the update must give the same bytes for either.
+        cfg = dataclasses.replace(SMALL_CFG, use_adam=use_adam, learning_rate=0.01)
+        start = _rows([aa.init_params(TOY, cfg, seed=85 + k) for k in range(2)])
+        rng = np.random.default_rng(12)
+        # Columns [0, 40) get a zero gradient at every step, so their moments
+        # stay 0.0; every 7th column's parameter starts at 0.0, some of them
+        # in that range; more zeros fall at random in each step.
+        start.flat[:, ::7] = 0.0
+        grads = rng.normal(size=(4, *start.flat.shape))
+        zero = rng.random(grads.shape) < 0.2
+        zero[:, :, :40] = True
+        updated = []
+        for sign in (-0.0, 0.0):
+            params = start.copy()
+            m, v = np.zeros((2, *start.flat.shape))
+            scratch = np.full((2, *start.flat.shape), np.nan)
+            finite = np.zeros(start.flat.shape, bool)
+            for step, grad in enumerate(np.where(zero, sign, grads), start=1):
+                controller._apply_update(params, grad, cfg, m, v, step, scratch, finite)
+            updated.append((params.flat.tobytes(), m.tobytes(), v.tobytes()))
+        assert updated[0] == updated[1]
+        assert not np.any(params.flat[:, :40:7]) and not np.any(m[:, :40])
+        assert not np.array_equal(params.flat, start.flat)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
     @pytest.mark.parametrize("space, n_runs, bound", [(aa.SpaceConfig(), 4, 60), (TOY, 20, 120)],

@@ -296,11 +296,14 @@ class TestPlanValidation:
         ({"scenario": aa.VOLUME_GROWTH, "steps": (0.5, 1.0), "n_classes": 0}, "n_classes"),
         ({"steps": (2, 2.5)}, "class counts"),
         ({"steps": (0, 2)}, "class counts"),
+        ({"steps": (2, float("nan"))}, "class counts"),
+        ({"steps": (2, float("inf"))}, "class counts"),
         ({"seed": -1}, "seed"),
     ], ids=["no-steps", "feature_dim", "base_samples", "n_classes", "fractional-count",
-            "zero-count", "negative-seed"])
+            "zero-count", "nan-count", "inf-count", "negative-seed"])
     def test_rejects(self, overrides, message):
-        # A negative seed used to reach np.random.default_rng and fail there.
+        # A negative seed used to reach np.random.default_rng and fail there,
+        # and a NaN or infinite class count int() (ValueError, OverflowError).
         kwargs = {"scenario": aa.CLASS_GROWTH, "steps": (2, 4), **overrides}
         with pytest.raises(aa.InvalidConfig, match=message):
             aa.GrowthPlan(**kwargs)
