@@ -20,7 +20,9 @@ joins the running fit a by the pairwise update of Chan, Golub & LeVeque
     M2 = M2_a + M2_b + outer(delta, delta) * n_a * n_b / n
 
 with cov = M2 / n. One block is the plain two-pass fit, so
-``fit_gaussian`` is ``fit_prefixes`` with a single length.
+``fit_gaussian`` is ``fit_prefixes`` with a single length. The pass hands
+each prefix's fit over as soon as its block is merged (``_prefix_fits``),
+so a caller can start on the early steps while later rows are read.
 """
 
 from __future__ import annotations
@@ -149,6 +151,15 @@ def fit_prefixes(
     entries in any fitted row, and DimensionMismatch for a length past the
     matrix's rows.
     """
+    return list(_prefix_fits(features, lengths, ridge))
+
+
+def _prefix_fits(features: np.ndarray, lengths, ridge: float | None = None):
+    """The fits of ``fit_prefixes``, each yielded as soon as its block is merged.
+
+    The checks run at the first ``next``; a block with non-finite entries
+    raises when the stream reaches it, after the fits before it.
+    """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:
         raise DimensionMismatch(f"feature matrix must be 2-D, got shape {x.shape}")
@@ -165,11 +176,10 @@ def fit_prefixes(
     if ridge is not None and ridge < 0:
         raise InvalidData(f"ridge must be nonnegative, got {ridge}")
 
-    fits: list[GaussianSummary] = []
     n = 0
     for end in lengths:
         if end == n:
-            fits.append(fits[-1])
+            yield fit
             continue
         block = x[n:end]
         if not np.all(np.isfinite(block)):
@@ -187,8 +197,8 @@ def fit_prefixes(
         cov = m2 / n
         cov = (cov + cov.T) / 2.0
         step_ridge = 1e-6 * float(np.trace(cov)) / q if ridge is None else ridge
-        fits.append(GaussianSummary(mean=mean, cov=cov + step_ridge * np.eye(q), n_samples=n))
-    return fits
+        fit = GaussianSummary(mean=mean, cov=cov + step_ridge * np.eye(q), n_samples=n)
+        yield fit
 
 
 def sqrt_spd(s: np.ndarray) -> np.ndarray:
@@ -226,8 +236,13 @@ def wasserstein2_gaussian(g1: GaussianSummary, g2: GaussianSummary) -> float:
     of the matrix roots, not shift. The mean term is never snapped.
     """
     _check_same_dim(g1, g2)
+    return _w2_given_root(g1, g2, sqrt_spd(g2.cov))
+
+
+def _w2_given_root(g1: GaussianSummary, g2: GaussianSummary, root2: np.ndarray) -> float:
+    """``wasserstein2_gaussian`` of two Gaussians of one dimension, given
+    ``root2 = sqrt_spd(g2.cov)``, so that distances to one g2 share its root."""
     dmean = g1.mean - g2.mean
-    root2 = sqrt_spd(g2.cov)
     inner = root2 @ g1.cov @ root2
     inner = (inner + inner.T) / 2.0
     cross = sqrt_spd(inner)
@@ -243,6 +258,11 @@ def _chol(cov: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotSPD(f"{what} is not positive definite") from exc
+
+
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 1:
+        raise InvalidData(f"n_samples must be positive, got {n_samples}")
 
 
 def js_divergence_mc(
@@ -267,8 +287,7 @@ def js_divergence_mc(
     same bits.
     """
     q = _check_same_dim(g1, g2)
-    if n_samples < 1:
-        raise InvalidData(f"n_samples must be positive, got {n_samples}")
+    _check_samples(n_samples)
     l1 = _chol(g1.cov, "cov of first argument")
     l2 = _chol(g2.cov, "cov of second argument")
     rng = np.random.default_rng(seed)

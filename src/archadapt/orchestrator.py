@@ -11,6 +11,11 @@ records JSON is byte-identical across repeated runs. Wall-clock timings
 are volatile and therefore live in a separate timings file. Each plan is
 drawn once: earlier steps are read-only row-prefix views of the last one,
 and one pass over the last one's rows fits every step (fit_prefixes).
+That pass hands each fit over as its rows are merged, to a thread pool
+of up to one thread per core (_pool) that computes the shifts, the
+bootstrap oracle and compare_distance_metrics' distances meanwhile. Results
+are read in step order, so outputs and the first error raised are those of
+a serial loop.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import time
 import typing
 import zlib
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +47,12 @@ from .datagen import GrowthPlan, Snapshot, default_feature_extractor, gen_snapsh
 from .errors import DimensionMismatch, InvalidConfig, InvalidData, _checked_shift
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
 from .gaussian import (  # noqa: F401 (fit_gaussian: perfbench/tracer.py wraps it here)
+    _check_samples,
+    _prefix_fits,
+    _w2_given_root,
     fit_gaussian,
-    fit_prefixes,
     js_divergence_mc,
+    sqrt_spd,
     wasserstein2_gaussian,
 )
 from .gate import GateConfig, accuracy_drop, should_adapt
@@ -108,10 +116,12 @@ def _snapshots(plan: GrowthPlan) -> list[Snapshot]:
 
 
 def _fit_steps(snapshots: list[Snapshot], feature_extractor=default_feature_extractor):
-    """One Gaussian fit per step, from the features of the last step.
+    """One Gaussian fit per step, from the features of the last step, as a
+    stream that yields step i's fit as soon as its rows are merged.
 
     The extractor maps rows to rows, so step i's features are the first
     n_i rows of its output; any other row count raises DimensionMismatch.
+    The extractor runs and its rows are checked before this returns.
     """
     lengths = [snap.meta.n_samples for snap in snapshots]
     features = feature_extractor(snapshots[-1])
@@ -120,7 +130,7 @@ def _fit_steps(snapshots: list[Snapshot], feature_extractor=default_feature_extr
         raise DimensionMismatch(
             f"feature extractor returned {rows} rows for a snapshot of {lengths[-1]}"
         )
-    return fit_prefixes(features, lengths)
+    return _prefix_fits(features, lengths)
 
 
 def _setup(cfg: RunConfig, feature_extractor):
@@ -129,19 +139,27 @@ def _setup(cfg: RunConfig, feature_extractor):
     Returns the snapshots, the consecutive shifts, the trainer config with
     its bucket edges resolved, the evaluator, the bootstrap architecture
     and the initial controller params.
+
+    The bootstrap oracle runs on the pool from the start, and each shift
+    as soon as its two fits exist. Results are read in the serial order,
+    so the values, and the error raised first, are a serial run's.
     """
     plan = cfg.plan
     if plan.n_steps < 2:
         raise InvalidConfig("growth plan needs at least two steps to adapt over")
     snapshots = _snapshots(plan)
-    fits = _fit_steps(snapshots, feature_extractor)
-    shifts = [wasserstein2_gaussian(fits[i], fits[i - 1]) for i in range(1, len(fits))]
-    trainer = resolve_bucket_edges(cfg.trainer, shifts)
-    evaluate = make_evaluator(cfg.surrogate, cfg.space)
-    if cfg.initial_arch == "oracle":
-        arch, _, _ = oracle_best(cfg.space, snapshots[0].meta, cfg.surrogate)
-    else:
-        arch = decode(cfg.initial_arch, cfg.space)
+    with _pool(plan) as pool:
+        if cfg.initial_arch == "oracle":
+            oracle = pool.submit(oracle_best, cfg.space, snapshots[0].meta, cfg.surrogate)
+        fits = _fit_steps(snapshots, feature_extractor)
+        shifts = [pool.submit(wasserstein2_gaussian, cur, prev) for prev, cur in pairwise(fits)]
+        shifts = [shift.result() for shift in shifts]
+        trainer = resolve_bucket_edges(cfg.trainer, shifts)
+        evaluate = make_evaluator(cfg.surrogate, cfg.space)
+        if cfg.initial_arch == "oracle":
+            arch, _, _ = oracle.result()
+        else:
+            arch = decode(cfg.initial_arch, cfg.space)
     params = init_params(cfg.space, trainer, seed=derive_seed(cfg.master_seed, 0, "init"))
     return snapshots, shifts, trainer, evaluate, arch, params
 
@@ -272,9 +290,17 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _step_distances(fit, base, n_samples: int, js_seed: int) -> tuple[float, float]:
+def _pool(plan: GrowthPlan):
+    """A thread pool for the plan's per-step work: up to one thread per core."""
+    from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import
+
+    return ThreadPoolExecutor(max(1, min(plan.n_steps - 1, _cores())))
+
+
+def _step_distances(fit, base, base_root, n_samples: int, js_seed: int) -> tuple[float, float]:
+    """(W2, JS) from base to fit; base_root is the future of sqrt_spd(base.cov)."""
     return (
-        wasserstein2_gaussian(fit, base),
+        _w2_given_root(fit, base, base_root.result()),
         js_divergence_mc(fit, base, n_samples=n_samples, seed=js_seed),
     )
 
@@ -288,20 +314,26 @@ def compare_distance_metrics(
 
     Rebuilds the plan once per seed and averages both distances from
     step 0 to every later step. A seed's steps run on a thread pool of up
-    to one thread per core; the sums are taken in seed and step order, so
-    the rows do not depend on the core count.
+    to one thread per core, each as soon as its fit is made, and share the
+    base's matrix root, taken once per seed. The sums are taken in seed and
+    step order, so the rows do not depend on the core count. A sample count
+    below one raises InvalidData before anything is drawn.
     """
-    from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import
-
     if not seeds:
         raise InvalidConfig("compare_distance_metrics needs at least one seed")
+    _check_samples(n_samples)
     sums = [[0.0, 0.0] for _ in range(1, plan.n_steps)]  # [wd, js] of steps 1, 2, ...
-    with ThreadPoolExecutor(max(1, min(plan.n_steps - 1, _cores()))) as pool:
+    with _pool(plan) as pool:
         for seed in seeds:
             fits = _fit_steps(_snapshots(replace(plan, seed=seed)))
-            js_seeds = [derive_seed(seed, j, "js") for j in range(1, plan.n_steps)]
-            steps = pool.map(_step_distances, fits[1:], repeat(fits[0]), repeat(n_samples), js_seeds)
-            for pair, (wd, js) in zip(sums, steps):
+            base = next(fits)
+            base_root = pool.submit(sqrt_spd, base.cov)  # queued first, so no step waits on a queued root
+            steps = [
+                pool.submit(_step_distances, fit, base, base_root, n_samples, derive_seed(seed, j, "js"))
+                for j, fit in enumerate(fits, start=1)
+            ]
+            for pair, step in zip(sums, steps):
+                wd, js = step.result()
                 pair[0] += wd
                 pair[1] += js
     return [

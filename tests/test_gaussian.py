@@ -154,6 +154,22 @@ class TestFitPrefixes:
         with pytest.raises(aa.InvalidData):
             aa.fit_prefixes(np.zeros((30, 2)), [10], ridge=-1.0)
 
+    @pytest.mark.parametrize("lengths", [[10, 10, 25, 40, 40, 60], [2, 2, 2, 60], [60, 60]])
+    def test_stream_is_the_list_bit_for_bit(self, lengths):
+        x = np.random.default_rng(5).normal(size=(60, 4)) * 3.0 + 7.0
+        def as_bytes(fits):
+            return [(f.mean.tobytes(), f.cov.tobytes(), f.n_samples) for f in fits]
+
+        assert as_bytes(gaussian._prefix_fits(x, lengths)) == as_bytes(aa.fit_prefixes(x, lengths))
+
+    def test_stream_hands_over_the_fits_before_a_bad_block(self):
+        x = np.random.default_rng(0).normal(size=(30, 2))
+        x[25, 1] = np.nan
+        stream = gaussian._prefix_fits(x, [10, 20, 30])
+        assert [next(stream).n_samples, next(stream).n_samples] == [10, 20]
+        with pytest.raises(aa.InvalidData, match="non-finite"):
+            next(stream)
+
     @pytest.mark.parametrize("shape", [(30,), (2, 15, 1), (30, 0)])
     def test_not_a_2d_matrix(self, shape):
         with pytest.raises(aa.DimensionMismatch, match="2-D"):
@@ -188,6 +204,13 @@ class TestSqrtSpd:
 
 
 class TestWasserstein:
+    @settings(max_examples=60, deadline=None)
+    @given(_summary_pairs())
+    def test_given_root_is_the_public_form_bit_for_bit(self, pair):
+        g1, g2 = pair
+        got = gaussian._w2_given_root(g1, g2, sqrt_spd(g2.cov))
+        assert np.float64(got).tobytes() == np.float64(aa.wasserstein2_gaussian(g1, g2)).tobytes()
+
     def test_identical_is_zero(self):
         g = _summary([0.0, 0.0], np.eye(2))
         assert aa.wasserstein2_gaussian(g, g) == 0.0

@@ -179,6 +179,68 @@ class TestFeatureExtractor:
             aa.run_adaptation(_run_config(self.PLAN), feature_extractor=drops_a_row)
 
 
+class TestSetupPool:
+    """_setup runs the oracle and the shifts on a thread pool while it fits."""
+
+    PLAN = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.3, 0.45, 0.6, 0.8, 1.0),
+                         feature_dim=6, base_samples=600, seed=4)
+
+    def test_records_do_not_depend_on_the_core_count(self, monkeypatch, tmp_path):
+        records = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(orchestrator, "_cores", lambda: cores)
+            aa.run_adaptation(_run_config(self.PLAN), out_dir=tmp_path / str(cores))
+            records[cores] = (tmp_path / str(cores) / "records.json").read_bytes()
+        assert records[1] == records[2] == records[3]
+        assert len(json.loads(records[1])["records"]) == self.PLAN.n_steps - 1
+
+    def test_nan_rows_in_the_last_block_raise_and_leave_no_thread(self, monkeypatch):
+        last_block = slice(orchestrator._snapshots(self.PLAN)[-2].meta.n_samples, None)
+
+        def nan_in_last_block(snap):
+            features = snap.features.copy()
+            features[last_block, 0] = np.nan
+            return features
+
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 3)
+        threads = threading.active_count()
+        with pytest.raises(aa.InvalidData, match="non-finite"):
+            aa.run_adaptation(_run_config(self.PLAN), feature_extractor=nan_in_last_block)
+        assert threading.active_count() == threads
+
+    def test_a_shift_error_is_raised_before_an_earlier_oracle_error(self, monkeypatch):
+        oracle_failed = threading.Event()
+        real_w2 = orchestrator.wasserstein2_gaussian
+        step3_rows = orchestrator._snapshots(self.PLAN)[3].meta.n_samples
+
+        def oracle(*args):
+            oracle_failed.set()
+            raise aa.InvalidConfig("oracle")
+
+        def w2(fit, prev):
+            if fit.n_samples == step3_rows:
+                assert oracle_failed.wait(timeout=10)
+                raise aa.NotSPD("shift 3")
+            return real_w2(fit, prev)
+
+        monkeypatch.setattr(orchestrator, "oracle_best", oracle)
+        monkeypatch.setattr(orchestrator, "wasserstein2_gaussian", w2)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(aa.NotSPD, match="shift 3"):
+            aa.run_adaptation(_run_config(self.PLAN))
+        assert oracle_failed.is_set()
+        assert threading.active_count() == threads
+
+    def test_an_oracle_error_is_raised_when_the_shifts_hold(self, monkeypatch):
+        def oracle(*args):
+            raise aa.InvalidConfig("oracle")
+
+        monkeypatch.setattr(orchestrator, "oracle_best", oracle)
+        with pytest.raises(aa.InvalidConfig, match="oracle"):
+            aa.run_adaptation(_run_config(self.PLAN))
+
+
 class TestRecordsFile:
     def _records(self, tmp_path, sub):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), seed=5)
@@ -236,6 +298,39 @@ class TestDistanceComparison:
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4), feature_dim=4, seed=7)
         with pytest.raises(aa.InvalidConfig, match="seed"):
             aa.compare_distance_metrics(plan, seeds=())
+
+    def test_zero_samples_raise_before_anything_is_drawn(self, monkeypatch):
+        def gen_snapshot(*args):
+            raise AssertionError("a snapshot was drawn")
+
+        monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4), feature_dim=4, seed=7)
+        with pytest.raises(aa.InvalidData, match="n_samples must be positive, got 0"):
+            aa.compare_distance_metrics(plan, seeds=(0,), n_samples=0)
+
+    def test_base_root_is_taken_once_per_seed(self, monkeypatch):
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
+                             feature_dim=6, base_samples=900, seed=9)
+        # Reference: the public W2 of each step against the base, per seed.
+        want = [0.0] * (plan.n_steps - 1)
+        for seed in (4, 5):
+            snapshots = orchestrator._snapshots(dataclasses.replace(plan, seed=seed))
+            fits = list(orchestrator._fit_steps(snapshots))
+            for j, fit in enumerate(fits[1:]):
+                want[j] += aa.wasserstein2_gaussian(fit, fits[0])
+        calls = []
+        real_sqrt = aa.gaussian.sqrt_spd
+
+        def counted(s):
+            calls.append(s.shape)
+            return real_sqrt(s)
+
+        monkeypatch.setattr(aa.gaussian, "sqrt_spd", counted)
+        monkeypatch.setattr(orchestrator, "sqrt_spd", counted)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        rows = aa.compare_distance_metrics(plan, seeds=(4, 5), n_samples=300)
+        assert len(calls) == 2 * plan.n_steps  # not 2 * 2 * (n_steps - 1)
+        assert [row["wd"] for row in rows] == [w / 2 for w in want]
 
     def test_rows_do_not_depend_on_the_core_count(self, monkeypatch):
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
