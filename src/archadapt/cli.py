@@ -2,8 +2,9 @@
 
 Config files are flat ``key=value`` lines with dotted section prefixes
 (plan.*, space.*, surrogate.*, gate.*, trainer.*, run.*), one key per
-field of RunConfig and its section dataclasses; blank lines and ``#``
-comments are ignored. ``--set key=value`` overrides file values.
+field of RunConfig and its section dataclasses; blank lines and lines
+starting with ``#`` are ignored, and a ``#`` after a value is part of it.
+``--set key=value`` overrides file values.
 Exit codes: 0 success, 1 usage or config error, 2 runtime error.
 """
 
@@ -371,10 +372,7 @@ def main(argv=None) -> int:
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ArchAdaptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ArchAdaptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -125,7 +125,7 @@ class GrowthPlan:
             object.__setattr__(self, "steps", tuple(int(s) for s in self.steps))
         if self.max_classes is not None and self.max_classes < self.plan_max_classes():
             raise InvalidConfig(
-                f"max_classes {self.max_classes} below largest class count"
+                f"max_classes must be >= {self.plan_max_classes()}, got {self.max_classes}"
             )
 
     @property
@@ -133,9 +133,9 @@ class GrowthPlan:
         return len(self.steps)
 
     def plan_max_classes(self) -> int:
-        if self.scenario == VOLUME_GROWTH:
-            return self.n_classes
-        return max(self.steps)
+        """The largest class count, but at least 2, so that a one-class plan's
+        class term is log2(1) / log2(2) = 0 and its sidecars load."""
+        return max(2, self.n_classes if self.scenario == VOLUME_GROWTH else max(self.steps))
 
     def normalizer(self) -> int:
         return self.max_classes if self.max_classes is not None else self.plan_max_classes()

@@ -13,9 +13,11 @@ drawn once: earlier steps are read-only row-prefix views of the last one,
 and one pass over the last one's rows fits every step (fit_prefixes).
 That pass hands each fit over as its rows are merged, to a thread pool
 of up to one thread per core (_pool) that computes the shifts, the
-bootstrap oracle and compare_distance_metrics' distances meanwhile. Results
-are read in step order, so outputs and the first error raised are those of
-a serial loop.
+bootstrap oracle and compare_distance_metrics' distances meanwhile. No
+pool task waits on another: what several tasks share, such as the base's
+matrix root in compare_distance_metrics, is computed on the calling
+thread before they are queued. Results are read in step order, so outputs
+and the first error raised are those of a serial loop.
 """
 
 from __future__ import annotations
@@ -297,14 +299,6 @@ def _pool(plan: GrowthPlan):
     return ThreadPoolExecutor(max(1, min(plan.n_steps - 1, _cores())))
 
 
-def _step_distances(fit, base, base_root, n_samples: int, js_seed: int) -> tuple[float, float]:
-    """(W2, JS) from base to fit; base_root is the future of sqrt_spd(base.cov)."""
-    return (
-        _w2_given_root(fit, base, base_root.result()),
-        js_divergence_mc(fit, base, n_samples=n_samples, seed=js_seed),
-    )
-
-
 def compare_distance_metrics(
     plan: GrowthPlan,
     seeds: tuple[int, ...] = (0, 1, 2),
@@ -313,10 +307,12 @@ def compare_distance_metrics(
     """Mean squared-Wasserstein and Jensen-Shannon from the first snapshot.
 
     Rebuilds the plan once per seed and averages both distances from
-    step 0 to every later step. A seed's steps run on a thread pool of up
-    to one thread per core, each as soon as its fit is made, and share the
-    base's matrix root, taken once per seed. The sums are taken in seed and
-    step order, so the rows do not depend on the core count. A sample count
+    step 0 to every later step. Each step's JS goes to a thread pool of up
+    to one thread per core as soon as its fit is made. Once every fit is
+    made, the base's matrix root is taken here, once per seed, and each
+    step's W2 goes to the pool with it; no task waits on another. The sums
+    are taken in seed and step order, W2 before JS, so the rows and the
+    first error raised do not depend on the core count. A sample count
     below one raises InvalidData before anything is drawn.
     """
     if not seeds:
@@ -327,15 +323,16 @@ def compare_distance_metrics(
         for seed in seeds:
             fits = _fit_steps(_snapshots(replace(plan, seed=seed)))
             base = next(fits)
-            base_root = pool.submit(sqrt_spd, base.cov)  # queued first, so no step waits on a queued root
-            steps = [
-                pool.submit(_step_distances, fit, base, base_root, n_samples, derive_seed(seed, j, "js"))
-                for j, fit in enumerate(fits, start=1)
-            ]
-            for pair, step in zip(sums, steps):
-                wd, js = step.result()
-                pair[0] += wd
-                pair[1] += js
+            later, js_tasks = [], []
+            for j, fit in enumerate(fits, start=1):
+                later.append(fit)
+                js_tasks.append(pool.submit(js_divergence_mc, fit, base, n_samples=n_samples,
+                                            seed=derive_seed(seed, j, "js")))
+            root = sqrt_spd(base.cov)
+            w2_tasks = [pool.submit(_w2_given_root, fit, base, root) for fit in later]
+            for pair, w2, js in zip(sums, w2_tasks, js_tasks):
+                pair[0] += w2.result()
+                pair[1] += js.result()
     return [
         {"step": j, "wd": wd / len(seeds), "js": js / len(seeds)}
         for j, (wd, js) in enumerate(sums, start=1)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +153,21 @@ class TestGate:
                      "--config", str(config_file)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    # A one-class plan used to write max_classes=1, which gate rejects (exit 2).
+    @pytest.mark.parametrize("sets", [
+        ["plan.scenario=volume_growth", "plan.steps=0.5,1.0", "plan.n_classes=1"],
+        ["plan.steps=1,1"],
+    ], ids=["volume", "class"])
+    def test_one_class_plan_gates(self, tmp_path, config_file, sets):
+        out = tmp_path / "snaps"
+        set_args = [arg for item in sets for arg in ("--set", item)]
+        assert main(["simulate", "--config", str(config_file), *set_args, "--out", str(out)]) == 0
+        assert aa.load_snapshot(out / "snapshot_001.csv").meta.max_classes == 2
+        assert main(["gate", str(out / "snapshot_000.csv"), str(out / "snapshot_001.csv"),
+                     "--config", str(config_file)]) == 0
+        assert main(["adapt", "--config", str(config_file), *set_args,
+                     "--out", str(tmp_path / "run")]) == 0
 
 
 class TestAdapt:
@@ -429,6 +445,12 @@ class TestErrors:
                      "--out", str(tmp_path / "x")]) == 1
         assert "--set: expected key=value, got 'plan.seed'" in capsys.readouterr().err
 
+    def test_max_classes_below_two_names_the_key(self, tmp_path, config_file, capsys):
+        assert main(["adapt", "--config", str(config_file), "--set", "plan.steps=1,1",
+                     "--set", "plan.max_classes=1", "--out", str(tmp_path / "x")]) == 1
+        assert "plan: max_classes must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_config_without_scenario(self, tmp_path, capsys):
         path = tmp_path / "no_scenario.cfg"
         path.write_text("plan.steps = 2,4\n")
@@ -440,6 +462,17 @@ class TestErrors:
         path.write_text(BASE_CONFIG + "surrogate.reference_arch = k9e3,k3e3\n")
         with pytest.raises(aa.InvalidConfig, match="surrogate.reference_arch"):
             build_run_config(parse_config_file(path))
+
+
+def test_readme_example_config_parses(tmp_path):
+    # Its trailing "# or volume_growth" comments were once part of the values.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    cfg = build_run_config(parse_config_file(path))
+    assert cfg.plan.scenario == aa.CLASS_GROWTH and cfg.plan.steps == (2, 4, 8)
+    assert cfg.trainer.lam == 0.05 and cfg.initial_arch == "oracle"
 
 
 # The table the keys were once kept in by hand: key order and parsers.

@@ -1,7 +1,9 @@
 """Tests for synthetic growing-dataset generation."""
 
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,8 +301,9 @@ class TestPlanValidation:
         ({"steps": (2, float("nan"))}, "class counts"),
         ({"steps": (2, float("inf"))}, "class counts"),
         ({"seed": -1}, "seed"),
+        ({"steps": (1, 1), "max_classes": 1}, "max_classes must be >= 2, got 1"),
     ], ids=["no-steps", "feature_dim", "base_samples", "n_classes", "fractional-count",
-            "zero-count", "nan-count", "inf-count", "negative-seed"])
+            "zero-count", "nan-count", "inf-count", "negative-seed", "max_classes-1"])
     def test_rejects(self, overrides, message):
         # A negative seed used to reach np.random.default_rng and fail there,
         # and a NaN or infinite class count int() (ValueError, OverflowError).
@@ -384,6 +387,19 @@ class TestSnapshotIO:
         message = f"snap.meta: meta key '{key}' must be {rule}, got {value}"
         with pytest.raises(aa.InvalidData, match=re.escape(message)):
             aa.load_snapshot(path)
+
+    # A one-class plan used to write max_classes=1, which no reader accepts.
+    @given(plan=_plans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_plan_loads_back(self, plan):
+        with tempfile.TemporaryDirectory() as tmp:
+            for i in range(plan.n_steps):
+                snap = aa.gen_snapshot(plan, i)
+                path = Path(tmp) / f"snap_{i}.csv"
+                aa.save_snapshot(snap, path)
+                back = aa.load_snapshot(path)
+                assert back.meta == snap.meta
+                assert back.features.tobytes() == snap.features.tobytes()
 
     def test_missing_sidecar_or_line_without_equals(self, tmp_path):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2,), base_samples=10)

@@ -234,6 +234,27 @@ class TestWasserstein:
         g2 = _summary([1e-6, 0.0], 100.0 * np.eye(2))
         assert aa.wasserstein2_gaussian(g1, g2) == pytest.approx(1e-12, rel=1e-6)
 
+    @pytest.mark.parametrize("q", [2, 8])
+    def test_ill_conditioned_swapped_axes(self, q):
+        # Eigenvalues 1e4 .. 1e-4 on shared axes, in opposite order: the
+        # product root2 @ cov1 @ root2 is about I, but its rounding leaves
+        # an asymmetry near the sqrt_spd check, which must not reject it.
+        if q == 2:
+            c = np.sqrt(0.5)
+            axes = np.array([[c, -c], [c, c]])
+        else:
+            axes, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((q, q)))
+        ev = np.logspace(4, -4, q)
+
+        def spd(e):
+            cov = (axes * e) @ axes.T
+            return (cov + cov.T) / 2.0
+
+        g1, g2 = _summary(np.zeros(q), spd(ev[::-1])), _summary(np.zeros(q), spd(ev))
+        # Commuting covariances: W2^2 = sum (sqrt a_i - sqrt b_i)^2.
+        want = float(np.sum((np.sqrt(ev) - np.sqrt(ev[::-1])) ** 2))
+        assert aa.wasserstein2_gaussian(g1, g2) == pytest.approx(want, rel=1e-9)
+
     def test_mean_shift_only(self):
         # Equal covariances: W2^2 reduces to the squared mean distance.
         g1 = _summary([0.0, 0.0], np.eye(2))

@@ -332,6 +332,22 @@ class TestDistanceComparison:
         assert len(calls) == 2 * plan.n_steps  # not 2 * 2 * (n_steps - 1)
         assert [row["wd"] for row in rows] == [w / 2 for w in want]
 
+    def test_base_root_is_taken_on_the_calling_thread(self, monkeypatch):
+        # A root taken in the pool makes every W2 task wait on another task.
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.7, 1.0),
+                             feature_dim=4, base_samples=400, seed=9)
+        threads = []
+        real_sqrt = orchestrator.sqrt_spd
+
+        def recorded(s):
+            threads.append(threading.current_thread())
+            return real_sqrt(s)
+
+        monkeypatch.setattr(orchestrator, "sqrt_spd", recorded)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        aa.compare_distance_metrics(plan, seeds=(4, 5, 6), n_samples=200)
+        assert threads == [threading.current_thread()] * 3
+
     def test_rows_do_not_depend_on_the_core_count(self, monkeypatch):
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
                              feature_dim=6, base_samples=900, seed=9)
