@@ -1,9 +1,9 @@
 """Recurrent architecture controller trained with REINFORCE.
 
 The policy conditions on the previous architecture and the measured
-distribution shift, then emits one architecture autoregressively: for
-each unit a depth token, then kernel and expansion tokens for each active
-layer. Conditioning path:
+distribution shift, one ``PolicyState`` made once by ``embed_state``, then
+emits one architecture autoregressively: for each unit a depth token, then
+kernel and expansion tokens for each active layer. Conditioning path:
 
     one-hot(prev arch) -> two-layer FC encoder -> arch embedding
     d_t -> log bucket -> learned shift embedding
@@ -60,8 +60,9 @@ alone, because (checked with numpy 2.4 on scipy-openblas 0.3.31):
 A rollout writes each step once, into one dense record indexed by step and
 run (``_Rollout``): the GRU's input rows, gates and states, and its decisions
 by head row, zero where a run made none. ``_backward`` reads views of the
-steps taken, ``sample`` and ``score`` read their decisions off it, and
-``_train_many`` sums each run's entropies down it.
+steps taken, and ``_train_many`` sums each run's entropies down it. A
+``Trajectory`` (``sample``, ``score``) keeps its ``PolicyState`` and each
+step's log-probability and entropy; its choices are ``_validate(traj.arch, space)``.
 
 ``_train_many`` owns its (K, P) workspace: the batch's sum, which the first
 gradient is written into, two scratch arrays and the finite check's mask.
@@ -82,7 +83,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -91,7 +92,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datagen import SnapshotMeta
-from .errors import InvalidConfig, NumericalError, _checked_shift
+from .errors import InvalidConfig, NumericalError, _check_lams, _checked_shift
 from .evaluator import Evaluator
 from .search_space import Architecture, SpaceConfig, _validate, madds, min_arch
 
@@ -99,7 +100,6 @@ __all__ = [
     "TrainerConfig",
     "ControllerParams",
     "PolicyState",
-    "Decision",
     "Trajectory",
     "TraceRow",
     "init_params",
@@ -150,15 +150,16 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "weight_decay", "entropy_weight", "lam"):
+        for name in ("learning_rate", "weight_decay", "entropy_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
+        _check_lams([self.lam])
         if self.learning_rate <= 0:
             raise InvalidConfig(f"learning_rate must be positive, got {self.learning_rate}")
         if self.iterations < 1 or self.batch_size < 1:
             raise InvalidConfig("iterations and batch_size must be >= 1")
-        if self.weight_decay < 0 or self.entropy_weight < 0 or self.lam < 0:
-            raise InvalidConfig("weight_decay, entropy_weight and lam must be >= 0")
+        if self.weight_decay < 0 or self.entropy_weight < 0:
+            raise InvalidConfig("weight_decay and entropy_weight must be >= 0")
         if not (0.0 <= self.baseline_decay < 1.0):
             raise InvalidConfig(f"baseline_decay must lie in [0, 1), got {self.baseline_decay}")
         if self.bucket_count < 1:
@@ -361,11 +362,13 @@ def resolve_bucket_edges(trainer: TrainerConfig, shifts: list[float]) -> Trainer
 
 @dataclass(frozen=True)
 class PolicyState:
-    """The conditioning inputs: previous architecture, shift and its bucket."""
+    """The conditioning inputs: previous architecture, shift and its bucket,
+    and the architecture's one-hot, read-only and left out of == and hash."""
 
     prev_arch: Architecture
     shift: float
     bucket: int
+    onehot: np.ndarray = field(compare=False, repr=False)
 
 
 def _mv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -375,21 +378,20 @@ def _mv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Encoded:
-    """Encoder activations of K runs for one (prev_arch, shift bucket) condition."""
+    """Encoder activations of K runs for one policy condition."""
 
-    onehot: np.ndarray
-    bucket: int
+    pstate: PolicyState
     e1: np.ndarray
     state_vec: np.ndarray
     h0: np.ndarray
 
 
-def _encode(p: dict[str, np.ndarray], onehot: np.ndarray, bucket: int) -> _Encoded:
-    e1 = np.tanh(_mv(p["enc_w1"], onehot) + p["enc_b1"])
+def _encode(p: dict[str, np.ndarray], pstate: PolicyState) -> _Encoded:
+    e1 = np.tanh(_mv(p["enc_w1"], pstate.onehot) + p["enc_b1"])
     arch_emb = _mv(p["enc_w2"], e1) + p["enc_b2"]
-    state_vec = np.concatenate([arch_emb, p["shift_emb"][:, bucket]], axis=1)
+    state_vec = np.concatenate([arch_emb, p["shift_emb"][:, pstate.bucket]], axis=1)
     h0 = np.tanh(_mv(p["init_w"], state_vec) + p["init_b"])
-    return _Encoded(onehot, bucket, e1, state_vec, h0)
+    return _Encoded(pstate, e1, state_vec, h0)
 
 
 def embed_state(
@@ -400,26 +402,21 @@ def embed_state(
 ) -> PolicyState:
     """Validated conditioning inputs; the encoder runs with each forward pass."""
     bucket = bucket_index(shift, cfg)
-    _validate(prev_arch, params.space)
-    return PolicyState(prev_arch=prev_arch, shift=float(shift), bucket=bucket)
-
-
-@dataclass(frozen=True)
-class Decision:
-    kind: str
-    choice: int
-    log_prob: float
-    entropy: float
+    onehot = arch_onehot(prev_arch, params.space)
+    onehot.flags.writeable = False
+    return PolicyState(prev_arch=prev_arch, shift=float(shift), bucket=bucket, onehot=onehot)
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """One architecture under pstate: each decision's log-prob and entropy, and their sums."""
+
     arch: Architecture
-    decisions: tuple[Decision, ...]
+    log_probs: tuple[float, ...]
+    entropies: tuple[float, ...]
     log_prob: float
     entropy: float
-    prev_arch: Architecture
-    shift: float
+    pstate: PolicyState
 
 
 def _softmax_logprobs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -598,7 +595,7 @@ def _forward(
 ) -> tuple[ControllerParams, _Rollout]:
     """Encode pstate with the current params as one row, then roll the GRU out once."""
     row = params._row
-    enc = _encode(row.arrays, arch_onehot(pstate.prev_arch, params.space), pstate.bucket)
+    enc = _encode(row.arrays, pstate)
     roll = _rollout(
         row,
         enc,
@@ -615,33 +612,31 @@ def _step_sum(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=0)[-1] + 0.0
 
 
-def _make_trajectory(roll: _Rollout, pstate: PolicyState, space: SpaceConfig) -> Trajectory:
+def _make_trajectory(roll: _Rollout) -> Trajectory:
     """The one run of a single-run rollout as a Trajectory."""
-    # One hit per decided step, in step order; its head row names the kind and choice.
+    # One hit per decided step, in step order, at its chosen head row.
     steps, rows = np.nonzero(roll.hit[:, 0])
-    which = [(kind, c) for kind, (_, values) in _kinds(space).items() for c in range(len(values))]
-    kinds, choices = zip(*[which[row] for row in rows.tolist()])
     log_probs, entropies = roll.logp[steps, 0, rows], roll.entropy[steps, 0]
     return Trajectory(
         arch=roll.archs[0],
-        decisions=tuple(map(Decision, kinds, choices, log_probs.tolist(), entropies.tolist())),
+        log_probs=tuple(log_probs.tolist()),
+        entropies=tuple(entropies.tolist()),
         log_prob=float(_step_sum(log_probs)),
         entropy=float(_step_sum(entropies)),
-        prev_arch=pstate.prev_arch,
-        shift=pstate.shift,
+        pstate=roll.enc.pstate,
     )
 
 
 def sample(params: ControllerParams, pstate: PolicyState, rng: np.random.Generator) -> Trajectory:
     """Draw one architecture from the current policy."""
     _, roll = _forward(params, pstate, rng=rng)
-    return _make_trajectory(roll, pstate, params.space)
+    return _make_trajectory(roll)
 
 
 def score(params: ControllerParams, pstate: PolicyState, arch: Architecture) -> Trajectory:
     """Teacher-forced log-probability of producing a given architecture."""
     _, roll = _forward(params, pstate, actions=_validate(arch, params.space))
-    traj = _make_trajectory(roll, pstate, params.space)
+    traj = _make_trajectory(roll)
     assert traj.arch == arch
     return traj
 
@@ -746,12 +741,12 @@ def _backward(
     dstate = _mv(p["init_w"].transpose(0, 2, 1), dh0pre)
     a_dim = p["enc_w2"].shape[1]
     darch_emb = dstate[:, :a_dim]
-    g["shift_emb"][:, enc.bucket] = dstate[:, a_dim:]
+    g["shift_emb"][:, enc.pstate.bucket] = dstate[:, a_dim:]
     g["enc_w2"][...] = darch_emb[:, :, None] * enc.e1[:, None, :]
     g["enc_b2"][...] = darch_emb
     de1 = _mv(p["enc_w2"].transpose(0, 2, 1), darch_emb)
     de1pre = de1 * (1.0 - enc.e1 * enc.e1)
-    g["enc_w1"][...] = de1pre[:, :, None] * enc.onehot
+    g["enc_w1"][...] = de1pre[:, :, None] * enc.pstate.onehot
     g["enc_b1"][...] = de1pre
 
     if cfg.weight_decay != 0.0:
@@ -767,11 +762,10 @@ def objective_value(
 ) -> float:
     """Scalar objective for the trajectory's fixed action sequence.
 
-    Recomputed teacher-forced, so finite differences of this function
-    validate the analytic gradients.
+    Recomputed teacher-forced under traj.pstate, so finite differences of
+    this function validate the analytic gradients; cfg gives only weights.
     """
-    pstate = embed_state(params, traj.prev_arch, traj.shift, cfg)
-    rescored = score(params, pstate, traj.arch)
+    rescored = score(params, traj.pstate, traj.arch)
     value = advantage * rescored.log_prob + cfg.entropy_weight * rescored.entropy
     return value - 0.5 * cfg.weight_decay * params.l2_norm_sq()
 
@@ -783,8 +777,7 @@ def objective_gradients(
     cfg: TrainerConfig,
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of objective_value w.r.t. every parameter array."""
-    pstate = embed_state(params, traj.prev_arch, traj.shift, cfg)
-    row, roll = _forward(params, pstate, actions=_validate(traj.arch, params.space))
+    row, roll = _forward(params, traj.pstate, actions=_validate(traj.arch, params.space))
     return params.unflatten(_backward(row, roll, [advantage], cfg)[0])
 
 
@@ -844,12 +837,6 @@ class TraceRow:
     madds: float
 
 
-def _check_lams(lams: Sequence[float]) -> None:
-    """Raise InvalidConfig unless every cost penalty is finite and >= 0."""
-    if not all(0.0 <= lam < math.inf for lam in lams):
-        raise InvalidConfig(f"each lam must be finite and >= 0, got {list(lams)}")
-
-
 def _train_many(
     params: ControllerParams,
     prev_arch: Architecture,
@@ -879,8 +866,7 @@ def _train_many(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     v_prev = evaluate(prev_arch, meta)
     c_prev = madds(prev_arch, space)
-    onehot = arch_onehot(prev_arch, space)
-    bucket = bucket_index(shift, cfg)
+    pstate = embed_state(params, prev_arch, shift, cfg)
     m, v = np.zeros((2, *params.flat.shape))
     # Every iteration's (K, P) workspace (see the module docstring).
     total, *scratch = np.empty((3, *params.flat.shape))
@@ -893,7 +879,7 @@ def _train_many(
     for it in range(cfg.iterations):
         # The weights are fixed within an iteration, so the encoder is
         # shared by the batch.
-        enc = _encode(params.arrays, onehot, bucket)
+        enc = _encode(params.arrays, pstate)
         batch = []
         for b in range(cfg.batch_size):
             roll = _rollout(params, enc, rngs=rngs)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check of a shift."""
+"""Exception types shared across the package, and the one check each of a shift and a lam."""
 
 import math
 
@@ -77,3 +77,10 @@ def _checked_shift(shift: float, divided: bool = False, when: str = "") -> float
     if divided and shift == 0.0:
         raise DivisionByZeroShift(f"shift must be positive{when}, got {shift}")
     return shift
+
+
+def _check_lams(lams) -> None:
+    """Raise InvalidConfig at the first cost penalty that is not finite and >= 0."""
+    for lam in lams:
+        if not 0.0 <= lam < math.inf:
+            raise InvalidConfig(f"lam must be finite and >= 0, got {lam}")

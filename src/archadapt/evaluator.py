@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .datagen import SnapshotMeta
-from .errors import InvalidConfig, InvalidData, _checked_shift
+from .errors import InvalidConfig, InvalidData, _check_lams, _checked_shift
 from .search_space import (  # noqa: F401 (enumerate_space: perfbench/tracer.py wraps it here)
     Architecture,
     SpaceConfig,
@@ -151,8 +151,7 @@ def oracle_best(
     shift of 0 raises DivisionByZeroShift and a NaN, negative or infinite
     one InvalidData.
     """
-    if not 0.0 <= lam < math.inf:
-        raise InvalidConfig(f"lam must be finite and >= 0, got {lam}")
+    _check_lams([lam])
     if lam != 0.0:
         _checked_shift(shift, divided=True, when=" when lam != 0")
     ref_cost = _reference_madds(cfg, space)

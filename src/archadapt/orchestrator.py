@@ -36,7 +36,6 @@ import numpy as np
 from .controller import (
     TraceRow,
     TrainerConfig,
-    _check_lams,
     _train_many,
     embed_state,
     greedy_decode,
@@ -46,7 +45,7 @@ from .controller import (
     write_trace,
 )
 from .datagen import GrowthPlan, Snapshot, default_feature_extractor, gen_snapshot, prefix_snapshot
-from .errors import DimensionMismatch, InvalidConfig, InvalidData, _checked_shift
+from .errors import DimensionMismatch, InvalidConfig, InvalidData, _check_lams, _checked_shift
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
 from .gaussian import (  # noqa: F401 (fit_gaussian: perfbench/tracer.py wraps it here)
     _check_samples,
@@ -58,7 +57,7 @@ from .gaussian import (  # noqa: F401 (fit_gaussian: perfbench/tracer.py wraps i
     wasserstein2_gaussian,
 )
 from .gate import GateConfig, accuracy_drop, should_adapt
-from .search_space import SpaceConfig, decode, encode, madds
+from .search_space import SpaceConfig, _check_size, decode, encode, madds
 
 __all__ = [
     "RunConfig",
@@ -142,13 +141,18 @@ def _setup(cfg: RunConfig, feature_extractor):
     its bucket edges resolved, the evaluator, the bootstrap architecture
     and the initial controller params.
 
-    The bootstrap oracle runs on the pool from the start, and each shift
-    as soon as its two fits exist. Results are read in the serial order,
-    so the values, and the error raised first, are a serial run's.
+    A bad initial arch, or an oracle space too large to enumerate, raises
+    before anything is drawn. The oracle runs on the pool from the start,
+    and each shift as soon as its two fits exist. Results are read in the
+    serial order, so the values, and the error raised first, are a serial run's.
     """
     plan = cfg.plan
     if plan.n_steps < 2:
         raise InvalidConfig("growth plan needs at least two steps to adapt over")
+    if cfg.initial_arch == "oracle":
+        _check_size(cfg.space)
+    else:
+        arch = decode(cfg.initial_arch, cfg.space)
     snapshots = _snapshots(plan)
     with _pool(plan) as pool:
         if cfg.initial_arch == "oracle":
@@ -160,8 +164,6 @@ def _setup(cfg: RunConfig, feature_extractor):
         evaluate = make_evaluator(cfg.surrogate, cfg.space)
         if cfg.initial_arch == "oracle":
             arch, _, _ = oracle.result()
-        else:
-            arch = decode(cfg.initial_arch, cfg.space)
     params = init_params(cfg.space, trainer, seed=derive_seed(cfg.master_seed, 0, "init"))
     return snapshots, shifts, trainer, evaluate, arch, params
 
@@ -365,9 +367,9 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
     _train_many(runs, arch, shift, cur_meta, evaluate, trainer, lambdas, seeds)
 
     rows = []
+    pstate = embed_state(runs, arch, shift, trainer)
     for lam, flat in zip(lambdas, runs.flat):
-        params = runs._over(flat)
-        decoded = greedy_decode(params, embed_state(params, arch, shift, trainer))
+        decoded = greedy_decode(runs._over(flat), pstate)
         rows.append(
             {
                 "lam": float(lam),

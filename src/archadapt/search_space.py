@@ -231,7 +231,7 @@ def _unit_options(cfg: SpaceConfig) -> list[list[tuple]]:
     return [inner] * (cfg.n_units - 1) + [sorted(options, key=_unit_text)]
 
 
-def _check_size(cfg: SpaceConfig, cap: int) -> None:
+def _check_size(cfg: SpaceConfig, cap: int = _ENUMERATION_CAP) -> None:
     size = space_size(cfg)
     if size > cap:
         raise SpaceTooLarge(size, cap)
@@ -256,7 +256,7 @@ def unit_tables(cfg: SpaceConfig) -> tuple[int, list[list[tuple[tuple, int]]]]:
     ``enumerate_space(cfg)``. Raises SpaceTooLarge as enumerate_space does
     at its default cap.
     """
-    _check_size(cfg, _ENUMERATION_CAP)
+    _check_size(cfg)
     tables = [
         [(unit, _unit_madds(unit, *shape)) for unit in options]
         for options, shape in zip(_unit_options(cfg), _unit_shapes(cfg))

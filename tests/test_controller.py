@@ -157,6 +157,22 @@ class TestEmbedState:
         with pytest.raises(aa.InvalidData, match="shift"):
             _pstate(params, SMALL_CFG, shift=shift)
 
+    def test_carries_the_read_only_onehot_of_prev_arch(self):
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        prev = aa.decode("k5e3,k3e3;k3e3,k5e3,k5e3", TOY)
+        pstate = aa.embed_state(params, prev, 1.0, SMALL_CFG)
+        assert np.array_equal(pstate.onehot, arch_onehot(prev, TOY))
+        assert not pstate.onehot.flags.writeable
+        with pytest.raises(ValueError):
+            pstate.onehot[0] = 1.0
+
+    def test_equal_states_compare_and_hash_equal(self):
+        params = aa.init_params(TOY, SMALL_CFG, seed=0)
+        first, second = _pstate(params, SMALL_CFG), _pstate(params, SMALL_CFG)
+        assert first.onehot is not second.onehot
+        assert first == second and hash(first) == hash(second)
+        assert first != _pstate(params, SMALL_CFG, shift=50.0)
+
 
 class TestSampling:
     def test_round_trip_valid_arch(self):
@@ -209,7 +225,7 @@ class TestSampling:
         # fresh uniform, so the 50,000 draws are i.i.d. as aa.sample's.
         n_runs, n_rounds = 1000, 50
         runs = params._over(np.broadcast_to(params.flat, (n_runs, params.flat.size)))
-        enc = controller._encode(runs.arrays, arch_onehot(pstate.prev_arch, TOY), pstate.bucket)
+        enc = controller._encode(runs.arrays, pstate)
         counts = np.zeros(len(space))
         for _ in range(n_rounds):
             for arch in controller._rollout(runs, enc, rngs=[rng] * n_runs).archs:
@@ -219,6 +235,21 @@ class TestSampling:
         chi2 = np.sum((counts - expected) ** 2 / expected)
         dof = len(space) - 1
         assert chi2 < dof + 4 * np.sqrt(2 * dof)
+
+    @pytest.mark.parametrize("draw", ["sample", "score"])
+    def test_trajectory_keeps_its_state_and_each_step(self, draw):
+        # One log-probability and entropy per decision, summed as
+        # _step_sum sums them, under the very state it was made with.
+        params = aa.init_params(TOY, SMALL_CFG, seed=3)
+        pstate = _pstate(params, SMALL_CFG)
+        rng = np.random.default_rng(8)
+        for arch in [aa.min_arch(TOY), aa.max_arch(TOY), *aa.enumerate_space(TOY)[::29]]:
+            traj = aa.sample(params, pstate, rng) if draw == "sample" else aa.score(params, pstate, arch)
+            assert traj.pstate is pstate
+            steps = len(search_space._validate(traj.arch, TOY))
+            assert len(traj.log_probs) == len(traj.entropies) == steps
+            for per_step, total in ((traj.log_probs, traj.log_prob), (traj.entropies, traj.entropy)):
+                assert float(controller._step_sum(np.array(per_step))).hex() == total.hex()
 
     @pytest.mark.parametrize("draw", ["sample", "score"])
     def test_all_zero_entropy_is_positive_zero(self, draw):
@@ -233,7 +264,7 @@ class TestSampling:
             traj = aa.sample(params, pstate, np.random.default_rng(0))
         else:
             traj = aa.score(params, pstate, aa.min_arch(space))
-        assert [d.entropy for d in traj.decisions] == [0.0] * 5
+        assert list(traj.entropies) == [0.0] * 5
         assert math.copysign(1.0, traj.entropy) == 1.0
         assert math.copysign(1.0, traj.log_prob) == 1.0
 
@@ -267,9 +298,10 @@ class TestGreedy:
             if arch == greedy:
                 continue
             other = aa.score(params, pstate, arch)
-            for gd, od in zip(greedy_traj.decisions, other.decisions):
-                if gd.choice != od.choice:
-                    assert gd.log_prob >= od.log_prob - 1e-12
+            for gc, oc, glp, olp in zip(search_space._validate(greedy, TOY), search_space._validate(arch, TOY),
+                                        greedy_traj.log_probs, other.log_probs):
+                if gc != oc:
+                    assert glp >= olp - 1e-12
                     break
 
 
@@ -366,7 +398,7 @@ class TestPolicyGradient:
 
         scored = [aa.score(params, pstate, arch) for arch in archs]
         pi = np.exp([traj.log_prob for traj in scored])
-        per_arch = np.array([gradient(actions=[d.choice for d in traj.decisions]) for traj in scored])
+        per_arch = np.array([gradient(actions=search_space._validate(traj.arch, TOY)) for traj in scored])
         exact = pi @ per_arch
         var = pi @ (per_arch - exact) ** 2
 
@@ -638,8 +670,7 @@ class TestRolloutRecord:
     @staticmethod
     def _lockstep_rollout(space, n_runs):
         runs = _rows([aa.init_params(space, SMALL_CFG, seed=30 + k) for k in range(n_runs)])
-        prev = aa.min_arch(space)
-        enc = controller._encode(runs.arrays, arch_onehot(prev, space), 1)
+        enc = controller._encode(runs.arrays, _pstate(runs, SMALL_CFG, space, shift=0.005))  # bucket 1
         rngs = [np.random.default_rng(40 + k) for k in range(n_runs)]
         return controller._rollout(runs, enc, rngs=rngs)
 
@@ -677,7 +708,7 @@ class TestRolloutRecord:
         deep = search_space.Architecture(units=[aa.max_arch(space).units[0], *shallow.units[1:]])
         actions = [search_space._validate([deep, shallow][k % 2], space) for k in range(n_runs)]
         runs = _rows([aa.init_params(space, SMALL_CFG, seed=30 + k) for k in range(n_runs)])
-        enc = controller._encode(runs.arrays, arch_onehot(shallow, space), 1)
+        enc = controller._encode(runs.arrays, _pstate(runs, SMALL_CFG, space, shift=0.005))  # bucket 1
         roll = controller._rollout(runs, enc, actions=actions)
         assert roll.n_steps == len(actions[0]) < len(roll.hit)
         cfg = dataclasses.replace(SMALL_CFG, entropy_weight=0.1)
@@ -700,7 +731,7 @@ class TestRolloutRecord:
         t_max = space.n_units * (1 + 2 * space.depth_choices[-1])
         assert roll.hit.shape[0] == t_max
         assert np.array_equal(roll.hit.sum(axis=(1, 2)), np.ones(t_max))
-        assert len(aa.score(params, pstate, arch).decisions) == t_max
+        assert len(aa.score(params, pstate, arch).log_probs) == t_max
 
 
 class TestTraceFile:
@@ -895,7 +926,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("n_runs", [1, 3])
     def test_backward_into_used_buffers_equals_a_fresh_call(self, space, n_runs):
         runs = _rows([aa.init_params(space, SMALL_CFG, seed=50 + k) for k in range(n_runs)])
-        enc = controller._encode(runs.arrays, arch_onehot(aa.min_arch(space), space), 1)
+        enc = controller._encode(runs.arrays, _pstate(runs, SMALL_CFG, space, shift=0.005))  # bucket 1
         roll = controller._rollout(runs, enc, rngs=[np.random.default_rng(60 + k) for k in range(n_runs)])
         cfg = dataclasses.replace(SMALL_CFG, entropy_weight=0.1)
         assert cfg.weight_decay > 0

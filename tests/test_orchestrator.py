@@ -240,6 +240,19 @@ class TestSetupPool:
         with pytest.raises(aa.InvalidConfig, match="oracle"):
             aa.run_adaptation(_run_config(self.PLAN))
 
+    @pytest.mark.parametrize("space, initial_arch, error", [
+        (aa.SpaceConfig(), "oracle", aa.SpaceTooLarge),
+        (TOY, "k9e9", aa.ShapeError),
+    ], ids=["oracle-space-too-large", "initial-arch-of-one-unit"])
+    def test_a_bad_bootstrap_raises_before_anything_is_drawn(self, monkeypatch, space,
+                                                            initial_arch, error):
+        # Neither needs a snapshot, so neither waits for the plan to be drawn and fitted.
+        draws = []
+        monkeypatch.setattr(orchestrator, "gen_snapshot", lambda *args: draws.append(args))
+        with pytest.raises(error):
+            aa.run_adaptation(_run_config(self.PLAN, space=space, initial_arch=initial_arch))
+        assert draws == []
+
 
 class TestRecordsFile:
     def _records(self, tmp_path, sub):
@@ -467,6 +480,14 @@ class TestLambdaSweep:
         monkeypatch.setattr(orchestrator, "gen_snapshot", no_draws)
         with pytest.raises(aa.InvalidConfig, match="lam"):
             aa.lambda_sweep(self._cfg(), (0.0, lam))
+
+    def test_every_row_decodes_under_one_condition(self, monkeypatch):
+        calls = []
+        embed_state = orchestrator.embed_state
+        monkeypatch.setattr(orchestrator, "embed_state",
+                            lambda *args: calls.append(args) or embed_state(*args))
+        rows = aa.lambda_sweep(self._cfg(), (0.0, 1e-3, 1e-2))
+        assert len(rows) == 3 and len(calls) == 1
 
     def test_no_lambdas_no_rows(self):
         assert aa.lambda_sweep(self._cfg(), ()) == []

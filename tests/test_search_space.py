@@ -150,7 +150,7 @@ class TestSingleWalk:
         pstate = aa.embed_state(params, aa.min_arch(TOY), 1.0, SMALL_TRAINER)
         traj = aa.score(params, pstate, arch)
         assert traj.arch == arch
-        assert [d.choice for d in traj.decisions] == _validate(arch, TOY)
+        assert len(traj.log_probs) == len(traj.entropies) == len(_validate(arch, TOY))
 
     @given(arch=_arch_strategy(TOY))
     @settings(max_examples=100, deadline=None)
