@@ -29,6 +29,7 @@ from .datagen import (
     load_snapshot,
     prefix_snapshot,
     save_snapshot,
+    snapshot_meta,
 )
 from .errors import (
     ArchAdaptError,

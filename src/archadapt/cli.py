@@ -19,7 +19,7 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from . import orchestrator
-from .datagen import CLASS_GROWTH, VOLUME_GROWTH, gen_snapshot, load_snapshot, save_snapshot
+from .datagen import CLASS_GROWTH, VOLUME_GROWTH, load_snapshot, save_snapshot, snapshot_meta
 from .errors import ArchAdaptError, InvalidConfig
 from .evaluator import make_evaluator, oracle_best
 from .gaussian import fit_gaussian, js_divergence_mc, load_features_csv, wasserstein2_gaussian
@@ -251,10 +251,8 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _load_config(args)
-    snap = _checked("--step", _UsageError, gen_snapshot, cfg.plan, args.step)
-    arch, v, cost = oracle_best(
-        cfg.space, snap.meta, cfg.surrogate, lam=args.lam, shift=args.shift
-    )
+    meta = _checked("--step", _UsageError, snapshot_meta, cfg.plan, args.step)
+    arch, v, cost = oracle_best(cfg.space, meta, cfg.surrogate, lam=args.lam, shift=args.shift)
     print(f"arch={encode(arch)} v={v:.4f} madds={cost:.3f}")
     return 0
 

@@ -14,9 +14,12 @@ views. A volume snapshot draws only its own rows: the generator fills
 row-major, so these are the first rows of the whole pool's draw.
 
 A snapshot is drawn in place, into the one array it returns, with no
-pool-sized temporaries: the generator fills it with ``out=``, then it is
-scaled by sigma and the prototypes are added, each element getting the
-same two floating-point operations as ``sigma * z + prototype``.
+pool-sized temporaries, one step's new rows at a time: the generator fills
+the block with ``out=``, then it is scaled by sigma and the prototypes are
+added, each element getting the same two floating-point operations as
+``sigma * z + prototype``. Consecutive fills from one generator give the
+bits of one whole fill, so the blocks change no byte, and ``on_step`` can
+hand each one over as soon as it is final.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "Snapshot",
     "GrowthPlan",
     "gen_prototypes",
+    "snapshot_meta",
     "gen_snapshot",
     "prefix_snapshot",
     "save_snapshot",
@@ -163,8 +167,13 @@ def gen_prototypes(
     return protos
 
 
-def _meta(plan: GrowthPlan, step_index: int) -> SnapshotMeta:
-    """One step's meta, its row count included."""
+def snapshot_meta(plan: GrowthPlan, step_index: int) -> SnapshotMeta:
+    """One step's meta, its row count included, without drawing anything.
+
+    Raises InvalidStep for an index outside the plan.
+    """
+    if not (0 <= step_index < plan.n_steps):
+        raise InvalidStep(f"step {step_index} outside plan of {plan.n_steps} steps")
     step = plan.steps[step_index]
     if plan.scenario == VOLUME_GROWTH:
         n = max(int(round(step * plan.base_samples)), 1)
@@ -176,38 +185,55 @@ def _meta(plan: GrowthPlan, step_index: int) -> SnapshotMeta:
                         volume_fraction=fraction, max_classes=plan.normalizer())
 
 
-def gen_snapshot(plan: GrowthPlan, step_index: int) -> Snapshot:
+def gen_snapshot(plan: GrowthPlan, step_index: int, on_step=None) -> Snapshot:
     """Materialize one snapshot of the plan.
 
     Rows of step i are an exact prefix of the rows of any step j >= i. A
     volume step draws only its own rows of the pool's noise. Raises
     InvalidStep for an index outside the plan.
+
+    The rows are drawn one step's new rows at a time. When ``on_step`` is
+    given, ``on_step(i, rows)`` is called on this thread for each step
+    i <= step_index, in order, as soon as its block of new rows is final;
+    the block is a view that no later step writes to, and is empty for a
+    step that repeats the one before.
     """
-    if not (0 <= step_index < plan.n_steps):
-        raise InvalidStep(f"step {step_index} outside plan of {plan.n_steps} steps")
-    meta = _meta(plan, step_index)
-    n, q = meta.n_samples, plan.feature_dim
-    features = np.empty((n, q))
+    meta = snapshot_meta(plan, step_index)
+    q = plan.feature_dim
+    features = np.empty((meta.n_samples, q))
     if plan.scenario == VOLUME_GROWTH:
         n_classes = plan.n_classes
         protos = gen_prototypes(n_classes, q, plan.seed, plan.proto_radius)
-        labels = np.arange(n) % n_classes
-        np.random.default_rng([plan.seed, _VOLUME_TAG]).standard_normal(out=features)
-        features *= plan.sigma
-        # Row i is class i % n_classes. The whole cycles of rows are a
-        # C-contiguous prefix, so they reshape to a view that protos
-        # broadcast over; explicit dimensions keep n < n_classes valid.
-        cycles, rest = divmod(n, n_classes)
-        whole = features[: cycles * n_classes].reshape(cycles, n_classes, q)
-        whole += protos
-        features[cycles * n_classes :] += protos[:rest]
+        labels = np.arange(meta.n_samples) % n_classes
+        rng = np.random.default_rng([plan.seed, _VOLUME_TAG])
     else:
         protos = gen_prototypes(meta.n_classes, q, plan.seed, plan.proto_radius)
-        for c, block in enumerate(features.reshape(meta.n_classes, plan.base_samples, q)):
-            np.random.default_rng([plan.seed, _CLASS_TAG, c]).standard_normal(out=block)
-            block *= plan.sigma
-            block += protos[c]
         labels = np.repeat(np.arange(meta.n_classes), plan.base_samples)
+    n = 0
+    for i in range(step_index + 1):
+        end = snapshot_meta(plan, i).n_samples
+        rows = features[n:end]
+        if plan.scenario == VOLUME_GROWTH:
+            rng.standard_normal(out=rows)
+            rows *= plan.sigma
+            # Row r is class r % n_classes. The block's whole cycles reshape
+            # to a view that the prototypes, rolled to start at class
+            # n % n_classes, broadcast over; explicit dimensions keep a
+            # block shorter than one cycle valid.
+            rolled = np.roll(protos, -(n % n_classes), axis=0)
+            cycles, rest = divmod(end - n, n_classes)
+            whole = rows[: cycles * n_classes].reshape(cycles, n_classes, q)
+            whole += rolled
+            rows[cycles * n_classes :] += rolled[:rest]
+        else:
+            classes = rows.reshape(-1, plan.base_samples, q)
+            for c, block in enumerate(classes, start=n // plan.base_samples):
+                np.random.default_rng([plan.seed, _CLASS_TAG, c]).standard_normal(out=block)
+                block *= plan.sigma
+                block += protos[c]
+        if on_step is not None:
+            on_step(i, rows)
+        n = end
     return Snapshot(features=features, labels=labels, meta=meta)
 
 
@@ -222,7 +248,7 @@ def prefix_snapshot(snapshot: Snapshot, plan: GrowthPlan, step_index: int) -> Sn
     last = snapshot.meta.t
     if not (0 <= step_index <= last < plan.n_steps):
         raise InvalidStep(f"step {step_index} is not a prefix of step {last} of {plan.n_steps}")
-    meta = _meta(plan, step_index)
+    meta = snapshot_meta(plan, step_index)
     features, labels = snapshot.features[: meta.n_samples], snapshot.labels[: meta.n_samples]
     features.flags.writeable = labels.flags.writeable = False
     return Snapshot(features=features, labels=labels, meta=meta)

@@ -20,9 +20,13 @@ joins the running fit a by the pairwise update of Chan, Golub & LeVeque
     M2 = M2_a + M2_b + outer(delta, delta) * n_a * n_b / n
 
 with cov = M2 / n. One block is the plain two-pass fit, so
-``fit_gaussian`` is ``fit_prefixes`` with a single length. The pass hands
-each prefix's fit over as soon as its block is merged (``_prefix_fits``),
-so a caller can start on the early steps while later rows are read.
+``fit_gaussian`` is ``fit_prefixes`` with a single length. A block's mean
+and scatter (``_block_stats``) need no other block, so a caller may
+compute them anywhere, a thread pool included, as soon as the block's rows
+exist; the merge (``_merged_fit``) then takes them in row order, which
+gives the same bits whatever computed them. ``_prefix_fits`` hands each
+prefix's fit over as soon as its block is merged, so a caller can start on
+the early steps while later rows are read.
 """
 
 from __future__ import annotations
@@ -163,7 +167,21 @@ def _prefix_fits(features: np.ndarray, lengths, ridge: float | None = None):
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:
         raise DimensionMismatch(f"feature matrix must be 2-D, got shape {x.shape}")
-    rows, q = x.shape
+    lengths = _checked_lengths(lengths, x.shape[0])
+    if ridge is not None and ridge < 0:
+        raise InvalidData(f"ridge must be nonnegative, got {ridge}")
+
+    state = fit = None
+    n = 0
+    for end in lengths:
+        if end > n:
+            state, fit = _merged_fit(state, end, _block_stats(x[n:end]), ridge)
+        n = end
+        yield fit
+
+
+def _checked_lengths(lengths, rows: int) -> list[int]:
+    """Prefix lengths as ints, checked as ``fit_prefixes`` documents for a matrix of rows."""
     lengths = [operator.index(n) for n in lengths]
     if not lengths:
         raise InvalidData("need at least one prefix length")
@@ -173,32 +191,39 @@ def _prefix_fits(features: np.ndarray, lengths, ridge: float | None = None):
         raise InvalidData(f"prefix lengths must be non-decreasing: {lengths}")
     if lengths[-1] > rows:
         raise DimensionMismatch(f"prefix of {lengths[-1]} rows past the matrix's {rows}")
-    if ridge is not None and ridge < 0:
-        raise InvalidData(f"ridge must be nonnegative, got {ridge}")
+    return lengths
 
-    n = 0
-    for end in lengths:
-        if end == n:
-            yield fit
-            continue
-        block = x[n:end]
-        if not np.all(np.isfinite(block)):
-            raise InvalidData("non-finite values in feature matrix")
-        block_mean = block.mean(axis=0)
-        centered = block - block_mean
-        block_m2 = centered.T @ centered
-        if n == 0:
-            mean, m2 = block_mean, block_m2
-        else:
-            delta = block_mean - mean
-            mean = mean + delta * ((end - n) / end)
-            m2 = m2 + block_m2 + np.outer(delta, delta) * (n * (end - n) / end)
-        n = end
-        cov = m2 / n
-        cov = (cov + cov.T) / 2.0
-        step_ridge = 1e-6 * float(np.trace(cov)) / q if ridge is None else ridge
-        fit = GaussianSummary(mean=mean, cov=cov + step_ridge * np.eye(q), n_samples=n)
-        yield fit
+
+def _block_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and centred scatter c^T c of a non-empty block of rows.
+
+    Raises InvalidData for non-finite entries.
+    """
+    if not np.all(np.isfinite(block)):
+        raise InvalidData("non-finite values in feature matrix")
+    mean = block.mean(axis=0)
+    centered = block - mean
+    return mean, centered.T @ centered
+
+
+def _merged_fit(state, end: int, stats, ridge: float | None = None):
+    """Merge the block of rows [n, end), with ``stats = _block_stats(block)``,
+    into ``state = (n, mean, M2)`` of the rows before it (None before the
+    first block). Returns the new state and the fit of rows [:end]."""
+    block_mean, block_m2 = stats
+    if state is None:
+        mean, m2 = block_mean, block_m2
+    else:
+        n, mean, m2 = state
+        delta = block_mean - mean
+        mean = mean + delta * ((end - n) / end)
+        m2 = m2 + block_m2 + np.outer(delta, delta) * (n * (end - n) / end)
+    q = mean.size
+    cov = m2 / end
+    cov = (cov + cov.T) / 2.0
+    step_ridge = 1e-6 * float(np.trace(cov)) / q if ridge is None else ridge
+    fit = GaussianSummary(mean=mean, cov=cov + step_ridge * np.eye(q), n_samples=end)
+    return (end, mean, m2), fit
 
 
 def sqrt_spd(s: np.ndarray) -> np.ndarray:

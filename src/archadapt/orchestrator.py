@@ -9,15 +9,16 @@ Every random purpose gets its own seed derived from the master seed and
 a (step, purpose) tag, so runs are reproducible record for record; the
 records JSON is byte-identical across repeated runs. Wall-clock timings
 are volatile and therefore live in a separate timings file. Each plan is
-drawn once: earlier steps are read-only row-prefix views of the last one,
-and one pass over the last one's rows fits every step (fit_prefixes).
-That pass hands each fit over as its rows are merged, to a thread pool
-of up to one thread per core (_pool) that computes the shifts, the
-bootstrap oracle and compare_distance_metrics' distances meanwhile. No
+drawn once, one step's new rows at a time, into one array. As each
+step's rows land, their block mean and scatter go to a thread pool of up
+to one thread per core (_pool), and are merged into the step's fit in
+step order on the calling thread (_drawn_fits), so fits, shifts and
+compare_distance_metrics' distances run while later rows are drawn. The
+bootstrap oracle needs only step 0's meta, so it runs from the start. No
 pool task waits on another: what several tasks share, such as the base's
 matrix root in compare_distance_metrics, is computed on the calling
-thread before they are queued. Results are read in step order, so outputs
-and the first error raised are those of a serial loop.
+thread before they are queued. Results are read in step order, so
+outputs and the first error raised are those of a serial loop.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import os
 import time
 import typing
 import zlib
+from collections import deque
 from dataclasses import dataclass, fields, replace
-from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,21 @@ from .controller import (
     train,
     write_trace,
 )
-from .datagen import GrowthPlan, Snapshot, default_feature_extractor, gen_snapshot, prefix_snapshot
+from .datagen import (
+    GrowthPlan,
+    Snapshot,
+    default_feature_extractor,
+    gen_snapshot,
+    prefix_snapshot,
+    snapshot_meta,
+)
 from .errors import DimensionMismatch, InvalidConfig, InvalidData, _check_lams, _checked_shift
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
 from .gaussian import (  # noqa: F401 (fit_gaussian: perfbench/tracer.py wraps it here)
+    _block_stats,
     _check_samples,
+    _checked_lengths,
+    _merged_fit,
     _prefix_fits,
     _w2_given_root,
     fit_gaussian,
@@ -134,17 +145,53 @@ def _fit_steps(snapshots: list[Snapshot], feature_extractor=default_feature_extr
     return _prefix_fits(features, lengths)
 
 
+def _drawn_fits(plan: GrowthPlan, pool, fitted, feature_extractor=default_feature_extractor):
+    """Draw the plan once; call ``fitted(fit)`` here with each step's fit,
+    in step order, as soon as it is made.
+
+    With the identity extractor, each step's new rows go to the pool for
+    their block stats as they land, and the stats are merged in step order:
+    between blocks those already done, after the draw the rest. Any other
+    extractor sees the whole last snapshot, so it is fitted after the draw
+    (_fit_steps).
+    """
+    if feature_extractor is not default_feature_extractor:
+        for fit in _fit_steps(_snapshots(plan), feature_extractor):
+            fitted(fit)
+        return
+    ends = [snapshot_meta(plan, i).n_samples for i in range(plan.n_steps)]
+    _checked_lengths(ends, ends[-1])  # a first step of one row: DegenerateInput, before the draw
+    queued = deque()  # (end, stats task or None for no new rows), in step order
+    state = fit = None
+
+    def merge(wait: bool):
+        nonlocal state, fit
+        while queued and (wait or queued[0][1] is None or queued[0][1].done()):
+            end, stats = queued.popleft()
+            if stats is not None:
+                state, fit = _merged_fit(state, end, stats.result())
+            fitted(fit)
+
+    def landed(i, rows):
+        queued.append((ends[i], pool.submit(_block_stats, rows) if len(rows) else None))
+        merge(wait=False)
+
+    gen_snapshot(plan, plan.n_steps - 1, on_step=landed)
+    merge(wait=True)
+
+
 def _setup(cfg: RunConfig, feature_extractor):
     """What every run over the plan starts from.
 
-    Returns the snapshots, the consecutive shifts, the trainer config with
-    its bucket edges resolved, the evaluator, the bootstrap architecture
-    and the initial controller params.
+    Returns each step's meta, the consecutive shifts, the trainer config
+    with its bucket edges resolved, the evaluator, the bootstrap
+    architecture and the initial controller params.
 
     A bad initial arch, or an oracle space too large to enumerate, raises
-    before anything is drawn. The oracle runs on the pool from the start,
-    and each shift as soon as its two fits exist. Results are read in the
-    serial order, so the values, and the error raised first, are a serial run's.
+    before anything is drawn. The oracle runs on the pool before any row
+    is drawn, and each shift as soon as its two fits exist. Results are
+    read in the serial order, so the values, and the error raised first,
+    are a serial run's.
     """
     plan = cfg.plan
     if plan.n_steps < 2:
@@ -153,19 +200,25 @@ def _setup(cfg: RunConfig, feature_extractor):
         _check_size(cfg.space)
     else:
         arch = decode(cfg.initial_arch, cfg.space)
-    snapshots = _snapshots(plan)
+    metas = [snapshot_meta(plan, i) for i in range(plan.n_steps)]
     with _pool(plan) as pool:
         if cfg.initial_arch == "oracle":
-            oracle = pool.submit(oracle_best, cfg.space, snapshots[0].meta, cfg.surrogate)
-        fits = _fit_steps(snapshots, feature_extractor)
-        shifts = [pool.submit(wasserstein2_gaussian, cur, prev) for prev, cur in pairwise(fits)]
+            oracle = pool.submit(oracle_best, cfg.space, metas[0], cfg.surrogate)
+        fits, shifts = [], []
+
+        def fitted(fit):
+            if fits:
+                shifts.append(pool.submit(wasserstein2_gaussian, fit, fits[-1]))
+            fits.append(fit)
+
+        _drawn_fits(plan, pool, fitted, feature_extractor)
         shifts = [shift.result() for shift in shifts]
         trainer = resolve_bucket_edges(cfg.trainer, shifts)
         evaluate = make_evaluator(cfg.surrogate, cfg.space)
         if cfg.initial_arch == "oracle":
             arch, _, _ = oracle.result()
     params = init_params(cfg.space, trainer, seed=derive_seed(cfg.master_seed, 0, "init"))
-    return snapshots, shifts, trainer, evaluate, arch, params
+    return metas, shifts, trainer, evaluate, arch, params
 
 
 def run_adaptation(
@@ -185,11 +238,10 @@ def run_adaptation(
     read-only view): step i is fitted on the first n_i rows of its
     output. Another row count raises DimensionMismatch.
     """
-    snapshots, shifts, trainer, evaluate, arch, params = _setup(cfg, feature_extractor)
+    metas, shifts, trainer, evaluate, arch, params = _setup(cfg, feature_extractor)
     records: list[AdaptationRecord] = []
     for i in range(1, cfg.plan.n_steps):
-        prev_meta = snapshots[i - 1].meta
-        cur_meta = snapshots[i].meta
+        prev_meta, cur_meta = metas[i - 1], metas[i]
         shift = shifts[i - 1]
         drop = accuracy_drop(arch, prev_meta, cur_meta, evaluate)
         adapted = should_adapt(drop, cfg.gate)
@@ -310,35 +362,55 @@ def compare_distance_metrics(
 
     Rebuilds the plan once per seed and averages both distances from
     step 0 to every later step. Each step's JS goes to a thread pool of up
-    to one thread per core as soon as its fit is made. Once every fit is
-    made, the base's matrix root is taken here, once per seed, and each
-    step's W2 goes to the pool with it; no task waits on another. The sums
-    are taken in seed and step order, W2 before JS, so the rows and the
-    first error raised do not depend on the core count. A sample count
-    below one raises InvalidData before anything is drawn.
+    to one thread per core as soon as its fit is made. Once a seed's fits
+    are made, the base's matrix root is taken here, and each step's W2
+    goes to the pool with it; no task waits on another. The next seed is
+    drawn while they run, one seed's feature matrix at a time. The sums
+    are taken afterwards in seed and step order, W2 before JS, so the rows
+    and the first error raised do not depend on the core count. A sample
+    count below one raises InvalidData before anything is drawn.
     """
     if not seeds:
         raise InvalidConfig("compare_distance_metrics needs at least one seed")
     _check_samples(n_samples)
     sums = [[0.0, 0.0] for _ in range(1, plan.n_steps)]  # [wd, js] of steps 1, 2, ...
-    with _pool(plan) as pool:
-        for seed in seeds:
-            fits = _fit_steps(_snapshots(replace(plan, seed=seed)))
-            base = next(fits)
-            later, js_tasks = [], []
-            for j, fit in enumerate(fits, start=1):
-                later.append(fit)
-                js_tasks.append(pool.submit(js_divergence_mc, fit, base, n_samples=n_samples,
-                                            seed=derive_seed(seed, j, "js")))
-            root = sqrt_spd(base.cov)
-            w2_tasks = [pool.submit(_w2_given_root, fit, base, root) for fit in later]
+    queued = []  # per seed drawn: its (W2 tasks, JS tasks) of steps 1, 2, ...
+
+    def read():
+        for w2_tasks, js_tasks in queued:
             for pair, w2, js in zip(sums, w2_tasks, js_tasks):
                 pair[0] += w2.result()
                 pair[1] += js.result()
+
+    with _pool(plan) as pool:
+        for seed in seeds:
+            try:
+                queued.append(_seed_distances(replace(plan, seed=seed), pool, n_samples))
+            except Exception:
+                read()  # an earlier seed's error comes first, as in a serial loop
+                raise
+        read()
     return [
         {"step": j, "wd": wd / len(seeds), "js": js / len(seeds)}
         for j, (wd, js) in enumerate(sums, start=1)
     ]
+
+
+def _seed_distances(plan: GrowthPlan, pool, n_samples: int):
+    """Queue one seed's distances from step 0: each step's JS as its fit is
+    made, then, with the base's root taken here, each step's W2. Returns
+    the W2 and the JS tasks of steps 1, 2, ..."""
+    fits, js_tasks = [], []
+
+    def fitted(fit):
+        if fits:
+            js_tasks.append(pool.submit(js_divergence_mc, fit, fits[0], n_samples=n_samples,
+                                        seed=derive_seed(plan.seed, len(fits), "js")))
+        fits.append(fit)
+
+    _drawn_fits(plan, pool, fitted)
+    root = sqrt_spd(fits[0].cov)
+    return [pool.submit(_w2_given_root, fit, fits[0], root) for fit in fits[1:]], js_tasks
 
 
 def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
@@ -357,11 +429,9 @@ def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:
     _check_lams(lambdas)
     if not lambdas:
         return []
-    snapshots, shifts, trainer, evaluate, arch, base_params = _setup(
-        cfg, default_feature_extractor
-    )
+    metas, shifts, trainer, evaluate, arch, base_params = _setup(cfg, default_feature_extractor)
     shift = _checked_shift(shifts[0], divided=True, when=" at step 1, where lambda_sweep forces adaptation")
-    cur_meta = snapshots[1].meta
+    cur_meta = metas[1]
     seeds = [derive_seed(cfg.master_seed, 1, "train")] * len(lambdas)
     runs = base_params._over(np.tile(base_params.flat, (len(lambdas), 1)))
     _train_many(runs, arch, shift, cur_meta, evaluate, trainer, lambdas, seeds)

@@ -210,6 +210,18 @@ class TestOracle:
         assert line == f"arch={aa.encode(arch)} v={v:.4f} madds={cost:.3f}"
 
 
+    def test_reads_the_meta_without_drawing(self, config_file, capsys, monkeypatch):
+        # Every draw of a snapshot starts with the plan's class prototypes.
+        draws = []
+        real = aa.datagen.gen_prototypes
+        monkeypatch.setattr(aa.datagen, "gen_prototypes",
+                            lambda *args: draws.append(args) or real(*args))
+        assert main(["oracle", "--config", str(config_file), "--step", "2"]) == 0
+        assert main(["oracle", "--config", str(config_file), "--step", "99"]) == 1
+        assert "--step: step 99 outside plan of 3 steps" in capsys.readouterr().err
+        assert draws == []
+
+
 class TestSweeps:
     def test_sweep_lambda_table(self, tmp_path, config_file, capsys):
         assert main(["sweep-lambda", "--config", str(config_file),

@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -187,6 +188,42 @@ class TestPrefixSnapshot:
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.2, 0.5, 1.0), seed=1)
         with pytest.raises(aa.InvalidStep):
             aa.prefix_snapshot(aa.gen_snapshot(plan, 1), plan, step)
+
+
+class TestStepByStepDraw:
+    """gen_snapshot hands each step's new rows over as soon as they are final."""
+
+    @given(plan=_plans())
+    @settings(max_examples=60, deadline=None)
+    def test_each_steps_new_rows_in_order_on_the_calling_thread(self, plan):
+        seen = []
+
+        def on_step(i, rows):
+            seen.append((i, rows, rows.copy(), threading.current_thread()))
+
+        last = aa.gen_snapshot(plan, plan.n_steps - 1, on_step=on_step)
+        assert [i for i, *_ in seen] == list(range(plan.n_steps))
+        n = 0
+        for i, rows, at_handover, thread in seen:
+            end = aa.snapshot_meta(plan, i).n_samples
+            assert rows.shape == (end - n, plan.feature_dim)
+            assert rows.size == 0 or np.shares_memory(rows, last.features[n:end])
+            # No later step wrote to the block after it was handed over.
+            assert at_handover.tobytes() == last.features[n:end].tobytes()
+            assert thread is threading.current_thread()
+            n = end
+
+    @given(plan=_plans())
+    @settings(max_examples=40, deadline=None)
+    def test_snapshot_meta_is_the_drawn_meta(self, plan):
+        for i in range(plan.n_steps):
+            assert aa.snapshot_meta(plan, i) == aa.gen_snapshot(plan, i).meta
+
+    @pytest.mark.parametrize("step", [2, 99, -1])
+    def test_snapshot_meta_outside_the_plan(self, step):
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4))
+        with pytest.raises(aa.InvalidStep, match=f"step {step} outside plan of 2 steps"):
+            aa.snapshot_meta(plan, step)
 
 
 class TestDeterminism:

@@ -162,6 +162,20 @@ class TestFitPrefixes:
 
         assert as_bytes(gaussian._prefix_fits(x, lengths)) == as_bytes(aa.fit_prefixes(x, lengths))
 
+    @pytest.mark.parametrize("lengths", [[10, 25, 40, 60], [2, 60], [60]])
+    def test_block_stats_made_out_of_order_merge_to_the_same_bits(self, lengths):
+        # A block's stats need no other block, so who makes them, and when,
+        # cannot change the fits as long as they are merged in row order.
+        x = np.random.default_rng(6).normal(size=(60, 4)) * 3.0 + 7.0
+        starts = [0, *lengths[:-1]]
+        stats = {n: gaussian._block_stats(x[n:end]) for n, end in reversed(list(zip(starts, lengths)))}
+        state, merged = None, []
+        for n, end in zip(starts, lengths):
+            state, fit = gaussian._merged_fit(state, end, stats[n])
+            merged.append((fit.mean.tobytes(), fit.cov.tobytes(), fit.n_samples))
+        assert merged == [(f.mean.tobytes(), f.cov.tobytes(), f.n_samples)
+                          for f in aa.fit_prefixes(x, lengths)]
+
     def test_stream_hands_over_the_fits_before_a_bad_block(self):
         x = np.random.default_rng(0).normal(size=(30, 2))
         x[25, 1] = np.nan

@@ -10,6 +10,10 @@ against files written by an earlier commit instead:
 - ``archadapt adapt`` on a small volume-growth plan whose gate holds at
   every step: ``records.json``, and the sha256 of each ``gen_snapshot``
   step's feature bytes;
+- the sha256 of each step's feature bytes of a small class-growth plan,
+  one of whose steps repeats the one before;
+- ``compare_distance_metrics`` on a small volume plan over two seeds and
+  on a small class plan: the rows, as JSON bytes;
 - ``lockstep.sha256``: the digests of sequential ``train`` calls that
   ``tests/test_controller.py``'s ``TestLockstep`` checks lockstep training
   against.
@@ -29,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import archadapt as aa
+from archadapt import orchestrator
 from archadapt.cli import main as cli_main
 
 DATA = Path(__file__).resolve().parent / "data" / "golden"
@@ -131,18 +136,50 @@ def test_adapt_matches_golden(seed, tmp_path):
         assert produced[name] == (golden_dir / name).read_bytes(), name
 
 
-def _snapshot_digests():
-    """One ``step sha256`` line per step of the volume plan's snapshots."""
-    plan = aa.GrowthPlan(
-        scenario=aa.VOLUME_GROWTH, steps=(0.2, 0.333, 0.7, 1.0), feature_dim=6,
-        base_samples=400, n_classes=5, seed=VOLUME_SEED,
-    )
+VOLUME_PLAN = aa.GrowthPlan(
+    scenario=aa.VOLUME_GROWTH, steps=(0.2, 0.333, 0.7, 1.0), feature_dim=6,
+    base_samples=400, n_classes=5, seed=VOLUME_SEED,
+)
+
+CLASS_SEED = 3
+CLASS_PLAN = aa.GrowthPlan(
+    scenario=aa.CLASS_GROWTH, steps=(2, 3, 3, 6), feature_dim=5,
+    base_samples=50, seed=CLASS_SEED,
+)
+
+# compare_distance_metrics inputs, by golden file name: plan, seeds, draws.
+DISTANCE_RUNS = {
+    "distances_volume.json": (
+        aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
+                      feature_dim=6, base_samples=900, seed=9),
+        (4, 5), 700,
+    ),
+    "distances_class.json": (
+        aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), feature_dim=4,
+                      base_samples=400, seed=7),
+        (0,), 2000,
+    ),
+}
+
+
+def _digest_lines(snapshots):
+    """One ``step sha256`` line per snapshot, of its feature bytes."""
     lines = []
-    for i in range(plan.n_steps):
-        features = aa.gen_snapshot(plan, i).features
-        assert features.dtype == "float64"
-        lines.append(f"{i} {hashlib.sha256(features.tobytes()).hexdigest()}\n")
+    for i, snap in enumerate(snapshots):
+        assert snap.features.dtype == "float64"
+        lines.append(f"{i} {hashlib.sha256(snap.features.tobytes()).hexdigest()}\n")
     return "".join(lines).encode()
+
+
+def _snapshot_digests(plan=VOLUME_PLAN):
+    """The digest lines of each ``gen_snapshot`` step of the plan."""
+    return _digest_lines(aa.gen_snapshot(plan, i) for i in range(plan.n_steps))
+
+
+def _distances(name):
+    plan, seeds, n_samples = DISTANCE_RUNS[name]
+    rows = aa.compare_distance_metrics(plan, seeds=seeds, n_samples=n_samples)
+    return (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_lambda_sweep_matches_golden():
@@ -157,6 +194,21 @@ def test_volume_growth_matches_golden(tmp_path):
     assert [r["adapted"] for r in records] == [False] * 3
     assert produced["records.json"] == (golden_dir / "records.json").read_bytes()
     assert _snapshot_digests() == (golden_dir / "snapshots.sha256").read_bytes()
+
+
+@pytest.mark.parametrize("plan, name", [
+    (VOLUME_PLAN, f"volume_seed{VOLUME_SEED}"), (CLASS_PLAN, f"class_seed{CLASS_SEED}"),
+], ids=["volume", "class"])
+def test_drawn_snapshots_match_golden(plan, name):
+    # gen_snapshot of each step, and the row-prefix views of one draw of the plan.
+    pinned = (DATA / name / "snapshots.sha256").read_bytes()
+    assert _snapshot_digests(plan) == pinned
+    assert _digest_lines(orchestrator._snapshots(plan)) == pinned
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_RUNS))
+def test_distance_rows_match_golden(name):
+    assert _distances(name) == (DATA / name).read_bytes()
 
 
 def regenerate():
@@ -177,6 +229,12 @@ def regenerate():
         produced = _run_adapt(VOLUME_SEED, Path(tmp), VOLUME_CONFIG, "volume")
         (volume / "records.json").write_bytes(produced["records.json"])
     (volume / "snapshots.sha256").write_bytes(_snapshot_digests())
+    (DATA / f"class_seed{CLASS_SEED}").mkdir(exist_ok=True)
+    (DATA / f"class_seed{CLASS_SEED}" / "snapshots.sha256").write_bytes(
+        _snapshot_digests(CLASS_PLAN)
+    )
+    for name in DISTANCE_RUNS:
+        (DATA / name).write_bytes(_distances(name))
     (DATA / f"sweep_seed{SWEEP_SEED}.json").write_bytes(_run_sweep())
     # A sibling test module: importable when this file runs as a script.
     from test_controller import LOCKSTEP_PINS, TestLockstep

@@ -254,6 +254,168 @@ class TestSetupPool:
         assert draws == []
 
 
+def _nan_prototype(monkeypatch, cls, seed=None):
+    """Give class cls a NaN prototype in every draw of the seed (of any seed
+    when None), so the rows of that class, and only they, are non-finite."""
+    real = aa.datagen.gen_prototypes
+
+    def protos(n_classes, feature_dim, plan_seed, radius):
+        out = real(n_classes, feature_dim, plan_seed, radius)
+        if n_classes > cls and seed in (None, plan_seed):
+            out[cls] = np.nan
+        return out
+
+    monkeypatch.setattr(aa.datagen, "gen_prototypes", protos)
+
+
+class TestStreamedDraw:
+    """Each step's rows are fitted on the pool while later rows are drawn."""
+
+    PLAN = TestSetupPool.PLAN
+
+    def test_the_oracle_runs_before_any_row_is_drawn(self, monkeypatch):
+        oracle_ran = threading.Event()
+        real_oracle, real_gen = orchestrator.oracle_best, orchestrator.gen_snapshot
+
+        def oracle(*args):
+            oracle_ran.set()
+            return real_oracle(*args)
+
+        def gen_snapshot(*args, **kwargs):
+            assert oracle_ran.wait(timeout=10)
+            return real_gen(*args, **kwargs)
+
+        want = aa.run_adaptation(_run_config(self.PLAN))
+        monkeypatch.setattr(orchestrator, "oracle_best", oracle)
+        monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 1)
+        got = aa.run_adaptation(_run_config(self.PLAN))
+        assert [dataclasses.replace(r, duration_s=0.0) for r in got] == [
+            dataclasses.replace(r, duration_s=0.0) for r in want]
+
+    def test_each_block_is_fitted_while_later_rows_are_drawn(self, monkeypatch):
+        last = self.PLAN.n_steps - 1
+        ran = []  # row counts of the blocks whose stats ran, in the order they ran
+        earlier_ran = threading.Event()
+        real_stats, real_gen = orchestrator._block_stats, orchestrator.gen_snapshot
+
+        def block_stats(block):
+            out = real_stats(block)
+            ran.append(len(block))
+            if len(ran) == last:
+                earlier_ran.set()
+            return out
+
+        def gen_snapshot(plan, step, on_step):
+            def landed(i, rows):
+                if i == last:  # its rows are drawn; every earlier block is fitted
+                    assert earlier_ran.wait(timeout=10)
+                on_step(i, rows)
+
+            return real_gen(plan, step, on_step=landed)
+
+        want = [r.shift for r in aa.run_adaptation(_run_config(self.PLAN))]
+        monkeypatch.setattr(orchestrator, "_block_stats", block_stats)
+        monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        got = [r.shift for r in aa.run_adaptation(_run_config(self.PLAN))]
+        assert got == want
+        ends = [aa.snapshot_meta(self.PLAN, i).n_samples for i in range(self.PLAN.n_steps)]
+        assert sorted(ran) == sorted(b - a for a, b in zip([0, *ends], ends))
+
+    def test_a_one_row_first_step_raises_before_anything_is_drawn(self, monkeypatch):
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.001, 1.0), base_samples=999)
+        monkeypatch.setattr(orchestrator, "gen_snapshot", None)  # a draw would raise TypeError
+        for run in (lambda: aa.run_adaptation(_run_config(plan)),
+                    lambda: aa.compare_distance_metrics(plan, seeds=(0,), n_samples=10)):
+            with pytest.raises(aa.DegenerateInput, match="at least 2 samples to fit, got 1"):
+                run()
+
+    def test_a_nan_prototype_in_the_last_block_raises_after_step_1s_shift(self, monkeypatch):
+        # Class 7 appears only in the last step's block of new rows.
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), feature_dim=4,
+                             base_samples=50, seed=5)
+        _nan_prototype(monkeypatch, 7)
+        real_w2 = orchestrator.wasserstein2_gaussian
+        outcomes = {}
+        for cores in (1, 2, 3):
+            shifts = []
+
+            def w2(fit, prev):
+                shifts.append((fit.n_samples, prev.n_samples, real_w2(fit, prev)))
+                return shifts[-1][2]
+
+            monkeypatch.setattr(orchestrator, "wasserstein2_gaussian", w2)
+            monkeypatch.setattr(orchestrator, "_cores", lambda: cores)
+            threads = threading.active_count()
+            with pytest.raises(aa.InvalidData) as raised:
+                aa.run_adaptation(_run_config(plan))
+            assert threading.active_count() == threads
+            outcomes[cores] = (str(raised.value), shifts)
+        assert outcomes[1] == outcomes[2] == outcomes[3]
+        message, shifts = outcomes[1]
+        assert message == "non-finite values in feature matrix"
+        assert [s[:2] for s in shifts] == [(200, 100)] and np.isfinite(shifts[0][2])
+
+    def test_outputs_hold_with_more_threads_than_cores_and_fast_switching(self, monkeypatch):
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, feature_dim=5, base_samples=600, seed=3,
+                             steps=tuple(round(0.2 + 0.1 * i, 6) for i in range(9)))
+
+        def outputs():
+            shifts = [r.shift for r in aa.run_adaptation(_run_config(plan))]
+            return shifts, aa.compare_distance_metrics(plan, seeds=(0, 1), n_samples=300)
+
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 1)
+        want = outputs()
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 8)  # 8 threads, 9 steps
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = outputs()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("seed1_fails_in", ["js", "fit"])
+    def test_an_error_at_seed_0_wins_over_an_earlier_one_at_seed_1(self, monkeypatch,
+                                                                   seed1_fails_in):
+        # Seed 1 is drawn, and fails, while seed 0's tasks still run.
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), feature_dim=4,
+                             base_samples=400, seed=7)
+        seed1_failed = threading.Event()
+        seed0_step1 = orchestrator.derive_seed(0, 1, "js")
+        seed1_steps = {orchestrator.derive_seed(1, j, "js") for j in (1, 2)}
+        real_js, real_stats = orchestrator.js_divergence_mc, orchestrator._block_stats
+
+        def js(fit, base, n_samples, seed):
+            if seed == seed0_step1:
+                assert seed1_failed.wait(timeout=10)
+                time.sleep(0.2)  # seed 1's error is raised well before this one
+                raise aa.NotSPD("seed 0")
+            if seed in seed1_steps and seed1_fails_in == "js":
+                seed1_failed.set()
+                raise aa.InvalidData("seed 1")
+            return real_js(fit, base, n_samples=n_samples, seed=seed)
+
+        def block_stats(block):
+            try:
+                return real_stats(block)
+            except aa.InvalidData:
+                seed1_failed.set()
+                raise
+
+        if seed1_fails_in == "fit":
+            _nan_prototype(monkeypatch, 7, seed=1)
+        monkeypatch.setattr(orchestrator, "js_divergence_mc", js)
+        monkeypatch.setattr(orchestrator, "_block_stats", block_stats)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(aa.NotSPD, match="seed 0"):
+            aa.compare_distance_metrics(plan, seeds=(0, 1), n_samples=200)
+        assert seed1_failed.is_set()
+        assert threading.active_count() == threads
+
+
 class TestRecordsFile:
     def _records(self, tmp_path, sub):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), seed=5)
