@@ -64,6 +64,19 @@ steps taken, and ``_train_many`` sums each run's entropies down it. A
 ``Trajectory`` (``sample``, ``score``) keeps its ``PolicyState`` and each
 step's log-probability and entropy; its choices are ``_validate(traj.arch, space)``.
 
+Each run walks the grammar as plain integers: its next decision kind, the
+layers left in its unit and the units left after it. Its architecture is
+built once, from its choice indices, when it retires. The runs deciding
+one kind form a group: every run's logits for that kind come from one
+stacked matmul, a group of every run indexes the record with a slice, and
+a group of one run writes its log-probabilities and probabilities
+straight into its record rows. A larger group's columns are computed in
+fresh arrays, whose reductions keep the layout they have always had, and
+copied into the record afterwards. The GRU's temporaries go into scratch
+arrays made once per rollout. ``_backward`` fills its gate coefficients into
+preallocated arrays and runs the reverse recurrence in place, over
+reversed views of the steps.
+
 ``_train_many`` owns its (K, P) workspace: the batch's sum, which the first
 gradient is written into, two scratch arrays and the finite check's mask.
 ``_backward`` and ``_apply_update`` write into it with ``out=``, one pass of
@@ -82,6 +95,7 @@ per rollout, keep its decisions about as cheap as a loop written for one run.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -419,13 +433,6 @@ class Trajectory:
     pstate: PolicyState
 
 
-def _softmax_logprobs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and log-probabilities of each column of logits."""
-    z = logits - np.maximum.reduce(logits)
-    logp = z - np.log(np.add.reduce(np.exp(z)))
-    return np.exp(logp), logp
-
-
 class _Rollout(NamedTuple):
     """K runs' passes over their decision sequences, as one dense record.
 
@@ -457,16 +464,15 @@ class _Rollout(NamedTuple):
     entropy: np.ndarray
 
 
-def _grammar(space: SpaceConfig):
-    """Walk the decision grammar: yield each decision's kind code, receive
-    its choice index, and return the architecture the choices spell."""
-    units = []
+def _arch_from_choices(choices: list[int], space: SpaceConfig) -> Architecture:
+    """The architecture a complete choice-index sequence spells (``_validate``'s inverse)."""
+    kernels, expansions = space.kernel_choices, space.expansion_choices
+    units, end = [], 0
     for _ in range(space.n_units):
-        layers = []
-        for _ in range(space.depth_choices[(yield 0)]):
-            kernel = space.kernel_choices[(yield 1)]
-            layers.append((kernel, space.expansion_choices[(yield 2)]))
-        units.append(layers)
+        start = end + 1
+        end = start + 2 * space.depth_choices[choices[end]]
+        layers = zip(choices[start:end:2], choices[start + 1 : end : 2])
+        units.append([(kernels[k], expansions[e]) for k, e in layers])
     return Architecture(units=units)
 
 
@@ -483,25 +489,33 @@ def _rollout(
     greedy: argmax decoding (ties go to the lowest index via argmax).
     otherwise: ancestral sampling, run k drawing from rngs[k].
 
-    All runs take a GRU step together; a decision's head is computed per
-    kind for the runs at that kind. A run is retired after its last unit.
+    All runs take a GRU step together; each kind decided at a step gets every
+    run's logits, and its softmax and choices for the runs at that kind. A
+    run is retired after its last unit.
     """
     # Hidden states are (K, H, 1) columns, so each stacked matrix-vector
     # product is one np.matmul call.
     p, space = params.arrays, params.space
-    # Per kind code: its (K, n, H) head weights, (K, n, 1) bias and head rows.
-    heads = [(p["head_w"][:, rows], p["head_b"][:, rows, None], rows) for rows, _ in _kinds(space).values()]
     n_runs, hid = enc.h0.shape
+    # Per kind code: its (K, n, H) head weights, (K, n, 1) bias, head rows,
+    # and every run's (K, n, 1) logits, written in place, with their columns.
+    heads = []
+    for rows, _ in _kinds(space).values():
+        logits = np.empty((n_runs, rows.stop - rows.start, 1))
+        heads.append((p["head_w"][:, rows], p["head_b"][:, rows, None], rows, logits, logits[:, :, 0].T))
     runs = range(n_runs)
     w, u, b, tokens = p["gru_w"], p["gru_u"], p["gru_b"][..., None], p["token_emb"]
     b_rz, b_n = b[:, : 2 * hid], b[:, 2 * hid :]
     n_tokens = tokens.shape[1]
-    # W @ x for every run and token row, computed once and split by gate;
-    # row k * n_tokens + s is run k's token s.
+    # W @ x for every run and token row, computed once; row k * n_tokens + s
+    # is run k's token s. Each step takes the runs' rows into wx.
     wx_all = np.matmul(w[:, None], tokens[..., None]).reshape(n_runs * n_tokens, 3 * hid, 1)
-    wx_rz_all, wx_n_all = wx_all[:, : 2 * hid], wx_all[:, 2 * hid :]
-    wx_rows = list(zip(wx_rz_all[:, None], wx_n_all[:, None])) if n_runs == 1 else None
-    exp, tanh, add, divide, matmul = np.exp, np.tanh, np.add, np.divide, np.matmul
+    wx = np.empty((n_runs, 3 * hid, 1))
+    wx_rz, wx_n = wx[:, : 2 * hid], wx[:, 2 * hid :]
+    # A lone run's rows as views split by gate, made once: cheaper than take.
+    wx_rows = list(zip(wx_all[:, None, : 2 * hid], wx_all[:, None, 2 * hid :])) if n_runs == 1 else None
+    exp, tanh, log, matmul = np.exp, np.tanh, np.log, np.matmul
+    add, subtract, multiply = np.add, np.subtract, np.multiply
     t_max = space.n_units * (1 + 2 * space.depth_choices[-1])
     # The record (see _Rollout); step t writes row t of each array in place.
     sources = np.empty((t_max, n_runs), int)
@@ -510,60 +524,104 @@ def _rollout(
     hs[0, ..., 0] = enc.h0
     all_probs, all_logp, hits = np.zeros((3, t_max, n_runs, p["head_b"].shape[1]))
     entropies = np.zeros((t_max, n_runs))
-    archs = [None] * n_runs
-    steps = zip(hs, hs[1:], uhs, rzs, ns, sources)  # each step's GRU rows, as views
-    offsets = [k * n_tokens for k in runs]
-    source = offsets[:]  # each run's next input row of wx_all
-    walks = [_grammar(space) for _ in runs]
-    kind = [next(walk) for walk in walks]  # next decision kind per run
-    active = list(runs)
-    t = 0
-
+    # Each step's GRU rows, as views, the gates' parts split off once.
+    uh_gates, rz_gates = (uhs[:, :, : 2 * hid], uhs[:, :, 2 * hid :]), (rzs[:, :, :hid], rzs[:, :, hid:])
+    steps = zip(hs, hs[1:], uhs, *uh_gates, rzs, *rz_gates, ns, sources)
+    # Scratch for the GRU's temporaries, written with out= at each step.
+    pre_rz, pre_n = np.empty((n_runs, 2 * hid, 1)), np.empty((n_runs, hid, 1))
     # Array operands of 1.0: cheaper than the scalar on these shapes, same values.
     one_rz = np.ones((n_runs, 2 * hid, 1))
     one_h = one_rz[:, :hid]
 
+    # The grammar as a table: per unit a depth decision (kind 0), then for
+    # each of its layers a kernel (1) and an expansion (2). Each run keeps a
+    # stack of the kinds it has still to decide; a depth choice pushes its
+    # unit's layer kinds, and a run whose stack is empty retires.
+    layer_kinds = [[2, 1] * depth for depth in space.depth_choices]
+    kind = [0] * n_runs  # each run's next kind, -1 once retired
+    todo = [[0] * (space.n_units - 1) for _ in runs]
+    chosen: list[list[int]] = [[] for _ in runs]  # each run's choice indices
+    everyone = tuple(runs)
+    offsets = [k * n_tokens for k in runs]
+    source = offsets[:]  # each run's next input row of wx_all
+    archs = [None] * n_runs
+    active = list(runs)
+    t = 0
+
     while active:
-        if n_runs == 1:  # a lone run's row views, made once: cheaper than take
+        h_prev, h, uh, uh_rz, uh_n, rz, r, z, n, step_sources = next(steps)
+        step_sources[...] = source
+        if n_runs == 1:
             wx_rz, wx_n = wx_rows[source[0]]
         else:
-            wx_rz, wx_n = wx_rz_all.take(source, axis=0), wx_n_all.take(source, axis=0)
-        h_prev, h, uh, rz, n, step_sources = next(steps)
+            # Every source is in range, so "clip" clips nothing; unlike the
+            # default "raise", it writes into wx without a buffer.
+            wx_all.take(step_sources, axis=0, out=wx, mode="clip")
         matmul(u, h_prev, out=uh)
-        divide(one_rz, one_rz + exp(-(wx_rz + uh[:, : 2 * hid] + b_rz)), out=rz)
-        z = rz[:, hid:]
-        tanh(wx_n + rz[:, :hid] * uh[:, 2 * hid :] + b_n, out=n)
-        add((one_h - z) * h_prev, z * n, out=h)
-        step_sources[...] = source
+        # rz = 1 / (1 + exp(-(wx_rz + uh_rz + b_rz)))
+        add(wx_rz, uh_rz, out=pre_rz)
+        add(pre_rz, b_rz, out=pre_rz)
+        np.negative(pre_rz, out=pre_rz)
+        exp(pre_rz, out=pre_rz)
+        add(one_rz, pre_rz, out=pre_rz)
+        np.divide(one_rz, pre_rz, out=rz)
+        # n = tanh(wx_n + r * uh_n + b_n)
+        multiply(r, uh_n, out=pre_n)
+        add(wx_n, pre_n, out=pre_n)
+        add(pre_n, b_n, out=pre_n)
+        tanh(pre_n, out=n)
+        # h = (1 - z) * h_prev + z * n
+        subtract(one_h, z, out=pre_n)
+        multiply(pre_n, h_prev, out=pre_n)
+        multiply(z, n, out=h)
+        add(pre_n, h, out=h)
 
-        groups: dict[int, list[int]] = {}
-        for k in active:
-            groups.setdefault(kind[k], []).append(k)
-        for code, idx in groups.items():
-            head_w, head_b, rows = heads[code]
-            if len(idx) == n_runs:
-                logits = matmul(head_w, h) + head_b
-            else:
-                logits = matmul(head_w[idx], h[idx]) + head_b[idx]
+        if kind.count(kind[0]) == n_runs:
+            # Every run decides the same kind: a group of all runs, which is
+            # not active itself, since retiring a run removes it from active.
+            groups = ((kind[0], everyone),)
+        else:
+            grouped: dict[int, list[int]] = {}
+            for k in active:
+                grouped.setdefault(kind[k], []).append(k)
+            groups = grouped.items()
+        for code, idx in groups:
+            head_w, head_b, rows, logits, all_cols = heads[code]
+            # Every run's logits, also of runs at other kinds: a stacked
+            # matmul gives each run the bits of its own product.
+            add(matmul(head_w, h, out=logits), head_b, out=logits)
             # Each run's logits form a column (one run: a plain 1-D row,
             # whose reductions give numpy scalars, the cheapest case), so
             # every reduction runs down axis 0 and gives the bits of that
             # run's head alone.
-            one = len(idx) == 1
-            cols = logits[0, :, 0] if one else logits[:, :, 0].T
-            probs, logp = _softmax_logprobs(cols)
-            entropy = -add.reduce(probs * logp)
+            full, one = len(idx) == n_runs, len(idx) == 1
+            if one:
+                # A lone run's row goes straight into its record rows.
+                cols = logits[idx[0], :, 0]
+                logp, probs = all_logp[t, idx[0], rows], all_probs[t, idx[0], rows]
+                shifted = cols - np.maximum.reduce(cols)
+                subtract(shifted, log(add.reduce(exp(shifted))), out=logp)
+                exp(logp, out=probs)
+                entropy = -add.reduce(probs * logp)
+                entropies[t, idx[0]] = entropy
+            else:
+                cols = all_cols if full else logits[idx, :, 0].T
+                shifted = cols - np.maximum.reduce(cols)
+                logp = shifted - log(add.reduce(exp(shifted)))
+                probs = exp(logp)
+                entropy = -add.reduce(probs * logp)
+                at = slice(None) if full else idx
+                all_probs[t, at, rows] = probs.T
+                all_logp[t, at, rows] = logp.T
+                entropies[t, at] = entropy
             if actions is None and not greedy:
                 # The draw Generator.choice(n, p=probs / probs.sum()) makes,
                 # without its validation passes: same uniform, same result.
                 cdf = add.accumulate(probs / add.reduce(probs))
                 cdf /= cdf[-1]
-            # A lone run's index is an int and its head a 1-D row: basic
-            # indexing, cheaper than a list, and no transpose.
-            at = idx[0] if one else idx
-            all_probs[t, at, rows] = probs if one else probs.T
-            all_logp[t, at, rows] = logp if one else logp.T
-            entropies[t, at] = entropy
+                # Each run's cdf as a list, non-decreasing: its right
+                # bisection is searchsorted's right-side result.
+                cdfs = [cdf.tolist()] if one else cdf.T.tolist()
             for i, (k, e) in enumerate(zip(idx, [float(entropy)] if one else entropy.tolist())):
                 if not math.isfinite(e):
                     # NaN here means a non-finite logit somewhere in this head.
@@ -573,14 +631,18 @@ def _rollout(
                 elif greedy:
                     c = int((cols if one else cols[:, i]).argmax())
                 else:
-                    c = int((cdf if one else cdf[:, i]).searchsorted(rngs[k].random(), "right"))
+                    c = bisect_right(cdfs[i], rngs[k].random())
                 row = rows.start + c
                 hits[t, k, row] = 1.0
                 source[k] = offsets[k] + 1 + row  # token_emb row 0 is the start token
-                try:
-                    kind[k] = walks[k].send(c)
-                except StopIteration as done:
-                    archs[k] = done.value
+                chosen[k].append(c)
+                if code == 0:
+                    todo[k] += layer_kinds[c]
+                if todo[k]:
+                    kind[k] = todo[k].pop()
+                else:
+                    kind[k] = -1
+                    archs[k] = _arch_from_choices(chosen[k], space)
                     active.remove(k)
         t += 1
     return _Rollout(enc, archs, t, sources, rzs, ns, uhs, hs, all_probs, all_logp, hits, entropies)
@@ -713,16 +775,26 @@ def _backward(
     # these times (1, 1, r). Both are (K, 3, H, 1), gates stacked as in gru_w.
     r, z = rz[:, :, :hid], rz[:, :, hid:]
     dn = z * (1.0 - n * n)
-    coef = np.stack((dn * unh * r * (1.0 - r), (n - h_prev) * z * (1.0 - z), dn), axis=2)
-    to_u = np.stack((np.ones_like(r), np.ones_like(r), r), axis=2)
+    coef, to_u, da, du = np.empty((4, n_steps, n_runs, 3, hid, 1))
+    np.multiply(dn * unh * r, 1.0 - r, out=coef[:, :, 0])
+    np.multiply((n - h_prev) * z, 1.0 - z, out=coef[:, :, 1])
+    coef[:, :, 2] = dn
+    to_u[:, :, :2] = 1.0
+    to_u[:, :, 2] = r
     one_minus_z, u_t = 1.0 - z, p["gru_u"].transpose(0, 2, 1)
-    da, du = np.empty_like(coef), np.empty_like(coef)
-    dh = np.zeros((n_runs, hid, 1))
-    for t in reversed(range(n_steps)):
-        dh = dh + dhead[t]
-        np.multiply(dh[:, None], coef[t], out=da[t])
-        np.multiply(da[t], to_u[t], out=du[t])
-        dh = dh * one_minus_z[t] + np.matmul(u_t, du[t].reshape(n_runs, 3 * hid, 1))
+    du_cols = du.reshape(n_steps, n_runs, 3 * hid, 1)
+    # Backwards over the steps, in place: dh = dh + dhead[t], and then
+    # dh = dh * (1 - z[t]) + U^T du[t].
+    dh, u_du = np.zeros((2, n_runs, hid, 1))
+    dh_gates = dh[:, None]
+    for dhead_t, coef_t, to_u_t, da_t, du_t, du_col_t, one_minus_z_t in zip(
+        dhead[::-1], coef[::-1], to_u[::-1], da[::-1], du[::-1], du_cols[::-1], one_minus_z[::-1]
+    ):
+        dh += dhead_t
+        np.multiply(dh_gates, coef_t, out=da_t)
+        np.multiply(da_t, to_u_t, out=du_t)
+        dh *= one_minus_z_t
+        dh += np.matmul(u_t, du_col_t, out=u_du)
     # dh is now each run's gradient at h0.
     da, du = da.reshape(n_steps, n_runs, 3 * hid), du.reshape(n_steps, n_runs, 3 * hid)
 

@@ -656,15 +656,12 @@ class TestRolloutRecord:
 
     @staticmethod
     def _kind_codes(arch, space):
-        """Decision kind code of each step of arch's trajectory, from the grammar."""
-        walk, codes = controller._grammar(space), []
-        code = next(walk)
-        for choice in search_space._validate(arch, space):
-            codes.append(code)
-            try:
-                code = walk.send(choice)
-            except StopIteration:
-                pass
+        """Decision kind code of each step of arch's trajectory, from its
+        choices: per unit a depth (0), then a kernel (1) and an expansion (2)
+        per layer."""
+        choices, codes = search_space._validate(arch, space), []
+        while len(codes) < len(choices):
+            codes += [0] + [1, 2] * space.depth_choices[choices[len(codes)]]
         return codes
 
     @staticmethod
@@ -721,6 +718,55 @@ class TestRolloutRecord:
         for record in (roll.rz, roll.n, roll.uh, roll.probs, roll.logp, roll.hit, roll.entropy):
             record[roll.n_steps :] = np.nan
         assert controller._backward(runs, roll, advantages, cfg).tobytes() == grad.tobytes()
+
+    @staticmethod
+    def _random_arch(space, rng):
+        return search_space.Architecture(units=[
+            [(rng.choice(space.kernel_choices), rng.choice(space.expansion_choices))
+             for _ in range(rng.choice(space.depth_choices))]
+            for _ in range(space.n_units)])
+
+    @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
+    @pytest.mark.parametrize("mode", ["sampled", "greedy", "forced"])
+    def test_lockstep_rollout_equals_lone_rollouts(self, space, mode):
+        # Four runs from one init plus small perturbations often decide the
+        # same kind at a step, and retire at different steps. Over each run's
+        # own steps, its record rows and arch are those of its lone rollout.
+        n_runs = 4
+        steps_by_kinds, lengths = {"shared": 0, "split": 0}, set()
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            base = aa.init_params(space, SMALL_CFG, seed=seed)
+            runs = base._over(base.flat + rng.normal(0.0, 0.02, (n_runs, base.flat.size)))
+            pstate = _pstate(runs, SMALL_CFG, space, shift=0.005)
+            actions = [search_space._validate(self._random_arch(space, rng), space) for _ in range(n_runs)]
+
+            def roll(params, ks):
+                enc = controller._encode(params.arrays, pstate)
+                if mode == "sampled":
+                    rngs = [np.random.default_rng([seed, k]) for k in ks]
+                    return controller._rollout(params, enc, rngs=rngs)
+                if mode == "greedy":
+                    return controller._rollout(params, enc, greedy=True)
+                return controller._rollout(params, enc, actions=[actions[k] for k in ks])
+
+            lockstep = roll(runs, range(n_runs))
+            codes = [self._kind_codes(arch, space) for arch in lockstep.archs]
+            for t in range(lockstep.n_steps):
+                shared = len({c[t] if t < len(c) else None for c in codes}) == 1
+                steps_by_kinds["shared" if shared else "split"] += 1
+            n_tokens = runs.arrays["token_emb"].shape[1]
+            for k in range(n_runs):
+                lone = roll(runs._over(runs.flat[k : k + 1]), [k])
+                steps = lone.n_steps
+                lengths.add(steps)
+                assert lockstep.archs[k] == lone.archs[0]
+                assert np.array_equal(lockstep.sources[:steps, k] - k * n_tokens, lone.sources[:steps, 0])
+                assert lockstep.h[: steps + 1, k].tobytes() == lone.h[: steps + 1, 0].tobytes()
+                for name in ("rz", "n", "uh", "probs", "logp", "hit", "entropy"):
+                    got, want = getattr(lockstep, name)[:steps, k], getattr(lone, name)[:steps, 0]
+                    assert got.tobytes() == want.tobytes(), (seed, k, name)
+        assert steps_by_kinds["shared"] and steps_by_kinds["split"] and len(lengths) > 1
 
     @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
     def test_score_of_max_arch_fills_every_step(self, space):
@@ -828,6 +874,28 @@ class TestLockstep:
             assert row.tobytes() == p_seq.flat.tobytes()
         pinned = dict(line.split() for line in LOCKSTEP_PINS.read_text().splitlines())
         assert self._digest(sequential) == pinned[case]
+
+    def test_prices_every_trajectory(self, monkeypatch):
+        # One evaluator and one madds call per run, batch entry and iteration,
+        # and one more of each for the incumbent: perfbench's tracer counts
+        # trajectories through these calls, so none may be memoized away.
+        evaluate, cfgs = self._setup(batch_size=2)
+        calls = {"evaluate": 0, "madds": 0}
+        madds = controller.madds
+
+        def counting_evaluate(arch, meta):
+            calls["evaluate"] += 1
+            return evaluate(arch, meta)
+
+        def counting_madds(arch, space):
+            calls["madds"] += 1
+            return madds(arch, space)
+
+        monkeypatch.setattr(controller, "madds", counting_madds)
+        _train_many(self._lockstep(cfgs), aa.min_arch(TOY), self.SHIFT, self.META, counting_evaluate,
+                    cfgs[0], [c.lam for c in cfgs], [c.seed for c in cfgs])
+        priced = len(cfgs) * 2 * cfgs[0].iterations + 1
+        assert calls == {"evaluate": priced, "madds": priced}
 
     def test_updates_each_params_in_place(self):
         evaluate, cfgs = self._setup()
