@@ -20,13 +20,14 @@ def main():
     ap.add_argument("--sigma", type=float, default=0.3,
                     help="within-class noise scale")
     ap.add_argument("--samples", type=int, default=20000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="first of the three plan seeds averaged over")
     args = ap.parse_args()
 
     plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8, 16),
-                         feature_dim=4, sigma=args.sigma, seed=args.seed,
+                         feature_dim=4, sigma=args.sigma,
                          proto_radius=args.radius, base_samples=1000)
-    rows = aa.compare_distance_metrics(plan, seeds=(0, 1, 2),
+    rows = aa.compare_distance_metrics(plan, seeds=tuple(range(args.seed, args.seed + 3)),
                                        n_samples=args.samples)
     print(f"{'step':>4} {'wd':>12} {'js':>8}")
     for row in rows:

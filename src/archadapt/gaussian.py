@@ -10,6 +10,12 @@ closed form
 A Monte-Carlo Jensen-Shannon estimate is provided for comparison
 experiments. All matrix roots use symmetric eigendecomposition.
 
+The JS estimate has one kernel, which takes its standard normals and
+their squared norms one block of rows at a time: ``js_divergence_mc``
+draws each block from its generator, and ``_js_from_draws`` slices it
+from draws made once, so that a sweep of estimates can share one set of
+draws (common random numbers).
+
 The snapshots of a growth plan are row prefixes of one another, so
 ``fit_prefixes`` fits all of them in one pass over the rows. Each new
 block of rows b gets its own mean and centred scatter M2_b = c^T c, and
@@ -63,7 +69,7 @@ _W2_TRACE_RTOL = 1e-12
 
 _LN2 = float(np.log(2.0))
 
-# Floats in one block of standard normals that js_divergence_mc draws and
+# Floats in one block of standard normals that the JS kernel takes and
 # pushes through at a time: 256 KiB, max(1, _JS_BLOCK_FLOATS // q) rows. A
 # block this size keeps numpy's per-call cost small beside its work at any q.
 _JS_BLOCK_FLOATS = 1 << 15
@@ -313,30 +319,50 @@ def js_divergence_mc(
     """
     q = _check_same_dim(g1, g2)
     _check_samples(n_samples)
-    l1 = _chol(g1.cov, "cov of first argument")
-    l2 = _chol(g2.cov, "cov of second argument")
     rng = np.random.default_rng(seed)
 
-    def log_density(maha, chol):
-        return -0.5 * (maha + 2.0 * np.sum(np.log(np.diag(chol))) + q * np.log(2.0 * np.pi))
+    def draws(rows):
+        z = rng.standard_normal((rows.stop - rows.start, q))
+        return z, np.sum(z * z, axis=1)
 
-    # Per direction: the own and other Cholesky factors, and the offset and
-    # map that take a draw into the other Gaussian's whitened coordinates.
+    return _js_kernel(g1, g2, n_samples, draws)
+
+
+def _js_from_draws(g1: GaussianSummary, g2: GaussianSummary, z: np.ndarray,
+                   sq: np.ndarray) -> float:
+    """``js_divergence_mc`` over the given standard normals z, (n_samples, q),
+    with ``sq = np.sum(z * z, axis=1)``. For z drawn in one array from
+    ``default_rng(seed)`` this is ``js_divergence_mc(g1, g2, n_samples, seed)``
+    bit for bit, so estimates along a sweep can share one set of draws."""
+    _check_same_dim(g1, g2)
+    return _js_kernel(g1, g2, len(z), lambda rows: (z[rows], sq[rows]))
+
+
+def _js_kernel(g1: GaussianSummary, g2: GaussianSummary, n_samples: int, draws) -> float:
+    """The JS estimate over n_samples standard normals, taken in blocks of
+    rows (_JS_BLOCK_FLOATS): ``draws(rows)`` gives the block of the row slice
+    rows and its squared norms. Both covariances are factored first."""
+    q = g1.dim
+    l1 = _chol(g1.cov, "cov of first argument")
+    l2 = _chol(g2.cov, "cov of second argument")
+    log_2pi = q * np.log(2.0 * np.pi)
+    # Per direction: 2 log det of the own and the other Cholesky factor, and
+    # the offset and map that take a draw into the other Gaussian's whitened
+    # coordinates.
     directions = [
-        (l_own, l_other, np.linalg.solve(l_other, own.mean - other.mean),
-         np.linalg.solve(l_other, l_own).T)
+        (2.0 * np.sum(np.log(np.diag(l_own))), 2.0 * np.sum(np.log(np.diag(l_other))),
+         np.linalg.solve(l_other, own.mean - other.mean), np.linalg.solve(l_other, l_own).T)
         for own, l_own, other, l_other in ((g1, l1, g2, l2), (g2, l2, g1, l1))
     ]
     log_ratios = np.empty((2, n_samples))
     block = max(1, _JS_BLOCK_FLOATS // q)
     for start in range(0, n_samples, block):
-        z = rng.standard_normal((min(block, n_samples - start), q))
-        maha_own = np.sum(z * z, axis=1)
-        rows = slice(start, start + z.shape[0])
-        for out, (l_own, l_other, offset, to_other) in zip(log_ratios, directions):
+        rows = slice(start, min(start + block, n_samples))
+        z, maha_own = draws(rows)
+        for out, (logdet_own, logdet_other, offset, to_other) in zip(log_ratios, directions):
             w = offset + z @ to_other
-            lp_own = log_density(maha_own, l_own)
-            lp_other = log_density(np.sum(w * w, axis=1), l_other)
+            lp_own = -0.5 * (maha_own + logdet_own + log_2pi)
+            lp_other = -0.5 * (np.sum(w * w, axis=1) + logdet_other + log_2pi)
             out[rows] = lp_own - (np.logaddexp(lp_own, lp_other) - _LN2)
 
     term1, term2 = (float(np.mean(out)) / _LN2 for out in log_ratios)

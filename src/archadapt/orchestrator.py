@@ -13,12 +13,13 @@ drawn once, one step's new rows at a time, into one array. As each
 step's rows land, their block mean and scatter go to a thread pool of up
 to one thread per core (_pool), and are merged into the step's fit in
 step order on the calling thread (_drawn_fits), so fits, shifts and
-compare_distance_metrics' distances run while later rows are drawn. The
-bootstrap oracle needs only step 0's meta, so it runs from the start. No
-pool task waits on another: what several tasks share, such as the base's
-matrix root in compare_distance_metrics, is computed on the calling
-thread before they are queued. Results are read in step order, so
-outputs and the first error raised are those of a serial loop.
+compare_distance_metrics' W2 distances run while later rows are drawn.
+The bootstrap oracle needs only step 0's meta, so it runs from the start.
+No pool task waits on another: what several tasks share, such as the
+base's matrix root and the JS draws in compare_distance_metrics, is
+computed on the calling thread before they are queued. Results are read
+in step order, so outputs and the first error raised are those of a
+serial loop.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ from .datagen import (
 )
 from .errors import DimensionMismatch, InvalidConfig, InvalidData, _check_lams, _checked_shift
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
-from .gaussian import (  # noqa: F401 (fit_gaussian: perfbench/tracer.py wraps it here)
+from .gaussian import (  # noqa: F401 (fit_gaussian, js_divergence_mc: perfbench/tracer.py wraps them here)
     _block_stats,
     _check_samples,
     _checked_lengths,
+    _js_from_draws,
     _merged_fit,
     _prefix_fits,
     _w2_given_root,
@@ -361,14 +363,19 @@ def compare_distance_metrics(
     """Mean squared-Wasserstein and Jensen-Shannon from the first snapshot.
 
     Rebuilds the plan once per seed and averages both distances from
-    step 0 to every later step. Each step's JS goes to a thread pool of up
-    to one thread per core as soon as its fit is made. Once a seed's fits
-    are made, the base's matrix root is taken here, and each step's W2
-    goes to the pool with it; no task waits on another. The next seed is
-    drawn while they run, one seed's feature matrix at a time. The sums
-    are taken afterwards in seed and step order, W2 before JS, so the rows
-    and the first error raised do not depend on the core count. A sample
-    count below one raises InvalidData before anything is drawn.
+    step 0 to every later step. The base's matrix root is taken here as
+    step 1's fit is made, and each step's W2 goes to a thread pool of up
+    to one thread per core, with that root, as soon as its fit is made.
+    After the draw, all steps of a seed share one set of n_samples
+    standard normals for JS (common random numbers), drawn here from
+    ``derive_seed(seed, "js")``, so step j's JS is, bit for bit, the mean
+    over seeds of ``js_divergence_mc(fit_j, fit_0, n_samples,
+    derive_seed(seed, "js"))``; each step's JS then goes to the pool. No
+    task waits on another. The next seed is drawn while they run, holding
+    one seed's feature matrix and the last seed's n_samples x q draws. The
+    sums are taken afterwards in seed and step order, W2 before JS, so the
+    rows and the first error raised do not depend on the core count. A
+    sample count below one raises InvalidData before anything is drawn.
     """
     if not seeds:
         raise InvalidConfig("compare_distance_metrics needs at least one seed")
@@ -397,20 +404,33 @@ def compare_distance_metrics(
 
 
 def _seed_distances(plan: GrowthPlan, pool, n_samples: int):
-    """Queue one seed's distances from step 0: each step's JS as its fit is
-    made, then, with the base's root taken here, each step's W2. Returns
-    the W2 and the JS tasks of steps 1, 2, ..."""
-    fits, js_tasks = [], []
+    """Queue one seed's distances from step 0: each step's W2 as its fit is
+    made, then, once the plan's rows are released, each step's JS over one
+    set of draws. Returns the W2 and the JS tasks of steps 1, 2, ...
+
+    An error taking the base's root is raised after the draw, so a later
+    step's fit error comes first, as when the root followed the draw.
+    """
+    fits, w2_tasks = [], []
+    root = None  # the base's matrix root, or the error that taking it raised
 
     def fitted(fit):
-        if fits:
-            js_tasks.append(pool.submit(js_divergence_mc, fit, fits[0], n_samples=n_samples,
-                                        seed=derive_seed(plan.seed, len(fits), "js")))
+        nonlocal root
+        if len(fits) == 1:  # step 1's fit
+            try:
+                root = sqrt_spd(fits[0].cov)
+            except Exception as exc:
+                root = exc
+        if fits and not isinstance(root, Exception):
+            w2_tasks.append(pool.submit(_w2_given_root, fit, fits[0], root))
         fits.append(fit)
 
     _drawn_fits(plan, pool, fitted)
-    root = sqrt_spd(fits[0].cov)
-    return [pool.submit(_w2_given_root, fit, fits[0], root) for fit in fits[1:]], js_tasks
+    if isinstance(root, Exception):
+        raise root
+    z = np.random.default_rng(derive_seed(plan.seed, "js")).standard_normal((n_samples, fits[0].dim))
+    sq = np.sum(z * z, axis=1)
+    return w2_tasks, [pool.submit(_js_from_draws, fit, fits[0], z, sq) for fit in fits[1:]]
 
 
 def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:

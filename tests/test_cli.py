@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -486,6 +489,25 @@ def test_readme_example_config_parses(tmp_path):
     assert cfg.plan.scenario == aa.CLASS_GROWTH and cfg.plan.steps == (2, 4, 8)
     assert cfg.trainer.lam == 0.05 and cfg.initial_arch == "oracle"
 
+
+
+def test_compare_distances_script_seed_changes_the_table():
+    # --seed picks the three plan seeds averaged over, so two seeds print two tables.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def table(seed):
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "compare_distances.py"),
+             "--samples", "200", "--seed", str(seed)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+
+    first, other = table(0), table(5)
+    assert first.splitlines()[0].split() == ["step", "wd", "js"]
+    assert len(first.splitlines()) == len(other.splitlines()) == 4
+    assert first != other
 
 # The table the keys were once kept in by hand: key order and parsers.
 HAND_TABLE = [

@@ -383,19 +383,22 @@ class TestStreamedDraw:
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), feature_dim=4,
                              base_samples=400, seed=7)
         seed1_failed = threading.Event()
-        seed0_step1 = orchestrator.derive_seed(0, 1, "js")
-        seed1_steps = {orchestrator.derive_seed(1, j, "js") for j in (1, 2)}
-        real_js, real_stats = orchestrator.js_divergence_mc, orchestrator._block_stats
+        step1_rows = aa.snapshot_meta(plan, 1).n_samples
+        # A JS task's seed, by the first of the seed's shared draws.
+        seed_of = {np.random.default_rng(orchestrator.derive_seed(s, "js")).standard_normal(): s
+                   for s in (0, 1)}
+        real_js, real_stats = orchestrator._js_from_draws, orchestrator._block_stats
 
-        def js(fit, base, n_samples, seed):
-            if seed == seed0_step1:
+        def js(fit, base, z, sq):
+            seed = seed_of[z[0, 0]]
+            if seed == 0 and fit.n_samples == step1_rows:
                 assert seed1_failed.wait(timeout=10)
                 time.sleep(0.2)  # seed 1's error is raised well before this one
                 raise aa.NotSPD("seed 0")
-            if seed in seed1_steps and seed1_fails_in == "js":
+            if seed == 1 and seed1_fails_in == "js":
                 seed1_failed.set()
                 raise aa.InvalidData("seed 1")
-            return real_js(fit, base, n_samples=n_samples, seed=seed)
+            return real_js(fit, base, z, sq)
 
         def block_stats(block):
             try:
@@ -406,7 +409,7 @@ class TestStreamedDraw:
 
         if seed1_fails_in == "fit":
             _nan_prototype(monkeypatch, 7, seed=1)
-        monkeypatch.setattr(orchestrator, "js_divergence_mc", js)
+        monkeypatch.setattr(orchestrator, "_js_from_draws", js)
         monkeypatch.setattr(orchestrator, "_block_stats", block_stats)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
         threads = threading.active_count()
@@ -523,6 +526,63 @@ class TestDistanceComparison:
         aa.compare_distance_metrics(plan, seeds=(4, 5, 6), n_samples=200)
         assert threads == [threading.current_thread()] * 3
 
+    @pytest.mark.parametrize("plan", [
+        aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
+                      feature_dim=6, base_samples=900, seed=9),
+        aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), feature_dim=4,
+                      base_samples=400, seed=7),
+    ], ids=["volume", "class"])
+    def test_rows_are_the_public_distances_with_one_js_seed_per_seed(self, plan):
+        # Reference: each step's public W2 and JS against the base, summed in
+        # seed order; every step of a seed draws from the seed's one JS seed.
+        seeds, n_samples = (4, 5), 700
+        want = [[0.0, 0.0] for _ in range(1, plan.n_steps)]
+        for seed in seeds:
+            seeded = dataclasses.replace(plan, seed=seed)
+            last = aa.gen_snapshot(seeded, plan.n_steps - 1)
+            fits = aa.fit_prefixes(last.features, [aa.snapshot_meta(seeded, i).n_samples
+                                                   for i in range(plan.n_steps)])
+            for pair, fit in zip(want, fits[1:]):
+                pair[0] += aa.wasserstein2_gaussian(fit, fits[0])
+                pair[1] += aa.js_divergence_mc(fit, fits[0], n_samples=n_samples,
+                                               seed=orchestrator.derive_seed(seed, "js"))
+        rows = aa.compare_distance_metrics(plan, seeds=seeds, n_samples=n_samples)
+        assert rows == [{"step": j, "wd": wd / 2, "js": js / 2}
+                        for j, (wd, js) in enumerate(want, start=1)]
+
+    def test_every_step_of_a_seed_shares_one_set_of_draws(self, monkeypatch):
+        from test_gaussian import TestJS  # a sibling test module
+
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.7, 1.0),
+                             feature_dim=4, base_samples=400, seed=9)
+        seeds, n_samples = (4, 5), 300
+        calls = []  # (fit, base, z, sq) of each JS task
+        real_js = orchestrator._js_from_draws
+
+        def js(fit, base, z, sq):
+            calls.append((fit, base, z, sq))
+            return real_js(fit, base, z, sq)
+
+        monkeypatch.setattr(orchestrator, "_js_from_draws", js)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        aa.compare_distance_metrics(plan, seeds=seeds, n_samples=n_samples)
+        js_seeds = [orchestrator.derive_seed(seed, "js") for seed in seeds]
+        # A JS task's seed, by the first of the seed's shared draws.
+        seed_of = {np.random.default_rng(s).standard_normal(): s for s in js_seeds}
+        tasks = {s: [] for s in js_seeds}
+        for call in calls:
+            tasks[seed_of[call[2][0, 0]]].append(call)
+        for js_seed, seed_tasks in tasks.items():
+            assert len(seed_tasks) == plan.n_steps - 1
+            for k in (1, 2, 3):  # one base fit, one z and one sq object per seed
+                assert len({id(call[k]) for call in seed_tasks}) == 1
+            _, base, z, sq = seed_tasks[0]
+            assert np.array_equal(z, np.random.default_rng(js_seed).standard_normal((n_samples, 4)))
+            assert np.array_equal(sq, np.sum(z * z, axis=1))
+            for fit, *_ in seed_tasks:
+                assert real_js(fit, base, z, sq) == TestJS._whole_array_reference(
+                    fit, base, n_samples, js_seed)
+
     def test_rows_do_not_depend_on_the_core_count(self, monkeypatch):
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
                              feature_dim=6, base_samples=900, seed=9)
@@ -534,18 +594,38 @@ class TestDistanceComparison:
             )
         assert rows[1] == rows[2] == rows[3]
 
+    @pytest.mark.parametrize("nan_block", [False, True], ids=["root", "root_then_nan_block"])
+    def test_a_base_root_error_is_raised_after_the_draw(self, monkeypatch, nan_block):
+        # The root is taken as step 1's fit lands, but a later step's fit
+        # error still comes first, as when the root followed the draw.
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), feature_dim=4,
+                             base_samples=50, seed=5)  # class 7 is only in the last block
+
+        def root(s):
+            raise aa.NotSPD("base root")
+
+        if nan_block:
+            _nan_prototype(monkeypatch, 7)
+        monkeypatch.setattr(orchestrator, "sqrt_spd", root)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(aa.InvalidData if nan_block else aa.NotSPD,
+                           match="non-finite values" if nan_block else "base root"):
+            aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200)
+        assert threading.active_count() == threads
+
     def test_a_failing_step_raises_its_error_in_the_caller(self, monkeypatch):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 6, 8),
                              feature_dim=4, seed=7, base_samples=400)
-        step2 = orchestrator.derive_seed(0, 2, "js")
-        real_js = orchestrator.js_divergence_mc
+        step2_rows = aa.snapshot_meta(plan, 2).n_samples
+        real_js = orchestrator._js_from_draws
 
-        def js(fit, base, n_samples, seed):
-            if seed == step2:
+        def js(fit, base, z, sq):
+            if fit.n_samples == step2_rows:
                 raise aa.NotSPD("step 2")
-            return real_js(fit, base, n_samples=n_samples, seed=seed)
+            return real_js(fit, base, z, sq)
 
-        monkeypatch.setattr(orchestrator, "js_divergence_mc", js)
+        monkeypatch.setattr(orchestrator, "_js_from_draws", js)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
         threads = threading.active_count()
         with pytest.raises(aa.NotSPD, match="step 2"):
@@ -555,13 +635,13 @@ class TestDistanceComparison:
     def _compare_with_js_hook(self, monkeypatch, plan, hook):
         """compare_distance_metrics of seed 0 on three cores, calling hook(step)
         in place of each step's JS; no thread outlives the call."""
-        steps = {orchestrator.derive_seed(0, j, "js"): j for j in range(1, plan.n_steps)}
+        steps = {aa.snapshot_meta(plan, j).n_samples: j for j in range(1, plan.n_steps)}
 
-        def js(fit, base, n_samples, seed):
-            hook(steps[seed])
+        def js(fit, base, z, sq):
+            hook(steps[fit.n_samples])
             return 0.0
 
-        monkeypatch.setattr(orchestrator, "js_divergence_mc", js)
+        monkeypatch.setattr(orchestrator, "_js_from_draws", js)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 3)
         threads = threading.active_count()
         try:
