@@ -30,9 +30,7 @@ with cov = M2 / n. One block is the plain two-pass fit, so
 and scatter (``_block_stats``) need no other block, so a caller may
 compute them anywhere, a thread pool included, as soon as the block's rows
 exist; the merge (``_merged_fit``) then takes them in row order, which
-gives the same bits whatever computed them. ``_prefix_fits`` hands each
-prefix's fit over as soon as its block is merged, so a caller can start on
-the early steps while later rows are read.
+gives the same bits whatever computed them.
 """
 
 from __future__ import annotations
@@ -124,10 +122,8 @@ def load_features_csv(path) -> np.ndarray:
 
 
 def save_features_csv(path, features: np.ndarray) -> None:
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2:
-        raise DimensionMismatch(f"feature matrix must be 2-D, got {features.shape}")
-    np.savetxt(path, features, delimiter=",", fmt="%.17g")
+    """Write a 2-D feature matrix of at least one column as CSV, one sample per row."""
+    np.savetxt(path, _checked_matrix(features), delimiter=",", fmt="%.17g")
 
 
 def fit_gaussian(features: np.ndarray, ridge: float | None = None) -> GaussianSummary:
@@ -161,29 +157,25 @@ def fit_prefixes(
     entries in any fitted row, and DimensionMismatch for a length past the
     matrix's rows.
     """
-    return list(_prefix_fits(features, lengths, ridge))
-
-
-def _prefix_fits(features: np.ndarray, lengths, ridge: float | None = None):
-    """The fits of ``fit_prefixes``, each yielded as soon as its block is merged.
-
-    The checks run at the first ``next``; a block with non-finite entries
-    raises when the stream reaches it, after the fits before it.
-    """
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise DimensionMismatch(f"feature matrix must be 2-D, got shape {x.shape}")
+    x = _checked_matrix(features)
     lengths = _checked_lengths(lengths, x.shape[0])
     if ridge is not None and ridge < 0:
         raise InvalidData(f"ridge must be nonnegative, got {ridge}")
-
-    state = fit = None
-    n = 0
+    fits, state, n = [], None, 0
     for end in lengths:
         if end > n:
             state, fit = _merged_fit(state, end, _block_stats(x[n:end]), ridge)
         n = end
-        yield fit
+        fits.append(fit)
+    return fits
+
+
+def _checked_matrix(features) -> np.ndarray:
+    """Features as a float array, checked to be 2-D with at least one column."""
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise DimensionMismatch(f"feature matrix must be 2-D, got shape {x.shape}")
+    return x
 
 
 def _checked_lengths(lengths, rows: int) -> list[int]:

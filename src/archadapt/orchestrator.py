@@ -9,11 +9,14 @@ Every random purpose gets its own seed derived from the master seed and
 a (step, purpose) tag, so runs are reproducible record for record; the
 records JSON is byte-identical across repeated runs. Wall-clock timings
 are volatile and therefore live in a separate timings file. Each plan is
-drawn once, one step's new rows at a time, into one array. As each
-step's rows land, their block mean and scatter go to a thread pool of up
-to one thread per core (_pool), and are merged into the step's fit in
-step order on the calling thread (_drawn_fits), so fits, shifts and
-compare_distance_metrics' W2 distances run while later rows are drawn.
+drawn once, one step's new rows at a time, into one array. Each step's
+block of feature rows gets its mean and scatter on a thread pool of up
+to one thread per core (_pool), and is merged into the step's fit in
+step order on the calling thread (_drawn_fits). The identity extractor's
+blocks go to the pool as their rows land, so fits, shifts and
+compare_distance_metrics' W2 distances run while later rows are drawn; a
+custom extractor's output, made once after the draw, is cut into the
+same blocks.
 The bootstrap oracle needs only step 0's meta, so it runs from the start.
 No pool task waits on another: what several tasks share, such as the
 base's matrix root and the JS draws in compare_distance_metrics, is
@@ -60,9 +63,9 @@ from .gaussian import (  # noqa: F401 (fit_gaussian, js_divergence_mc: perfbench
     _block_stats,
     _check_samples,
     _checked_lengths,
+    _checked_matrix,
     _js_from_draws,
     _merged_fit,
-    _prefix_fits,
     _w2_given_root,
     fit_gaussian,
     js_divergence_mc,
@@ -129,38 +132,18 @@ def _snapshots(plan: GrowthPlan) -> list[Snapshot]:
     return [prefix_snapshot(last, plan, i) for i in range(plan.n_steps)]
 
 
-def _fit_steps(snapshots: list[Snapshot], feature_extractor=default_feature_extractor):
-    """One Gaussian fit per step, from the features of the last step, as a
-    stream that yields step i's fit as soon as its rows are merged.
-
-    The extractor maps rows to rows, so step i's features are the first
-    n_i rows of its output; any other row count raises DimensionMismatch.
-    The extractor runs and its rows are checked before this returns.
-    """
-    lengths = [snap.meta.n_samples for snap in snapshots]
-    features = feature_extractor(snapshots[-1])
-    rows = np.shape(features)[0] if np.ndim(features) else 0
-    if rows != lengths[-1]:
-        raise DimensionMismatch(
-            f"feature extractor returned {rows} rows for a snapshot of {lengths[-1]}"
-        )
-    return _prefix_fits(features, lengths)
-
-
 def _drawn_fits(plan: GrowthPlan, pool, fitted, feature_extractor=default_feature_extractor):
     """Draw the plan once; call ``fitted(fit)`` here with each step's fit,
     in step order, as soon as it is made.
 
-    With the identity extractor, each step's new rows go to the pool for
-    their block stats as they land, and the stats are merged in step order:
-    between blocks those already done, after the draw the rest. Any other
-    extractor sees the whole last snapshot, so it is fitted after the draw
-    (_fit_steps).
+    Each step's block of new feature rows goes to the pool for its stats,
+    which are merged in step order: between blocks those already done, at
+    the end the rest. The identity extractor's blocks are the drawn rows,
+    handed over as they land. Any other extractor is called once after the
+    draw, on the read-only last snapshot; its output, checked for one row
+    per row and for being 2-D (DimensionMismatch), is cut into the same
+    blocks.
     """
-    if feature_extractor is not default_feature_extractor:
-        for fit in _fit_steps(_snapshots(plan), feature_extractor):
-            fitted(fit)
-        return
     ends = [snapshot_meta(plan, i).n_samples for i in range(plan.n_steps)]
     _checked_lengths(ends, ends[-1])  # a first step of one row: DegenerateInput, before the draw
     queued = deque()  # (end, stats task or None for no new rows), in step order
@@ -178,7 +161,16 @@ def _drawn_fits(plan: GrowthPlan, pool, fitted, feature_extractor=default_featur
         queued.append((ends[i], pool.submit(_block_stats, rows) if len(rows) else None))
         merge(wait=False)
 
-    gen_snapshot(plan, plan.n_steps - 1, on_step=landed)
+    identity = feature_extractor is default_feature_extractor
+    last = gen_snapshot(plan, plan.n_steps - 1, on_step=landed if identity else None)
+    if not identity:
+        features = feature_extractor(prefix_snapshot(last, plan, plan.n_steps - 1))
+        n_rows = np.shape(features)[0] if np.ndim(features) else 0
+        if n_rows != ends[-1]:
+            raise DimensionMismatch(f"feature extractor returned {n_rows} rows for a snapshot of {ends[-1]}")
+        features = _checked_matrix(features)
+        for i, (start, end) in enumerate(zip([0, *ends], ends)):
+            landed(i, features[start:end])
     merge(wait=True)
 
 
@@ -238,7 +230,8 @@ def run_adaptation(
     feature_extractor is called once, on the plan's last snapshot, and
     must map rows to rows without writing into ``snapshot.features`` (a
     read-only view): step i is fitted on the first n_i rows of its
-    output. Another row count raises DimensionMismatch.
+    output. Another row count, or an output that is not 2-D, raises
+    DimensionMismatch.
     """
     metas, shifts, trainer, evaluate, arch, params = _setup(cfg, feature_extractor)
     records: list[AdaptationRecord] = []

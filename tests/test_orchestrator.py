@@ -178,6 +178,59 @@ class TestFeatureExtractor:
         with pytest.raises(aa.DimensionMismatch, match=r"returned 79 rows .* of 80"):
             aa.run_adaptation(_run_config(self.PLAN), feature_extractor=drops_a_row)
 
+    def test_a_1d_output_raises_naming_2d(self):
+        with pytest.raises(aa.DimensionMismatch, match="2-D"):
+            aa.run_adaptation(_run_config(self.PLAN), feature_extractor=lambda s: s.features[:, 0])
+
+    @staticmethod
+    def _drawn_fits(plan, extractor):
+        """The fits ``_drawn_fits`` hands over, up to an error, and that error."""
+        fits = []
+        with orchestrator._pool(plan) as pool:
+            try:
+                orchestrator._drawn_fits(plan, pool, fits.append, extractor)
+            except aa.ArchAdaptError as exc:
+                return fits, exc
+        return fits, None
+
+    def test_fits_are_the_public_fits_made_on_the_pool(self, monkeypatch):
+        # A float32 output is fitted as fit_prefixes fits it, block by block
+        # on the pool, and a repeated step shares the fit of the step before.
+        plan = dataclasses.replace(self.PLAN, steps=(0.25, 0.5, 0.5, 1.0))
+        ends = [aa.snapshot_meta(plan, i).n_samples for i in range(plan.n_steps)]
+
+        def float32_features(snap):
+            return (3.0 * snap.features + 1.0).astype(np.float32)
+
+        threads = []
+        real_stats = orchestrator._block_stats
+
+        def block_stats(block):
+            threads.append(threading.current_thread())
+            return real_stats(block)
+
+        monkeypatch.setattr(orchestrator, "_block_stats", block_stats)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        fits, error = self._drawn_fits(plan, float32_features)
+        assert error is None
+        want = aa.fit_prefixes(float32_features(aa.gen_snapshot(plan, plan.n_steps - 1)), ends)
+        assert [(f.mean.tobytes(), f.cov.tobytes(), f.n_samples) for f in fits] == [
+            (f.mean.tobytes(), f.cov.tobytes(), f.n_samples) for f in want]
+        assert fits[2] is fits[1]
+        assert len(threads) == 3 and threading.current_thread() not in threads
+
+    def test_stream_hands_over_the_fits_before_a_bad_block(self):
+        ends = [aa.snapshot_meta(self.PLAN, i).n_samples for i in range(self.PLAN.n_steps)]
+
+        def nan_in_last_block(snap):
+            features = snap.features.copy()
+            features[ends[-2]:, 1] = np.nan
+            return features
+
+        fits, error = self._drawn_fits(self.PLAN, nan_in_last_block)
+        assert isinstance(error, aa.InvalidData) and "non-finite" in str(error)
+        assert [fit.n_samples for fit in fits] == ends[:-1]
+
 
 class TestSetupPool:
     """_setup runs the oracle and the shifts on a thread pool while it fits."""
@@ -327,6 +380,7 @@ class TestStreamedDraw:
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.001, 1.0), base_samples=999)
         monkeypatch.setattr(orchestrator, "gen_snapshot", None)  # a draw would raise TypeError
         for run in (lambda: aa.run_adaptation(_run_config(plan)),
+                    lambda: aa.run_adaptation(_run_config(plan), feature_extractor=lambda s: s.features),
                     lambda: aa.compare_distance_metrics(plan, seeds=(0,), n_samples=10)):
             with pytest.raises(aa.DegenerateInput, match="at least 2 samples to fit, got 1"):
                 run()
@@ -491,9 +545,10 @@ class TestDistanceComparison:
                              feature_dim=6, base_samples=900, seed=9)
         # Reference: the public W2 of each step against the base, per seed.
         want = [0.0] * (plan.n_steps - 1)
+        ends = [aa.snapshot_meta(plan, i).n_samples for i in range(plan.n_steps)]
         for seed in (4, 5):
-            snapshots = orchestrator._snapshots(dataclasses.replace(plan, seed=seed))
-            fits = list(orchestrator._fit_steps(snapshots))
+            fits = aa.fit_prefixes(aa.gen_snapshot(dataclasses.replace(plan, seed=seed),
+                                                   plan.n_steps - 1).features, ends)
             for j, fit in enumerate(fits[1:]):
                 want[j] += aa.wasserstein2_gaussian(fit, fits[0])
         calls = []
