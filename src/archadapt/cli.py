@@ -179,7 +179,8 @@ def build_run_config(values: dict, seed: int | None = None) -> orchestrator.RunC
         name: _checked(f"config section {name}", InvalidConfig, _RUN_HINTS[name], **kwargs)
         for name, kwargs in sections.items()
     }
-    return orchestrator.RunConfig(space=space, **built, **run)
+    source = "--seed" if seed is not None else "config key run.master_seed"
+    return _checked(source, InvalidConfig, orchestrator.RunConfig, space=space, **built, **run)
 
 
 def _load_config(args) -> orchestrator.RunConfig:

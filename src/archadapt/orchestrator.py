@@ -13,10 +13,11 @@ drawn once, one step's new rows at a time, into one array. Each step's
 block of feature rows gets its mean and scatter on a thread pool of up
 to one thread per core (_pool), and is merged into the step's fit in
 step order on the calling thread (_drawn_fits). The identity extractor's
-blocks go to the pool as their rows land, so fits, shifts and
-compare_distance_metrics' W2 distances run while later rows are drawn; a
-custom extractor's output, made once after the draw, is cut into the
-same blocks.
+blocks go to the pool as their rows land, so fits and a run's shifts are
+made while later rows are drawn; a custom extractor's output, made once
+after the draw, is cut into the same blocks. compare_distance_metrics
+queues a seed's distances once its draw is fitted, and draws the next
+seed while they run.
 The bootstrap oracle needs only step 0's meta, so it runs from the start.
 No pool task waits on another: what several tasks share, such as the
 base's matrix root and the JS draws in compare_distance_metrics, is
@@ -97,6 +98,13 @@ class RunConfig:
     trainer: TrainerConfig = TrainerConfig()
     initial_arch: str = "oracle"
     master_seed: int = 0
+
+    def __post_init__(self):
+        # derive_seed keeps 32 bits of it, so a seed outside them would alias one inside.
+        if self.master_seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.master_seed}")
+        if self.master_seed >= 2**32:
+            raise InvalidConfig(f"seed must be < 2**32, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -356,23 +364,24 @@ def compare_distance_metrics(
     """Mean squared-Wasserstein and Jensen-Shannon from the first snapshot.
 
     Rebuilds the plan once per seed and averages both distances from
-    step 0 to every later step. The base's matrix root is taken here as
-    step 1's fit is made, and each step's W2 goes to a thread pool of up
-    to one thread per core, with that root, as soon as its fit is made.
-    After the draw, all steps of a seed share one set of n_samples
-    standard normals for JS (common random numbers), drawn here from
-    ``derive_seed(seed, "js")``, so step j's JS is, bit for bit, the mean
-    over seeds of ``js_divergence_mc(fit_j, fit_0, n_samples,
-    derive_seed(seed, "js"))``; each step's JS then goes to the pool. No
-    task waits on another. The next seed is drawn while they run, holding
-    one seed's feature matrix and the last seed's n_samples x q draws. The
-    sums are taken afterwards in seed and step order, W2 before JS, so the
-    rows and the first error raised do not depend on the core count. A
-    sample count below one raises InvalidData before anything is drawn.
+    step 0 to every later step. Once a seed's plan is drawn and fitted,
+    the base's matrix root is taken here and each step's W2 goes, with
+    that root, to a thread pool of up to one thread per core. Then all
+    steps of the seed share one set of n_samples standard normals for JS
+    (common random numbers), drawn here from ``derive_seed(seed, "js")``,
+    so step j's JS is, bit for bit, the mean over seeds of
+    ``js_divergence_mc(fit_j, fit_0, n_samples, derive_seed(seed, "js"))``;
+    each step's JS then goes to the pool. No task waits on another. The
+    next seed is drawn while they run, holding one seed's feature matrix
+    and the last seed's n_samples x q draws. The sums are taken afterwards
+    in seed and step order, W2 before JS, so the rows and the first error
+    raised do not depend on the core count. A sample count below one, or
+    a bad seed, raises before anything is drawn.
     """
     if not seeds:
         raise InvalidConfig("compare_distance_metrics needs at least one seed")
     _check_samples(n_samples)
+    plans = [replace(plan, seed=seed) for seed in seeds]
     sums = [[0.0, 0.0] for _ in range(1, plan.n_steps)]  # [wd, js] of steps 1, 2, ...
     queued = []  # per seed drawn: its (W2 tasks, JS tasks) of steps 1, 2, ...
 
@@ -383,9 +392,9 @@ def compare_distance_metrics(
                 pair[1] += js.result()
 
     with _pool(plan) as pool:
-        for seed in seeds:
+        for seeded in plans:
             try:
-                queued.append(_seed_distances(replace(plan, seed=seed), pool, n_samples))
+                queued.append(_seed_distances(seeded, pool, n_samples))
             except Exception:
                 read()  # an earlier seed's error comes first, as in a serial loop
                 raise
@@ -397,33 +406,19 @@ def compare_distance_metrics(
 
 
 def _seed_distances(plan: GrowthPlan, pool, n_samples: int):
-    """Queue one seed's distances from step 0: each step's W2 as its fit is
-    made, then, once the plan's rows are released, each step's JS over one
-    set of draws. Returns the W2 and the JS tasks of steps 1, 2, ...
-
-    An error taking the base's root is raised after the draw, so a later
-    step's fit error comes first, as when the root followed the draw.
+    """Queue one seed's distances from step 0, once its plan is drawn and
+    fitted: each step's W2 with the base's matrix root, taken here, then
+    each step's JS over one set of draws. Returns the W2 and the JS tasks
+    of steps 1, 2, ...
     """
-    fits, w2_tasks = [], []
-    root = None  # the base's matrix root, or the error that taking it raised
-
-    def fitted(fit):
-        nonlocal root
-        if len(fits) == 1:  # step 1's fit
-            try:
-                root = sqrt_spd(fits[0].cov)
-            except Exception as exc:
-                root = exc
-        if fits and not isinstance(root, Exception):
-            w2_tasks.append(pool.submit(_w2_given_root, fit, fits[0], root))
-        fits.append(fit)
-
-    _drawn_fits(plan, pool, fitted)
-    if isinstance(root, Exception):
-        raise root
-    z = np.random.default_rng(derive_seed(plan.seed, "js")).standard_normal((n_samples, fits[0].dim))
+    fits = []
+    _drawn_fits(plan, pool, fits.append)
+    base, steps = fits[0], fits[1:]
+    root = sqrt_spd(base.cov) if steps else None
+    w2_tasks = [pool.submit(_w2_given_root, fit, base, root) for fit in steps]
+    z = np.random.default_rng(derive_seed(plan.seed, "js")).standard_normal((n_samples, base.dim))
     sq = np.sum(z * z, axis=1)
-    return w2_tasks, [pool.submit(_js_from_draws, fit, fits[0], z, sq) for fit in fits[1:]]
+    return w2_tasks, [pool.submit(_js_from_draws, fit, base, z, sq) for fit in steps]
 
 
 def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:

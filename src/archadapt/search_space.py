@@ -76,8 +76,14 @@ class SpaceConfig:
             )
         if any(s not in (1, 2) for s in self.unit_strides):
             raise InvalidConfig(f"unit strides must be 1 or 2: {self.unit_strides}")
-        if self.input_resolution < 2 or self.stem_channels < 1:
-            raise InvalidConfig("input_resolution and stem_channels must be positive")
+        if self.stem_channels < 1:
+            raise InvalidConfig(f"stem_channels must be positive, got {self.stem_channels}")
+        halvings = 1 + self.unit_strides.count(2)  # the stem and each stride-2 unit
+        if self.input_resolution < 2**halvings:
+            raise InvalidConfig(
+                f"input_resolution must be >= 2**{halvings} = {2**halvings}, so that no unit "
+                f"has spatial size 0, got {self.input_resolution}"
+            )
         if any(c < 1 for c in self.unit_out_channels):
             raise InvalidConfig(f"channels must be positive: {self.unit_out_channels}")
 

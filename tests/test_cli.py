@@ -411,14 +411,21 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message + "\n"
 
-    # A negative seed used to die in numpy with a ValueError traceback.
+    # A negative seed used to die in numpy with a ValueError traceback. The
+    # master seed is kept to 32 bits by derive_seed: adapt --seed -1 used to
+    # exit 0 with the records of --seed 4294967295.
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--set", "plan.seed=-1"],
          "config error: config section plan: seed must be >= 0, got -1"),
         (["adapt", "--set", "plan.seed=-1"],
          "config error: config section plan: seed must be >= 0, got -1"),
         (["simulate", "--seed", "-1"], "config error: --seed: seed must be >= 0, got -1"),
-    ], ids=["simulate-plan-seed", "adapt-plan-seed", "simulate-seed"])
+        (["adapt", "--seed", "-1"], "config error: --seed: seed must be >= 0, got -1"),
+        (["adapt", "--seed", "4294967296"], "config error: --seed: seed must be < 2**32, got 4294967296"),
+        (["adapt", "--set", "run.master_seed=-1"],
+         "config error: config key run.master_seed: seed must be >= 0, got -1"),
+    ], ids=["simulate-plan-seed", "adapt-plan-seed", "simulate-seed", "adapt-seed",
+            "adapt-seed-past-32-bits", "adapt-master-seed-key"])
     def test_negative_plan_seed_exits_1(self, tmp_path, config_file, capsys, argv, message):
         out = tmp_path / "x"
         assert main([*argv, "--config", str(config_file), "--out", str(out)]) == 1

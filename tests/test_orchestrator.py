@@ -540,6 +540,83 @@ class TestDistanceComparison:
         with pytest.raises(aa.InvalidData, match="n_samples must be positive, got 0"):
             aa.compare_distance_metrics(plan, seeds=(0,), n_samples=0)
 
+    def test_a_bad_seed_raises_before_anything_is_drawn(self, monkeypatch):
+        # Seed 0 used to be drawn in full before seed -1 was rejected.
+        def gen_snapshot(*args, **kwargs):
+            raise AssertionError("a snapshot was drawn")
+
+        monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
+        plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4), feature_dim=4, seed=7)
+        with pytest.raises(aa.InvalidConfig, match="seed must be >= 0, got -1"):
+            aa.compare_distance_metrics(plan, seeds=(0, -1), n_samples=10)
+
+    def test_no_w2_task_starts_before_the_draw_returns(self, monkeypatch):
+        # The draw hands over its last block only once every earlier block is
+        # fitted, then waits a little for a W2 task, which a W2 queued as fits
+        # land would start.
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
+                             feature_dim=4, base_samples=400, seed=9)
+        last = plan.n_steps - 1
+        earlier_ran, w2_started = threading.Event(), threading.Event()
+        ran, drawn, starts = [], [False], []  # starts: whether the draw had returned, per W2 task
+        real_stats, real_gen, real_w2 = (orchestrator._block_stats, orchestrator.gen_snapshot,
+                                         orchestrator._w2_given_root)
+
+        def block_stats(block):
+            out = real_stats(block)
+            ran.append(len(block))
+            if len(ran) == last:
+                earlier_ran.set()
+            return out
+
+        def gen_snapshot(plan, step, on_step):
+            def landed(i, rows):
+                if i == last:
+                    assert earlier_ran.wait(timeout=10)
+                    time.sleep(0.05)  # so that their tasks read as done
+                on_step(i, rows)
+                if i == last:
+                    w2_started.wait(timeout=0.5)
+
+            out = real_gen(plan, step, on_step=landed)
+            drawn[0] = True
+            return out
+
+        def w2(fit, base, root):
+            starts.append(drawn[0])
+            w2_started.set()
+            return real_w2(fit, base, root)
+
+        want = aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200)
+        monkeypatch.setattr(orchestrator, "_block_stats", block_stats)
+        monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
+        monkeypatch.setattr(orchestrator, "_w2_given_root", w2)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        assert aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200) == want
+        assert starts == [True] * last
+
+    def test_the_js_draws_follow_the_queued_w2_tasks(self, monkeypatch):
+        # The JS seed is derived only once a W2 task of the seed has started.
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.7, 1.0),
+                             feature_dim=4, base_samples=400, seed=9)
+        w2_started = threading.Event()
+        real_w2, real_derive = orchestrator._w2_given_root, orchestrator.derive_seed
+
+        def w2(fit, base, root):
+            w2_started.set()
+            return real_w2(fit, base, root)
+
+        def derive_seed(master, *tags):
+            if tags == ("js",):
+                assert w2_started.wait(timeout=10), "the JS draws came before the W2 tasks"
+            return real_derive(master, *tags)
+
+        want = aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200)
+        monkeypatch.setattr(orchestrator, "_w2_given_root", w2)
+        monkeypatch.setattr(orchestrator, "derive_seed", derive_seed)
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        assert aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200) == want
+
     def test_base_root_is_taken_once_per_seed(self, monkeypatch):
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
                              feature_dim=6, base_samples=900, seed=9)
@@ -651,8 +728,8 @@ class TestDistanceComparison:
 
     @pytest.mark.parametrize("nan_block", [False, True], ids=["root", "root_then_nan_block"])
     def test_a_base_root_error_is_raised_after_the_draw(self, monkeypatch, nan_block):
-        # The root is taken as step 1's fit lands, but a later step's fit
-        # error still comes first, as when the root followed the draw.
+        # The root is taken once the draw is fitted, so a later step's fit
+        # error comes before it.
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), feature_dim=4,
                              base_samples=50, seed=5)  # class 7 is only in the last block
 

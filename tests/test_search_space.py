@@ -311,8 +311,22 @@ class TestConfigValidation:
         ({"unit_strides": (1, 2, 3, 2, 2)}, "strides must be 1 or 2"),
         ({"unit_out_channels": (16, 24, 0, 80, 160)}, "channels must be positive"),
         ({"stem_channels": 0}, "stem_channels"),
+        # The stem and four stride-2 units would halve 16 to 0 at the last unit.
+        ({"input_resolution": 16}, r"input_resolution must be >= 2\*\*5 = 32, so that no unit "
+                                   r"has spatial size 0, got 16"),
+        ({"n_units": 2, "unit_out_channels": (16, 24), "unit_strides": (2, 2),
+          "input_resolution": 4}, r"input_resolution must be >= 2\*\*3 = 8"),
     ], ids=["n_units", "duplicate", "strides-length", "stride-value", "unit-channel",
-            "stem-channel"])
+            "stem-channel", "resolution-halved-to-0", "two-stride-2-units"])
     def test_rejects_layout(self, overrides, message):
         with pytest.raises(aa.InvalidConfig, match=message):
             aa.SpaceConfig(**overrides)
+
+    def test_smallest_resolution_keeps_madds_strictly_increasing(self):
+        # At resolution 4 these two used to cost the same: unit 2 had spatial size 0.
+        space = aa.SpaceConfig(n_units=2, depth_choices=(2, 3), kernel_choices=(3, 5),
+                               expansion_choices=(3,), input_resolution=8,
+                               unit_out_channels=(16, 24), unit_strides=(2, 2))
+        small, large = (aa.decode(text, space) for text in ("k3e3,k3e3;k3e3,k3e3",
+                                                             "k3e3,k3e3;k5e3,k5e3,k5e3"))
+        assert aa.madds(small, space) < aa.madds(large, space)
