@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidData, InvalidStep
+from .errors import InvalidConfig, InvalidData, InvalidStep, _check_seed
 from .gaussian import load_features_csv, save_features_csv
 
 __all__ = [
@@ -111,8 +111,7 @@ class GrowthPlan:
             raise InvalidConfig(f"steps must be non-decreasing: {self.steps}")
         if self.feature_dim < 1:
             raise InvalidConfig(f"feature_dim must be positive, got {self.feature_dim}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         for name in ("sigma", "proto_radius"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvalidConfig(f"{name} must be finite and positive, got {getattr(self, name)}")
@@ -291,11 +290,10 @@ def load_snapshot(csv_path) -> Snapshot:
         except ValueError as exc:
             raise InvalidData(f"{sidecar}: meta key {key!r} must be {parse.__name__}, got {values[key]!r}") from exc
     meta = SnapshotMeta(**parsed)
-    vf = meta.volume_fraction  # a NaN is left to complexity_score, which rejects it
     for key, rule, bad in (("n_classes", ">= 1", meta.n_classes < 1),
                            ("max_classes", ">= 2", meta.max_classes < 2),
                            ("n_classes", f"<= max_classes {meta.max_classes}", meta.n_classes > meta.max_classes),
-                           ("volume_fraction", "in (0, 1]", vf <= 0 or vf > 1)):
+                           ("volume_fraction", "in (0, 1]", not 0 < meta.volume_fraction <= 1)):
         if bad:
             raise InvalidData(f"{sidecar}: meta key {key!r} must be {rule}, got {values[key]}")
     if meta.n_samples != features.shape[0]:

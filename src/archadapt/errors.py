@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check each of a shift and a lam."""
+"""Exception types shared across the package, and the one check each of a shift, a lam and a seed."""
 
 import math
 
@@ -84,3 +84,12 @@ def _check_lams(lams) -> None:
     for lam in lams:
         if not 0.0 <= lam < math.inf:
             raise InvalidConfig(f"lam must be finite and >= 0, got {lam}")
+
+
+def _check_seed(seed: int) -> None:
+    """Raise InvalidConfig unless 0 <= seed < 2**32: derive_seed keeps 32
+    bits of a seed, so one outside them would alias one inside."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    if seed >= 2**32:
+        raise InvalidConfig(f"seed must be < 2**32, got {seed}")

@@ -16,8 +16,8 @@ step order on the calling thread (_drawn_fits). The identity extractor's
 blocks go to the pool as their rows land, so fits and a run's shifts are
 made while later rows are drawn; a custom extractor's output, made once
 after the draw, is cut into the same blocks. compare_distance_metrics
-queues a seed's distances once its draw is fitted, and draws the next
-seed while they run.
+queues a seed's distances once its draw is fitted, and reads them before
+it draws the next seed.
 The bootstrap oracle needs only step 0's meta, so it runs from the start.
 No pool task waits on another: what several tasks share, such as the
 base's matrix root and the JS draws in compare_distance_metrics, is
@@ -58,7 +58,7 @@ from .datagen import (
     prefix_snapshot,
     snapshot_meta,
 )
-from .errors import DimensionMismatch, InvalidConfig, InvalidData, _check_lams, _checked_shift
+from .errors import DimensionMismatch, InvalidConfig, InvalidData, _check_lams, _check_seed, _checked_shift
 from .evaluator import SurrogateConfig, make_evaluator, oracle_best
 from .gaussian import (  # noqa: F401 (fit_gaussian, js_divergence_mc: perfbench/tracer.py wraps them here)
     _block_stats,
@@ -100,11 +100,7 @@ class RunConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        # derive_seed keeps 32 bits of it, so a seed outside them would alias one inside.
-        if self.master_seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.master_seed}")
-        if self.master_seed >= 2**32:
-            raise InvalidConfig(f"seed must be < 2**32, got {self.master_seed}")
+        _check_seed(self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -371,11 +367,10 @@ def compare_distance_metrics(
     (common random numbers), drawn here from ``derive_seed(seed, "js")``,
     so step j's JS is, bit for bit, the mean over seeds of
     ``js_divergence_mc(fit_j, fit_0, n_samples, derive_seed(seed, "js"))``;
-    each step's JS then goes to the pool. No task waits on another. The
-    next seed is drawn while they run, holding one seed's feature matrix
-    and the last seed's n_samples x q draws. The sums are taken afterwards
-    in seed and step order, W2 before JS, so the rows and the first error
-    raised do not depend on the core count. A sample count below one, or
+    each step's JS then goes to the pool. No task waits on another. A
+    seed's results are summed, step by step and W2 before JS, before the
+    next seed is drawn, so the rows and the first error raised are a
+    serial loop's whatever the core count. A sample count below one, or
     a bad seed, raises before anything is drawn.
     """
     if not seeds:
@@ -383,42 +378,23 @@ def compare_distance_metrics(
     _check_samples(n_samples)
     plans = [replace(plan, seed=seed) for seed in seeds]
     sums = [[0.0, 0.0] for _ in range(1, plan.n_steps)]  # [wd, js] of steps 1, 2, ...
-    queued = []  # per seed drawn: its (W2 tasks, JS tasks) of steps 1, 2, ...
-
-    def read():
-        for w2_tasks, js_tasks in queued:
+    with _pool(plan) as pool:
+        for seeded in plans:
+            fits = []
+            _drawn_fits(seeded, pool, fits.append)
+            base, steps = fits[0], fits[1:]
+            root = sqrt_spd(base.cov) if steps else None
+            w2_tasks = [pool.submit(_w2_given_root, fit, base, root) for fit in steps]
+            z = np.random.default_rng(derive_seed(seeded.seed, "js")).standard_normal((n_samples, base.dim))
+            sq = np.sum(z * z, axis=1)
+            js_tasks = [pool.submit(_js_from_draws, fit, base, z, sq) for fit in steps]
             for pair, w2, js in zip(sums, w2_tasks, js_tasks):
                 pair[0] += w2.result()
                 pair[1] += js.result()
-
-    with _pool(plan) as pool:
-        for seeded in plans:
-            try:
-                queued.append(_seed_distances(seeded, pool, n_samples))
-            except Exception:
-                read()  # an earlier seed's error comes first, as in a serial loop
-                raise
-        read()
     return [
         {"step": j, "wd": wd / len(seeds), "js": js / len(seeds)}
         for j, (wd, js) in enumerate(sums, start=1)
     ]
-
-
-def _seed_distances(plan: GrowthPlan, pool, n_samples: int):
-    """Queue one seed's distances from step 0, once its plan is drawn and
-    fitted: each step's W2 with the base's matrix root, taken here, then
-    each step's JS over one set of draws. Returns the W2 and the JS tasks
-    of steps 1, 2, ...
-    """
-    fits = []
-    _drawn_fits(plan, pool, fits.append)
-    base, steps = fits[0], fits[1:]
-    root = sqrt_spd(base.cov) if steps else None
-    w2_tasks = [pool.submit(_w2_given_root, fit, base, root) for fit in steps]
-    z = np.random.default_rng(derive_seed(plan.seed, "js")).standard_normal((n_samples, base.dim))
-    sq = np.sum(z * z, axis=1)
-    return w2_tasks, [pool.submit(_js_from_draws, fit, base, z, sq) for fit in steps]
 
 
 def lambda_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> list[dict]:

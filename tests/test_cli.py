@@ -139,7 +139,7 @@ class TestGate:
     # gated with exit 0.
     @pytest.mark.parametrize("key, value, message", [
         ("n_classes", "abc", "meta key 'n_classes' must be int, got 'abc'"),
-        ("volume_fraction", "nan", "volume_fraction must be finite, got nan"),
+        ("volume_fraction", "nan", "snapshot_001.meta: meta key 'volume_fraction' must be in (0, 1], got nan"),
         ("max_classes", "1", "snapshot_001.meta: meta key 'max_classes' must be >= 2, got 1"),
         ("n_classes", "0", "snapshot_001.meta: meta key 'n_classes' must be >= 1, got 0"),
         ("volume_fraction", "-5", "snapshot_001.meta: meta key 'volume_fraction' must be in (0, 1], got -5"),
@@ -419,12 +419,14 @@ class TestErrors:
          "config error: config section plan: seed must be >= 0, got -1"),
         (["adapt", "--set", "plan.seed=-1"],
          "config error: config section plan: seed must be >= 0, got -1"),
+        (["simulate", "--set", "plan.seed=4294967296"],
+         "config error: config section plan: seed must be < 2**32, got 4294967296"),
         (["simulate", "--seed", "-1"], "config error: --seed: seed must be >= 0, got -1"),
         (["adapt", "--seed", "-1"], "config error: --seed: seed must be >= 0, got -1"),
         (["adapt", "--seed", "4294967296"], "config error: --seed: seed must be < 2**32, got 4294967296"),
         (["adapt", "--set", "run.master_seed=-1"],
          "config error: config key run.master_seed: seed must be >= 0, got -1"),
-    ], ids=["simulate-plan-seed", "adapt-plan-seed", "simulate-seed", "adapt-seed",
+    ], ids=["simulate-plan-seed", "adapt-plan-seed", "plan-seed-past-32-bits", "simulate-seed", "adapt-seed",
             "adapt-seed-past-32-bits", "adapt-master-seed-key"])
     def test_negative_plan_seed_exits_1(self, tmp_path, config_file, capsys, argv, message):
         out = tmp_path / "x"

@@ -338,9 +338,11 @@ class TestPlanValidation:
         ({"steps": (2, float("nan"))}, "class counts"),
         ({"steps": (2, float("inf"))}, "class counts"),
         ({"seed": -1}, "seed"),
+        ({"seed": 2**32}, r"seed must be < 2\*\*32, got 4294967296"),
         ({"steps": (1, 1), "max_classes": 1}, "max_classes must be >= 2, got 1"),
     ], ids=["no-steps", "feature_dim", "base_samples", "n_classes", "fractional-count",
-            "zero-count", "nan-count", "inf-count", "negative-seed", "max_classes-1"])
+            "zero-count", "nan-count", "inf-count", "negative-seed", "seed-past-32-bits",
+            "max_classes-1"])
     def test_rejects(self, overrides, message):
         # A negative seed used to reach np.random.default_rng and fail there,
         # and a NaN or infinite class count int() (ValueError, OverflowError).
@@ -414,8 +416,9 @@ class TestSnapshotIO:
         ("n_classes", "0", ">= 1"), ("max_classes", "1", ">= 2"), ("n_classes", "3", "<= max_classes 2"),
         ("volume_fraction", "-5", "in (0, 1]"), ("volume_fraction", "0", "in (0, 1]"),
         ("volume_fraction", "1.5", "in (0, 1]"), ("volume_fraction", "-inf", "in (0, 1]"),
+        ("volume_fraction", "nan", "in (0, 1]"),
     ], ids=["n_classes_0", "max_classes_1", "n_classes_3", "volume_fraction_-5", "volume_fraction_0",
-            "volume_fraction_1.5", "volume_fraction_-inf"])
+            "volume_fraction_1.5", "volume_fraction_-inf", "volume_fraction_nan"])
     def test_sidecar_value_out_of_range_names_the_key(self, tmp_path, key, value, rule):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2,), base_samples=10)
         path = tmp_path / "snap.csv"

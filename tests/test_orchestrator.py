@@ -307,14 +307,14 @@ class TestSetupPool:
         assert draws == []
 
 
-def _nan_prototype(monkeypatch, cls, seed=None):
-    """Give class cls a NaN prototype in every draw of the seed (of any seed
-    when None), so the rows of that class, and only they, are non-finite."""
+def _nan_prototype(monkeypatch, cls):
+    """Give class cls a NaN prototype in every draw, so the rows of that
+    class, and only they, are non-finite."""
     real = aa.datagen.gen_prototypes
 
     def protos(n_classes, feature_dim, plan_seed, radius):
         out = real(n_classes, feature_dim, plan_seed, radius)
-        if n_classes > cls and seed in (None, plan_seed):
+        if n_classes > cls:
             out[cls] = np.nan
         return out
 
@@ -430,47 +430,58 @@ class TestStreamedDraw:
             sys.setswitchinterval(interval)
         assert got == want
 
-    @pytest.mark.parametrize("seed1_fails_in", ["js", "fit"])
-    def test_an_error_at_seed_0_wins_over_an_earlier_one_at_seed_1(self, monkeypatch,
-                                                                   seed1_fails_in):
-        # Seed 1 is drawn, and fails, while seed 0's tasks still run.
+    def test_a_js_error_at_seed_0_stops_the_call_before_seed_1_is_drawn(self, monkeypatch):
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), feature_dim=4,
                              base_samples=400, seed=7)
-        seed1_failed = threading.Event()
-        step1_rows = aa.snapshot_meta(plan, 1).n_samples
-        # A JS task's seed, by the first of the seed's shared draws.
-        seed_of = {np.random.default_rng(orchestrator.derive_seed(s, "js")).standard_normal(): s
-                   for s in (0, 1)}
-        real_js, real_stats = orchestrator._js_from_draws, orchestrator._block_stats
+        drawn = []  # the plan seed of each draw
+        real_gen = orchestrator.gen_snapshot
+
+        def gen_snapshot(plan, step, on_step):
+            drawn.append(plan.seed)
+            return real_gen(plan, step, on_step=on_step)
 
         def js(fit, base, z, sq):
-            seed = seed_of[z[0, 0]]
-            if seed == 0 and fit.n_samples == step1_rows:
-                assert seed1_failed.wait(timeout=10)
-                time.sleep(0.2)  # seed 1's error is raised well before this one
-                raise aa.NotSPD("seed 0")
-            if seed == 1 and seed1_fails_in == "js":
-                seed1_failed.set()
-                raise aa.InvalidData("seed 1")
-            return real_js(fit, base, z, sq)
+            raise aa.NotSPD("seed 0")
 
-        def block_stats(block):
-            try:
-                return real_stats(block)
-            except aa.InvalidData:
-                seed1_failed.set()
-                raise
-
-        if seed1_fails_in == "fit":
-            _nan_prototype(monkeypatch, 7, seed=1)
+        monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
         monkeypatch.setattr(orchestrator, "_js_from_draws", js)
-        monkeypatch.setattr(orchestrator, "_block_stats", block_stats)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
         threads = threading.active_count()
         with pytest.raises(aa.NotSPD, match="seed 0"):
             aa.compare_distance_metrics(plan, seeds=(0, 1), n_samples=200)
-        assert seed1_failed.is_set()
+        assert drawn == [0]
         assert threading.active_count() == threads
+
+    def test_every_task_of_a_seed_finishes_before_the_next_seed_is_drawn(self, monkeypatch):
+        # Slow tasks: a draw of seed 1 that overlapped seed 0's would find some unfinished.
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.7, 1.0),
+                             feature_dim=4, base_samples=400, seed=9)
+        finished, at_draw = [], []  # tasks finished; how many had, at each draw
+        real_gen, real_w2, real_js = (orchestrator.gen_snapshot, orchestrator._w2_given_root,
+                                      orchestrator._js_from_draws)
+
+        def gen_snapshot(plan, step, on_step):
+            at_draw.append(len(finished))
+            return real_gen(plan, step, on_step=on_step)
+
+        def slow(real):
+            def task(*args):
+                time.sleep(0.05)
+                out = real(*args)
+                finished.append(real.__name__)
+                return out
+
+            return task
+
+        want = aa.compare_distance_metrics(plan, seeds=(0, 1), n_samples=200)
+        monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
+        monkeypatch.setattr(orchestrator, "_w2_given_root", slow(real_w2))
+        monkeypatch.setattr(orchestrator, "_js_from_draws", slow(real_js))
+        monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
+        assert aa.compare_distance_metrics(plan, seeds=(0, 1), n_samples=200) == want
+        tasks = 2 * (plan.n_steps - 1)  # a W2 and a JS per later step
+        assert at_draw == [0, tasks]
+        assert len(finished) == 2 * tasks
 
 
 class TestRecordsFile:
@@ -541,14 +552,17 @@ class TestDistanceComparison:
             aa.compare_distance_metrics(plan, seeds=(0,), n_samples=0)
 
     def test_a_bad_seed_raises_before_anything_is_drawn(self, monkeypatch):
-        # Seed 0 used to be drawn in full before seed -1 was rejected.
+        # Seed 0 used to be drawn in full before seed -1 was rejected. Seed
+        # 2**32 used to be accepted, with seed 0's JS draws.
         def gen_snapshot(*args, **kwargs):
             raise AssertionError("a snapshot was drawn")
 
         monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4), feature_dim=4, seed=7)
-        with pytest.raises(aa.InvalidConfig, match="seed must be >= 0, got -1"):
-            aa.compare_distance_metrics(plan, seeds=(0, -1), n_samples=10)
+        for seed, message in ((-1, "seed must be >= 0, got -1"),
+                              (2**32, r"seed must be < 2\*\*32, got 4294967296")):
+            with pytest.raises(aa.InvalidConfig, match=message):
+                aa.compare_distance_metrics(plan, seeds=(0, seed), n_samples=10)
 
     def test_no_w2_task_starts_before_the_draw_returns(self, monkeypatch):
         # The draw hands over its last block only once every earlier block is
