@@ -7,8 +7,11 @@ closed form
 
     W2^2 = ||mu1 - mu2||^2 + tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2})
 
+The trace of the cross term is sum sqrt(eig(L2^T S1 L2)) for the Cholesky
+factor S2 = L2 L2^T, since L2^T S1 L2 has the eigenvalues of S1 S2, so W2
+takes one Cholesky factor and one set of eigenvalues and no matrix root.
 A Monte-Carlo Jensen-Shannon estimate is provided for comparison
-experiments. All matrix roots use symmetric eigendecomposition.
+experiments.
 
 The JS estimate has one kernel, which takes its standard normals and
 their squared norms one block of rows at a time: ``js_divergence_mc``
@@ -62,7 +65,8 @@ __all__ = [
 _PD_RTOL = 1e-14
 
 # W2's trace term at or below this fraction of tr S1 + tr S2 is roundoff:
-# the self-distance of fits with q = 1..128 leaves at most about 1.6e-14.
+# for q = 1..128 the self-distance of volume and class plan fits leaves at
+# most 9.2e-16, and of fits whose covariance has condition number 1e4, 4.5e-14.
 _W2_TRACE_RTOL = 1e-12
 
 _LN2 = float(np.log(2.0))
@@ -77,9 +81,10 @@ _JS_BLOCK_FLOATS = 1 << 15
 class GaussianSummary:
     """Mean, covariance and sample count of a fitted Gaussian.
 
-    The covariance is stored symmetrized. Positive definiteness is checked
-    by the operations that require it (matrix roots, inverses), not at
-    construction time, so that raw unridged fits can be inspected.
+    The covariance is stored symmetrized, (cov + cov^T) / 2, once it is
+    checked to be symmetric within 1e-10. Positive definiteness is checked
+    by the operations that require it (Cholesky factors, eigenvalues), not
+    at construction time, so that raw unridged fits can be inspected.
     """
 
     mean: np.ndarray
@@ -98,7 +103,7 @@ class GaussianSummary:
         if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-10:
             raise NotSPD("covariance not symmetric within 1e-10")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", (cov + cov.T) / 2.0)
 
     @property
     def dim(self) -> int:
@@ -131,7 +136,7 @@ def fit_gaussian(features: np.ndarray, ridge: float | None = None) -> GaussianSu
 
     The covariance uses the 1/N normalization. ``ridge`` is added to the
     diagonal; by default it is relative, 1e-6 * tr(cov) / dim, which keeps
-    downstream roots and inverses well conditioned without distorting the
+    downstream factors and solves well conditioned without distorting the
     fit. Pass ``ridge=0.0`` for the raw estimate.
 
     Raises DegenerateInput for fewer than two rows and InvalidData for
@@ -238,10 +243,15 @@ def sqrt_spd(s: np.ndarray) -> np.ndarray:
     if np.max(np.abs(s - s.T), initial=0.0) > 1e-10 * max(1.0, scale):
         raise NotSPD("matrix is not symmetric")
     w, u = np.linalg.eigh((s + s.T) / 2.0)
-    if w[0] <= _PD_RTOL * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise NotSPD(f"matrix is not positive definite (min eigenvalue {w[0]:g})")
+    _check_pd(w)
     root = (u * np.sqrt(w)) @ u.T
     return (root + root.T) / 2.0
+
+
+def _check_pd(w: np.ndarray) -> None:
+    """Raise NotSPD unless ascending eigenvalues w are positive above the _PD_RTOL floor."""
+    if w[0] <= _PD_RTOL * max(w[-1], 0.0) or w[-1] <= 0.0:
+        raise NotSPD(f"matrix is not positive definite (min eigenvalue {w[0]:g})")
 
 
 def _check_same_dim(g1: GaussianSummary, g2: GaussianSummary) -> int:
@@ -256,21 +266,23 @@ def wasserstein2_gaussian(g1: GaussianSummary, g2: GaussianSummary) -> float:
     Nonnegative, symmetric, and zero for identical summaries. The trace
     term tr S1 + tr S2 - 2 tr(cross) is snapped to zero when its magnitude
     is at most _W2_TRACE_RTOL * (tr S1 + tr S2): below that it is roundoff
-    of the matrix roots, not shift. The mean term is never snapped.
+    of the factor and the eigenvalues, not shift. The mean term is never
+    snapped.
     """
     _check_same_dim(g1, g2)
-    return _w2_given_root(g1, g2, sqrt_spd(g2.cov))
+    return _w2_given_factor(g1, g2, _chol(g2.cov, "cov of second argument"))
 
 
-def _w2_given_root(g1: GaussianSummary, g2: GaussianSummary, root2: np.ndarray) -> float:
+def _w2_given_factor(g1: GaussianSummary, g2: GaussianSummary, l2: np.ndarray) -> float:
     """``wasserstein2_gaussian`` of two Gaussians of one dimension, given
-    ``root2 = sqrt_spd(g2.cov)``, so that distances to one g2 share its root."""
+    ``l2``, the Cholesky factor of g2.cov, so that distances to one g2 share
+    it. tr(cross) is sum sqrt(w) over the eigenvalues w of L2^T S1 L2."""
     dmean = g1.mean - g2.mean
-    inner = root2 @ g1.cov @ root2
-    inner = (inner + inner.T) / 2.0
-    cross = sqrt_spd(inner)
+    inner = l2.T @ g1.cov @ l2
+    w = np.linalg.eigvalsh((inner + inner.T) / 2.0)
+    _check_pd(w)
     trace_sum = np.trace(g1.cov) + np.trace(g2.cov)
-    trace_term = float(trace_sum - 2.0 * np.trace(cross))
+    trace_term = float(trace_sum - 2.0 * np.sum(np.sqrt(w)))
     if abs(trace_term) <= _W2_TRACE_RTOL * trace_sum:
         trace_term = 0.0
     return max(float(dmean @ dmean) + trace_term, 0.0)
@@ -321,22 +333,26 @@ def js_divergence_mc(
 
 
 def _js_from_draws(g1: GaussianSummary, g2: GaussianSummary, z: np.ndarray,
-                   sq: np.ndarray) -> float:
+                   sq: np.ndarray, l2: np.ndarray) -> float:
     """``js_divergence_mc`` over the given standard normals z, (n_samples, q),
-    with ``sq = np.sum(z * z, axis=1)``. For z drawn in one array from
-    ``default_rng(seed)`` this is ``js_divergence_mc(g1, g2, n_samples, seed)``
-    bit for bit, so estimates along a sweep can share one set of draws."""
+    with ``sq = np.sum(z * z, axis=1)``, given l2, the Cholesky factor of
+    g2.cov. For z drawn in one array from ``default_rng(seed)`` this is
+    ``js_divergence_mc(g1, g2, n_samples, seed)`` bit for bit, so estimates
+    along a sweep can share one set of draws and one factor of g2."""
     _check_same_dim(g1, g2)
-    return _js_kernel(g1, g2, len(z), lambda rows: (z[rows], sq[rows]))
+    return _js_kernel(g1, g2, len(z), lambda rows: (z[rows], sq[rows]), l2)
 
 
-def _js_kernel(g1: GaussianSummary, g2: GaussianSummary, n_samples: int, draws) -> float:
+def _js_kernel(g1: GaussianSummary, g2: GaussianSummary, n_samples: int, draws,
+               l2: np.ndarray | None = None) -> float:
     """The JS estimate over n_samples standard normals, taken in blocks of
     rows (_JS_BLOCK_FLOATS): ``draws(rows)`` gives the block of the row slice
-    rows and its squared norms. Both covariances are factored first."""
+    rows and its squared norms. Both covariances are factored first, g2's
+    only when its factor l2 is not given."""
     q = g1.dim
     l1 = _chol(g1.cov, "cov of first argument")
-    l2 = _chol(g2.cov, "cov of second argument")
+    if l2 is None:
+        l2 = _chol(g2.cov, "cov of second argument")
     log_2pi = q * np.log(2.0 * np.pi)
     # Per direction: 2 log det of the own and the other Cholesky factor, and
     # the offset and map that take a draw into the other Gaussian's whitened

@@ -204,10 +204,84 @@ class TestSqrtSpd:
 class TestWasserstein:
     @settings(max_examples=60, deadline=None)
     @given(_summary_pairs())
-    def test_given_root_is_the_public_form_bit_for_bit(self, pair):
+    def test_given_factor_is_the_public_form_bit_for_bit(self, pair):
         g1, g2 = pair
-        got = gaussian._w2_given_root(g1, g2, sqrt_spd(g2.cov))
+        got = gaussian._w2_given_factor(g1, g2, np.linalg.cholesky(g2.cov))
         assert np.float64(got).tobytes() == np.float64(aa.wasserstein2_gaussian(g1, g2)).tobytes()
+
+    @staticmethod
+    def _root_form(g1, g2):
+        """W2 with the matrix roots: tr S1 + tr S2 - 2 tr sqrt(R2 S1 R2), R2 = sqrt(S2)."""
+        root2 = sqrt_spd(g2.cov)
+        inner = root2 @ g1.cov @ root2
+        cross = sqrt_spd((inner + inner.T) / 2.0)
+        dmean = g1.mean - g2.mean
+        return float(dmean @ dmean + np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * np.trace(cross))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_summary_pairs())
+    def test_eigenvalue_form_matches_the_matrix_root_form(self, pair):
+        g1, g2 = pair
+        tol = 1e-10 * (np.trace(g1.cov) + np.trace(g2.cov))
+        for a, b in ((g1, g2), (g2, g1), (g1, g1)):
+            assert aa.wasserstein2_gaussian(a, b) == pytest.approx(self._root_form(a, b), rel=0, abs=tol)
+
+    @pytest.mark.parametrize("q", [2, 8])
+    def test_eigenvalue_form_matches_the_matrix_root_form_ill_conditioned(self, q):
+        g1, g2 = self._swapped_axes(q)
+        tol = 1e-10 * (np.trace(g1.cov) + np.trace(g2.cov))
+        for a, b in ((g1, g2), (g2, g1)):
+            assert aa.wasserstein2_gaussian(a, b) == pytest.approx(self._root_form(a, b), rel=0, abs=tol)
+
+    def test_matches_scipy_sqrtm_at_shift_scan_size(self):
+        # A 12-step volume plan at q = 96, as the benchmark's shift_scan
+        # runs it, checked against scipy's matrix square root within the
+        # benchmark's 1e-8 relative tolerance.
+        linalg = pytest.importorskip("scipy.linalg")
+        steps = tuple(round(0.4 + 0.6 * i / 11, 6) for i in range(12))
+        plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=steps, feature_dim=96,
+                             base_samples=24000, n_classes=10, seed=1)
+        fits = aa.fit_prefixes(aa.gen_snapshot(plan, 11).features,
+                               [aa.snapshot_meta(plan, i).n_samples for i in range(12)])
+
+        def sqrtm_w2(g1, g2):
+            root2 = np.real(linalg.sqrtm(g2.cov))
+            cross = np.real(linalg.sqrtm(root2 @ g1.cov @ root2))
+            dmean = g1.mean - g2.mean
+            return float(dmean @ dmean + np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * np.trace(cross))
+
+        pairs = [(fit, prev) for prev, fit in zip(fits, fits[1:])] + [(fit, fits[0]) for fit in fits[2:]]
+        for g1, g2 in pairs:
+            assert aa.wasserstein2_gaussian(g1, g2) == pytest.approx(sqrtm_w2(g1, g2), rel=1e-8)
+
+    def test_one_factor_and_one_set_of_eigenvalues_per_call(self, monkeypatch):
+        g1 = _summary([0.0, 1.0, 0.0], [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
+        g2 = _summary([1.0, 0.0, 0.0], np.diag([1.0, 2.0, 3.0]))
+        want = aa.wasserstein2_gaussian(g1, g2)
+        calls = []
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(a):
+                calls.append(name)
+                return real(a)
+
+            return call
+
+        for name in ("cholesky", "eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        assert aa.wasserstein2_gaussian(g1, g2) == want
+        assert calls == ["cholesky", "eigvalsh"]
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rank_deficient_unridged_fit_raises(self, first):
+        # Rows on a plane in 3-D: the raw fit's covariance is singular.
+        rng = np.random.default_rng(5)
+        bad = aa.fit_gaussian(rng.normal(size=(50, 2)) @ rng.normal(size=(2, 3)), ridge=0.0)
+        good = aa.fit_gaussian(rng.normal(size=(50, 3)))
+        with pytest.raises(aa.NotSPD):
+            aa.wasserstein2_gaussian(*((bad, good) if first else (good, bad)))
 
     def test_identical_is_zero(self):
         g = _summary([0.0, 0.0], np.eye(2))
@@ -232,11 +306,9 @@ class TestWasserstein:
         g2 = _summary([1e-6, 0.0], 100.0 * np.eye(2))
         assert aa.wasserstein2_gaussian(g1, g2) == pytest.approx(1e-12, rel=1e-6)
 
-    @pytest.mark.parametrize("q", [2, 8])
-    def test_ill_conditioned_swapped_axes(self, q):
-        # Eigenvalues 1e4 .. 1e-4 on shared axes, in opposite order: the
-        # product root2 @ cov1 @ root2 is about I, but its rounding leaves
-        # an asymmetry near the sqrt_spd check, which must not reject it.
+    @staticmethod
+    def _swapped_axes(q):
+        """Eigenvalues 1e4 .. 1e-4 on shared axes, in opposite order."""
         if q == 2:
             c = np.sqrt(0.5)
             axes = np.array([[c, -c], [c, c]])
@@ -248,7 +320,14 @@ class TestWasserstein:
             cov = (axes * e) @ axes.T
             return (cov + cov.T) / 2.0
 
-        g1, g2 = _summary(np.zeros(q), spd(ev[::-1])), _summary(np.zeros(q), spd(ev))
+        return _summary(np.zeros(q), spd(ev[::-1])), _summary(np.zeros(q), spd(ev))
+
+    @pytest.mark.parametrize("q", [2, 8])
+    def test_ill_conditioned_swapped_axes(self, q):
+        # The product L2^T cov1 L2 has eigenvalues about 1, but its rounding
+        # leaves an asymmetry, which must not read as not positive definite.
+        g1, g2 = self._swapped_axes(q)
+        ev = np.logspace(4, -4, q)
         # Commuting covariances: W2^2 = sum (sqrt a_i - sqrt b_i)^2.
         want = float(np.sum((np.sqrt(ev) - np.sqrt(ev[::-1])) ** 2))
         assert aa.wasserstein2_gaussian(g1, g2) == pytest.approx(want, rel=1e-9)
@@ -485,6 +564,17 @@ class TestSummaryValidation:
     def test_rejects_asymmetric_cov(self):
         with pytest.raises(aa.NotSPD):
             _summary([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+
+    def test_stores_a_nearly_symmetric_cov_symmetrized(self):
+        # Off-diagonal entries 1e-11 apart pass the check; a Cholesky factor
+        # reads one triangle, so the stored cov must be the symmetric mean.
+        cov = np.array([[2.0, 0.5 + 1e-11], [0.5, 1.0]])
+        g = _summary([0.0, 0.0], cov)
+        assert np.array_equal(g.cov, g.cov.T)
+        assert np.array_equal(g.cov, (cov + cov.T) / 2.0)
+        other = _summary([1.0, 0.0], np.eye(2))
+        assert aa.wasserstein2_gaussian(other, g) == aa.wasserstein2_gaussian(
+            other, _summary([0.0, 0.0], (cov + cov.T) / 2.0))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(aa.DimensionMismatch):
