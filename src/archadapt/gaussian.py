@@ -9,7 +9,8 @@ closed form
 
 The trace of the cross term is sum sqrt(eig(L2^T S1 L2)) for the Cholesky
 factor S2 = L2 L2^T, since L2^T S1 L2 has the eigenvalues of S1 S2, so W2
-takes one Cholesky factor and one set of eigenvalues and no matrix root.
+takes one set of eigenvalues and no matrix root. Each summary factors its
+covariance once and keeps the factor, its positive definiteness check.
 A Monte-Carlo Jensen-Shannon estimate is provided for comparison
 experiments.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,12 +63,14 @@ __all__ = [
     "js_divergence_mc",
 ]
 
-# Relative eigenvalue floor below which a matrix is treated as not PD.
+# Relative eigenvalue floor below which sqrt_spd treats a matrix as not PD.
 _PD_RTOL = 1e-14
 
 # W2's trace term at or below this fraction of tr S1 + tr S2 is roundoff:
 # for q = 1..128 the self-distance of volume and class plan fits leaves at
-# most 9.2e-16, and of fits whose covariance has condition number 1e4, 4.5e-14.
+# most 9.2e-16, of fits whose covariance has condition number 1e4, 4.5e-14,
+# and of ridge-0 fits of condition 1e8 and 1e12 on random axes, 2.8e-13 and
+# 8.6e-13 (6.6e-16 on the coordinate axes).
 _W2_TRACE_RTOL = 1e-12
 
 _LN2 = float(np.log(2.0))
@@ -83,8 +87,8 @@ class GaussianSummary:
 
     The covariance is stored symmetrized, (cov + cov^T) / 2, once it is
     checked to be symmetric within 1e-10. Positive definiteness is checked
-    by the operations that require it (Cholesky factors, eigenvalues), not
-    at construction time, so that raw unridged fits can be inspected.
+    by its Cholesky factor, made when a distance first needs it, not at
+    construction time, so that raw unridged fits can be inspected.
     """
 
     mean: np.ndarray
@@ -108,6 +112,11 @@ class GaussianSummary:
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    @cached_property
+    def _factor(self) -> np.ndarray:
+        """The Cholesky factor L of cov, L L^T = cov, made once (read it through _chol)."""
+        return np.linalg.cholesky(self.cov)
 
 
 def load_features_csv(path) -> np.ndarray:
@@ -243,15 +252,10 @@ def sqrt_spd(s: np.ndarray) -> np.ndarray:
     if np.max(np.abs(s - s.T), initial=0.0) > 1e-10 * max(1.0, scale):
         raise NotSPD("matrix is not symmetric")
     w, u = np.linalg.eigh((s + s.T) / 2.0)
-    _check_pd(w)
-    root = (u * np.sqrt(w)) @ u.T
-    return (root + root.T) / 2.0
-
-
-def _check_pd(w: np.ndarray) -> None:
-    """Raise NotSPD unless ascending eigenvalues w are positive above the _PD_RTOL floor."""
     if w[0] <= _PD_RTOL * max(w[-1], 0.0) or w[-1] <= 0.0:
         raise NotSPD(f"matrix is not positive definite (min eigenvalue {w[0]:g})")
+    root = (u * np.sqrt(w)) @ u.T
+    return (root + root.T) / 2.0
 
 
 def _check_same_dim(g1: GaussianSummary, g2: GaussianSummary) -> int:
@@ -263,34 +267,31 @@ def _check_same_dim(g1: GaussianSummary, g2: GaussianSummary) -> int:
 def wasserstein2_gaussian(g1: GaussianSummary, g2: GaussianSummary) -> float:
     """Squared 2-Wasserstein distance between two Gaussians.
 
-    Nonnegative, symmetric, and zero for identical summaries. The trace
-    term tr S1 + tr S2 - 2 tr(cross) is snapped to zero when its magnitude
-    is at most _W2_TRACE_RTOL * (tr S1 + tr S2): below that it is roundoff
-    of the factor and the eigenvalues, not shift. The mean term is never
-    snapped.
+    Nonnegative, symmetric, and zero for identical summaries. Raises NotSPD
+    naming the argument whose covariance has no Cholesky factor; once both
+    have one, a negative eigenvalue of L2^T S1 L2 is roundoff and counts as
+    0. The trace term tr S1 + tr S2 - 2 tr(cross) is snapped to zero when
+    its magnitude is at most _W2_TRACE_RTOL * (tr S1 + tr S2): below that it
+    is roundoff of the factor and the eigenvalues, not shift. The mean term
+    is never snapped.
     """
     _check_same_dim(g1, g2)
-    return _w2_given_factor(g1, g2, _chol(g2.cov, "cov of second argument"))
-
-
-def _w2_given_factor(g1: GaussianSummary, g2: GaussianSummary, l2: np.ndarray) -> float:
-    """``wasserstein2_gaussian`` of two Gaussians of one dimension, given
-    ``l2``, the Cholesky factor of g2.cov, so that distances to one g2 share
-    it. tr(cross) is sum sqrt(w) over the eigenvalues w of L2^T S1 L2."""
+    _chol(g1, "cov of first argument")
+    l2 = _chol(g2, "cov of second argument")
     dmean = g1.mean - g2.mean
     inner = l2.T @ g1.cov @ l2
     w = np.linalg.eigvalsh((inner + inner.T) / 2.0)
-    _check_pd(w)
     trace_sum = np.trace(g1.cov) + np.trace(g2.cov)
-    trace_term = float(trace_sum - 2.0 * np.sum(np.sqrt(w)))
+    trace_term = float(trace_sum - 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0))))
     if abs(trace_term) <= _W2_TRACE_RTOL * trace_sum:
         trace_term = 0.0
     return max(float(dmean @ dmean) + trace_term, 0.0)
 
 
-def _chol(cov: np.ndarray, what: str) -> np.ndarray:
+def _chol(g: GaussianSummary, what: str) -> np.ndarray:
+    """g's Cholesky factor; NotSPD "<what> is not positive definite" if it has none."""
     try:
-        return np.linalg.cholesky(cov)
+        return g._factor
     except np.linalg.LinAlgError as exc:
         raise NotSPD(f"{what} is not positive definite") from exc
 
@@ -333,26 +334,22 @@ def js_divergence_mc(
 
 
 def _js_from_draws(g1: GaussianSummary, g2: GaussianSummary, z: np.ndarray,
-                   sq: np.ndarray, l2: np.ndarray) -> float:
+                   sq: np.ndarray) -> float:
     """``js_divergence_mc`` over the given standard normals z, (n_samples, q),
-    with ``sq = np.sum(z * z, axis=1)``, given l2, the Cholesky factor of
-    g2.cov. For z drawn in one array from ``default_rng(seed)`` this is
-    ``js_divergence_mc(g1, g2, n_samples, seed)`` bit for bit, so estimates
-    along a sweep can share one set of draws and one factor of g2."""
+    with ``sq = np.sum(z * z, axis=1)``. For z drawn in one array from
+    ``default_rng(seed)`` this is ``js_divergence_mc(g1, g2, n_samples, seed)``
+    bit for bit, so estimates along a sweep can share one set of draws."""
     _check_same_dim(g1, g2)
-    return _js_kernel(g1, g2, len(z), lambda rows: (z[rows], sq[rows]), l2)
+    return _js_kernel(g1, g2, len(z), lambda rows: (z[rows], sq[rows]))
 
 
-def _js_kernel(g1: GaussianSummary, g2: GaussianSummary, n_samples: int, draws,
-               l2: np.ndarray | None = None) -> float:
+def _js_kernel(g1: GaussianSummary, g2: GaussianSummary, n_samples: int, draws) -> float:
     """The JS estimate over n_samples standard normals, taken in blocks of
     rows (_JS_BLOCK_FLOATS): ``draws(rows)`` gives the block of the row slice
-    rows and its squared norms. Both covariances are factored first, g2's
-    only when its factor l2 is not given."""
+    rows and its squared norms. Both covariances' factors are read first."""
     q = g1.dim
-    l1 = _chol(g1.cov, "cov of first argument")
-    if l2 is None:
-        l2 = _chol(g2.cov, "cov of second argument")
+    l1 = _chol(g1, "cov of first argument")
+    l2 = _chol(g2, "cov of second argument")
     log_2pi = q * np.log(2.0 * np.pi)
     # Per direction: 2 log det of the own and the other Cholesky factor, and
     # the offset and map that take a draw into the other Gaussian's whitened

@@ -19,11 +19,11 @@ after the draw, is cut into the same blocks. compare_distance_metrics
 queues a seed's distances once its draw is fitted, and reads them before
 it draws the next seed.
 The bootstrap oracle needs only step 0's meta, so it runs from the start.
-No pool task waits on another: what several tasks share, such as the
-base's Cholesky factor and the JS draws in compare_distance_metrics, is
-computed on the calling thread before they are queued. Results are read
-in step order, so outputs and the first error raised are those of a
-serial loop.
+No pool task waits on another's result: what several tasks share, such
+as the base's Cholesky factor and the JS draws in compare_distance_metrics,
+is made on the calling thread before they are queued (a fit keeps its
+factor). Results are read in step order, so outputs and the first error
+raised are those of a serial loop.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .gaussian import (  # noqa: F401 (fit_gaussian, js_divergence_mc: perfbench
     _chol,
     _js_from_draws,
     _merged_fit,
-    _w2_given_factor,
     fit_gaussian,
     js_divergence_mc,
     wasserstein2_gaussian,
@@ -361,14 +360,14 @@ def compare_distance_metrics(
 
     Rebuilds the plan once per seed and averages both distances from
     step 0 to every later step. Once a seed's plan is drawn and fitted,
-    the base's Cholesky factor is taken here and each step's W2 goes, with
-    that factor, to a thread pool of up to one thread per core. Then all
+    the base's Cholesky factor is made here, kept on the base fit, and each
+    step's W2 goes to a thread pool of up to one thread per core. Then all
     steps of the seed share one set of n_samples standard normals for JS
     (common random numbers), drawn here from ``derive_seed(seed, "js")``,
     so step j's JS is, bit for bit, the mean over seeds of
     ``js_divergence_mc(fit_j, fit_0, n_samples, derive_seed(seed, "js"))``;
-    each step's JS then goes to the pool with the same factor, so only the
-    step's own covariance is factored there. No task waits on another. A
+    each step's JS then goes to the pool and reads the factors the fits
+    keep, so each fit is factored once. No task waits on another's result. A
     seed's results are summed, step by step and W2 before JS, before the
     next seed is drawn, so the rows and the first error raised are a
     serial loop's whatever the core count. A sample count below one, or
@@ -384,11 +383,12 @@ def compare_distance_metrics(
             fits = []
             _drawn_fits(seeded, pool, fits.append)
             base, steps = fits[0], fits[1:]
-            factor = _chol(base.cov, "cov of the first snapshot") if steps else None
-            w2_tasks = [pool.submit(_w2_given_factor, fit, base, factor) for fit in steps]
+            if steps:
+                _chol(base, "cov of the first snapshot")
+            w2_tasks = [pool.submit(wasserstein2_gaussian, fit, base) for fit in steps]
             z = np.random.default_rng(derive_seed(seeded.seed, "js")).standard_normal((n_samples, base.dim))
             sq = np.sum(z * z, axis=1)
-            js_tasks = [pool.submit(_js_from_draws, fit, base, z, sq, factor) for fit in steps]
+            js_tasks = [pool.submit(_js_from_draws, fit, base, z, sq) for fit in steps]
             for pair, w2, js in zip(sums, w2_tasks, js_tasks):
                 pair[0] += w2.result()
                 pair[1] += js.result()

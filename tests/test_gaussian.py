@@ -33,6 +33,28 @@ def _summary_pairs(draw, max_dim=5):
     return one(), one()
 
 
+def _anisotropic_rows(q, seed=0, spread=2.0, rows=4000, rotated=False):
+    """Standard normal rows with column scales 10^spread .. 10^-spread, on
+    random axes when rotated: a ridge-0 fit has cov condition about 10^(4 spread)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, q)) * np.logspace(spread, -spread, q)
+    return x @ np.linalg.qr(rng.standard_normal((q, q)))[0].T if rotated else x
+
+
+@st.composite
+def _anisotropic_fit_pairs(draw):
+    """Two fits of prefixes of one set of anisotropic rows (cov condition up
+    to 1e12), ridge 0 or default, their means moved apart."""
+    q = draw(st.integers(min_value=2, max_value=12))
+    spread = draw(st.floats(min_value=0.5, max_value=3.0))
+    x = _anisotropic_rows(q, draw(st.integers(0, 2**32 - 1)), spread, rows=60 * q,
+                          rotated=draw(st.booleans()))
+    ridge = draw(st.sampled_from([0.0, None]))
+    n1, n2 = draw(st.integers(10 * q, 60 * q)), draw(st.integers(10 * q, 60 * q))
+    g1, g2 = aa.fit_gaussian(x[:n1], ridge=ridge), aa.fit_gaussian(x[:n2], ridge=ridge)
+    return g1, _summary(g2.mean + draw(st.floats(-1.0, 1.0)), g2.cov, g2.n_samples)
+
+
 class TestFit:
     def test_mle_moments(self):
         rng = np.random.default_rng(0)
@@ -202,13 +224,6 @@ class TestSqrtSpd:
 
 
 class TestWasserstein:
-    @settings(max_examples=60, deadline=None)
-    @given(_summary_pairs())
-    def test_given_factor_is_the_public_form_bit_for_bit(self, pair):
-        g1, g2 = pair
-        got = gaussian._w2_given_factor(g1, g2, np.linalg.cholesky(g2.cov))
-        assert np.float64(got).tobytes() == np.float64(aa.wasserstein2_gaussian(g1, g2)).tobytes()
-
     @staticmethod
     def _root_form(g1, g2):
         """W2 with the matrix roots: tr S1 + tr S2 - 2 tr sqrt(R2 S1 R2), R2 = sqrt(S2)."""
@@ -233,6 +248,24 @@ class TestWasserstein:
         for a, b in ((g1, g2), (g2, g1)):
             assert aa.wasserstein2_gaussian(a, b) == pytest.approx(self._root_form(a, b), rel=0, abs=tol)
 
+    @staticmethod
+    def _fidelity_form(g1, g2):
+        """W2 with tr(cross) as the nuclear norm ||L1^T L2||_*, from fresh factors."""
+        l1, l2 = np.linalg.cholesky(g1.cov), np.linalg.cholesky(g2.cov)
+        dmean = g1.mean - g2.mean
+        cross = np.sum(np.linalg.svd(l1.T @ l2, compute_uv=False))
+        return float(dmean @ dmean + np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * cross)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_anisotropic_fit_pairs())
+    def test_anisotropic_pairs_match_the_fidelity_form(self, pair):
+        # The matrix-root form cannot be the reference here: its root of
+        # R2 S1 R2 meets the eigenvalue spread cond(S1) cond(S2).
+        g1, g2 = pair
+        tol = 1e-10 * (np.trace(g1.cov) + np.trace(g2.cov))
+        for a, b in ((g1, g2), (g2, g1)):
+            assert aa.wasserstein2_gaussian(a, b) == pytest.approx(self._fidelity_form(a, b), rel=0, abs=tol)
+
     def test_matches_scipy_sqrtm_at_shift_scan_size(self):
         # A 12-step volume plan at q = 96, as the benchmark's shift_scan
         # runs it, checked against scipy's matrix square root within the
@@ -255,9 +288,12 @@ class TestWasserstein:
             assert aa.wasserstein2_gaussian(g1, g2) == pytest.approx(sqrtm_w2(g1, g2), rel=1e-8)
 
     def test_one_factor_and_one_set_of_eigenvalues_per_call(self, monkeypatch):
-        g1 = _summary([0.0, 1.0, 0.0], [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
-        g2 = _summary([1.0, 0.0, 0.0], np.diag([1.0, 2.0, 3.0]))
-        want = aa.wasserstein2_gaussian(g1, g2)
+        def pair():
+            return (_summary([0.0, 1.0, 0.0], [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]]),
+                    _summary([1.0, 0.0, 0.0], np.diag([1.0, 2.0, 3.0])))
+
+        want = aa.wasserstein2_gaussian(*pair())
+        g1, g2 = pair()
         calls = []
 
         def counted(name):
@@ -272,7 +308,10 @@ class TestWasserstein:
         for name in ("cholesky", "eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
         assert aa.wasserstein2_gaussian(g1, g2) == want
-        assert calls == ["cholesky", "eigvalsh"]
+        assert calls == ["cholesky", "cholesky", "eigvalsh"]
+        calls.clear()  # each summary keeps its factor
+        assert aa.wasserstein2_gaussian(g1, g2) == want
+        assert calls == ["eigvalsh"]
 
     @pytest.mark.parametrize("first", [True, False])
     def test_rank_deficient_unridged_fit_raises(self, first):
@@ -280,7 +319,7 @@ class TestWasserstein:
         rng = np.random.default_rng(5)
         bad = aa.fit_gaussian(rng.normal(size=(50, 2)) @ rng.normal(size=(2, 3)), ridge=0.0)
         good = aa.fit_gaussian(rng.normal(size=(50, 3)))
-        with pytest.raises(aa.NotSPD):
+        with pytest.raises(aa.NotSPD, match="first" if first else "second"):
             aa.wasserstein2_gaussian(*((bad, good) if first else (good, bad)))
 
     def test_identical_is_zero(self):
@@ -290,6 +329,13 @@ class TestWasserstein:
         # term, which must not read as shift.
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.2,))
         fit = aa.fit_gaussian(aa.gen_snapshot(plan, 0).features)
+        assert aa.wasserstein2_gaussian(fit, fit) == 0.0
+
+    @pytest.mark.parametrize("q, ridge", [(2, 0.0), (8, 0.0), (32, 0.0), (32, None)])
+    def test_identical_anisotropic_fit_is_zero(self, q, ridge):
+        # Cov condition about 1e8 at ridge 0 and 1.2e7 at the default ridge
+        # for q = 32: the eigenvalues of L^T S L spread over cond(S)^2.
+        fit = aa.fit_gaussian(_anisotropic_rows(q), ridge=ridge)
         assert aa.wasserstein2_gaussian(fit, fit) == 0.0
 
     def test_steps_rounding_to_the_same_rows_are_zero(self):

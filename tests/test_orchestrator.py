@@ -440,7 +440,7 @@ class TestStreamedDraw:
             drawn.append(plan.seed)
             return real_gen(plan, step, on_step=on_step)
 
-        def js(fit, base, z, sq, l2):
+        def js(fit, base, z, sq):
             raise aa.NotSPD("seed 0")
 
         monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
@@ -457,7 +457,7 @@ class TestStreamedDraw:
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.7, 1.0),
                              feature_dim=4, base_samples=400, seed=9)
         finished, at_draw = [], []  # tasks finished; how many had, at each draw
-        real_gen, real_w2, real_js = (orchestrator.gen_snapshot, orchestrator._w2_given_factor,
+        real_gen, real_w2, real_js = (orchestrator.gen_snapshot, orchestrator.wasserstein2_gaussian,
                                       orchestrator._js_from_draws)
 
         def gen_snapshot(plan, step, on_step):
@@ -475,7 +475,7 @@ class TestStreamedDraw:
 
         want = aa.compare_distance_metrics(plan, seeds=(0, 1), n_samples=200)
         monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
-        monkeypatch.setattr(orchestrator, "_w2_given_factor", slow(real_w2))
+        monkeypatch.setattr(orchestrator, "wasserstein2_gaussian", slow(real_w2))
         monkeypatch.setattr(orchestrator, "_js_from_draws", slow(real_js))
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
         assert aa.compare_distance_metrics(plan, seeds=(0, 1), n_samples=200) == want
@@ -574,7 +574,7 @@ class TestDistanceComparison:
         earlier_ran, w2_started = threading.Event(), threading.Event()
         ran, drawn, starts = [], [False], []  # starts: whether the draw had returned, per W2 task
         real_stats, real_gen, real_w2 = (orchestrator._block_stats, orchestrator.gen_snapshot,
-                                         orchestrator._w2_given_factor)
+                                         orchestrator.wasserstein2_gaussian)
 
         def block_stats(block):
             out = real_stats(block)
@@ -596,15 +596,15 @@ class TestDistanceComparison:
             drawn[0] = True
             return out
 
-        def w2(fit, base, l2):
+        def w2(fit, base):
             starts.append(drawn[0])
             w2_started.set()
-            return real_w2(fit, base, l2)
+            return real_w2(fit, base)
 
         want = aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200)
         monkeypatch.setattr(orchestrator, "_block_stats", block_stats)
         monkeypatch.setattr(orchestrator, "gen_snapshot", gen_snapshot)
-        monkeypatch.setattr(orchestrator, "_w2_given_factor", w2)
+        monkeypatch.setattr(orchestrator, "wasserstein2_gaussian", w2)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
         assert aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200) == want
         assert starts == [True] * last
@@ -614,11 +614,11 @@ class TestDistanceComparison:
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.7, 1.0),
                              feature_dim=4, base_samples=400, seed=9)
         w2_started = threading.Event()
-        real_w2, real_derive = orchestrator._w2_given_factor, orchestrator.derive_seed
+        real_w2, real_derive = orchestrator.wasserstein2_gaussian, orchestrator.derive_seed
 
-        def w2(fit, base, l2):
+        def w2(fit, base):
             w2_started.set()
-            return real_w2(fit, base, l2)
+            return real_w2(fit, base)
 
         def derive_seed(master, *tags):
             if tags == ("js",):
@@ -626,7 +626,7 @@ class TestDistanceComparison:
             return real_derive(master, *tags)
 
         want = aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200)
-        monkeypatch.setattr(orchestrator, "_w2_given_factor", w2)
+        monkeypatch.setattr(orchestrator, "wasserstein2_gaussian", w2)
         monkeypatch.setattr(orchestrator, "derive_seed", derive_seed)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
         assert aa.compare_distance_metrics(plan, seeds=(0,), n_samples=200) == want
@@ -645,9 +645,9 @@ class TestDistanceComparison:
         calls = []  # the base factor's, taken by compare_distance_metrics itself
         real_chol = orchestrator._chol
 
-        def counted(cov, what):
-            calls.append(cov.shape)
-            return real_chol(cov, what)
+        def counted(g, what):
+            calls.append(g.cov.shape)
+            return real_chol(g, what)
 
         monkeypatch.setattr(orchestrator, "_chol", counted)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
@@ -656,8 +656,8 @@ class TestDistanceComparison:
         assert [row["wd"] for row in rows] == [w / 2 for w in want]
 
     def test_js_shares_the_base_factor(self, monkeypatch):
-        # One factor of the base and one of each later step's covariance:
-        # 1 + 4 for five steps, where factoring the base per JS task takes 8.
+        # One factor per fit, kept on it for both its W2 and its JS: the base's
+        # and each later step's, 1 + 4 for five steps.
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.55, 0.7, 0.85, 1.0),
                              feature_dim=6, base_samples=900, seed=9)
         want = aa.compare_distance_metrics(plan, seeds=(4,), n_samples=300)
@@ -680,9 +680,9 @@ class TestDistanceComparison:
         threads = []
         real_chol = orchestrator._chol
 
-        def recorded(cov, what):
+        def recorded(g, what):
             threads.append(threading.current_thread())
-            return real_chol(cov, what)
+            return real_chol(g, what)
 
         monkeypatch.setattr(orchestrator, "_chol", recorded)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
@@ -719,12 +719,12 @@ class TestDistanceComparison:
         plan = aa.GrowthPlan(scenario=aa.VOLUME_GROWTH, steps=(0.4, 0.7, 1.0),
                              feature_dim=4, base_samples=400, seed=9)
         seeds, n_samples = (4, 5), 300
-        calls = []  # (fit, base, z, sq, l2) of each JS task
+        calls = []  # (fit, base, z, sq, the base's kept factor) of each JS task
         real_js = orchestrator._js_from_draws
 
-        def js(fit, base, z, sq, l2):
-            calls.append((fit, base, z, sq, l2))
-            return real_js(fit, base, z, sq, l2)
+        def js(fit, base, z, sq):
+            calls.append((fit, base, z, sq, vars(base).get("_factor")))
+            return real_js(fit, base, z, sq)
 
         monkeypatch.setattr(orchestrator, "_js_from_draws", js)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
@@ -739,12 +739,12 @@ class TestDistanceComparison:
             assert len(seed_tasks) == plan.n_steps - 1
             for k in (1, 2, 3, 4):  # one base fit, z, sq and base factor object per seed
                 assert len({id(call[k]) for call in seed_tasks}) == 1
-            _, base, z, sq, l2 = seed_tasks[0]
+            _, base, z, sq, factor = seed_tasks[0]
             assert np.array_equal(z, np.random.default_rng(js_seed).standard_normal((n_samples, 4)))
             assert np.array_equal(sq, np.sum(z * z, axis=1))
-            assert np.array_equal(l2, np.linalg.cholesky(base.cov))
+            assert np.array_equal(factor, np.linalg.cholesky(base.cov))
             for fit, *_ in seed_tasks:
-                assert real_js(fit, base, z, sq, l2) == TestJS._whole_array_reference(
+                assert real_js(fit, base, z, sq) == TestJS._whole_array_reference(
                     fit, base, n_samples, js_seed)
 
     def test_rows_do_not_depend_on_the_core_count(self, monkeypatch):
@@ -765,7 +765,7 @@ class TestDistanceComparison:
         plan = aa.GrowthPlan(scenario=aa.CLASS_GROWTH, steps=(2, 4, 8), feature_dim=4,
                              base_samples=50, seed=5)  # class 7 is only in the last block
 
-        def root(cov, what):
+        def root(g, what):
             raise aa.NotSPD("base root")
 
         if nan_block:
@@ -784,10 +784,10 @@ class TestDistanceComparison:
         step2_rows = aa.snapshot_meta(plan, 2).n_samples
         real_js = orchestrator._js_from_draws
 
-        def js(fit, base, z, sq, l2):
+        def js(fit, base, z, sq):
             if fit.n_samples == step2_rows:
                 raise aa.NotSPD("step 2")
-            return real_js(fit, base, z, sq, l2)
+            return real_js(fit, base, z, sq)
 
         monkeypatch.setattr(orchestrator, "_js_from_draws", js)
         monkeypatch.setattr(orchestrator, "_cores", lambda: 2)
@@ -801,7 +801,7 @@ class TestDistanceComparison:
         in place of each step's JS; no thread outlives the call."""
         steps = {aa.snapshot_meta(plan, j).n_samples: j for j in range(1, plan.n_steps)}
 
-        def js(fit, base, z, sq, l2):
+        def js(fit, base, z, sq):
             hook(steps[fit.n_samples])
             return 0.0
 
