@@ -35,8 +35,7 @@ def main():
         trainer = aa.TrainerConfig(
             learning_rate=0.005, iterations=args.iterations,
             hidden_size=32, encoder_hidden=32, arch_embed_dim=16,
-            shift_embed_dim=8, token_embed_dim=16, entropy_weight=2e-4,
-            seed=seed)
+            shift_embed_dim=8, token_embed_dim=16, entropy_weight=2e-4)
         cfg = aa.RunConfig(plan=plan, space=space, surrogate=surrogate,
                            gate=aa.GateConfig(epsilon=0.0), trainer=trainer,
                            master_seed=seed, initial_arch=start)

@@ -66,16 +66,17 @@ step's log-probability and entropy; its choices are ``_validate(traj.arch, space
 
 Each run walks the grammar as plain integers: its next decision kind, the
 layers left in its unit and the units left after it. Its architecture is
-built once, from its choice indices, when it retires. The runs deciding
-one kind form a group: every run's logits for that kind come from one
-stacked matmul, a group of every run indexes the record with a slice, and
-a group of one run writes its log-probabilities and probabilities
-straight into its record rows. A larger group's columns are computed in
-fresh arrays, whose reductions keep the layout they have always had, and
-copied into the record afterwards. The GRU's temporaries go into scratch
-arrays made once per rollout. ``_backward`` fills its gate coefficients into
-preallocated arrays and runs the reverse recurrence in place, over
-reversed views of the steps.
+built once, from its choice indices, when it retires. At every step, for
+every K, the runs not yet retired are grouped by the kind each decides next,
+and each kind's logits come from one stacked matmul over every run. A group
+of every run indexes the record with a slice, and a group of one run writes
+its log-probabilities and probabilities straight into its record rows. A
+larger group's logits are the contiguous columns of a transposed (run,
+choice) array, so numpy reduces each as it reduces a lone run's row
+(pairwise from 8 choices on), into fresh arrays copied into the record.
+The GRU's temporaries go into scratch arrays made once per rollout.
+``_backward`` fills its gate coefficients into preallocated arrays and runs
+the reverse recurrence in place, over reversed views of the steps.
 
 ``_train_many`` owns its (K, P) workspace: the batch's sum, which the first
 gradient is written into, two scratch arrays and the finite check's mask.
@@ -87,9 +88,9 @@ back in) and every bit is the plain expression's.
 Sampling draws exactly as ``Generator.choice(n, p=probs / probs.sum())``
 would (cumulative sum, normalize by its last entry, right-side search of
 one uniform), without choice's per-call validation; non-finite logits
-raise NumericalError instead. A single run's logits stay a 1-D row, whose
-reductions give numpy scalars: that, and views of its W @ x rows made once
-per rollout, keep its decisions about as cheap as a loop written for one run.
+raise NumericalError instead. A group of one run keeps its logits a 1-D
+row, whose reductions give numpy scalars: that keeps a lone run's decisions
+about as cheap as a loop written for one run.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ class TrainerConfig:
     Defaults follow the reference training recipe (Adam at 2e-4, weight
     decay 5e-4, entropy bonus 2e-4). ``use_baseline=False`` together with
     ``use_adam=False`` gives the literal update theta += lr * R * grad.
+    ``run_adaptation``, ``lambda_sweep`` and ``wd_ablation`` replace ``seed``
+    with one derived from the master seed, so it matters only to ``train``.
     """
 
     learning_rate: float = 2e-4
@@ -512,8 +515,6 @@ def _rollout(
     wx_all = np.matmul(w[:, None], tokens[..., None]).reshape(n_runs * n_tokens, 3 * hid, 1)
     wx = np.empty((n_runs, 3 * hid, 1))
     wx_rz, wx_n = wx[:, : 2 * hid], wx[:, 2 * hid :]
-    # A lone run's rows as views split by gate, made once: cheaper than take.
-    wx_rows = list(zip(wx_all[:, None, : 2 * hid], wx_all[:, None, 2 * hid :])) if n_runs == 1 else None
     exp, tanh, log, matmul = np.exp, np.tanh, np.log, np.matmul
     add, subtract, multiply = np.add, np.subtract, np.multiply
     t_max = space.n_units * (1 + 2 * space.depth_choices[-1])
@@ -529,19 +530,17 @@ def _rollout(
     steps = zip(hs, hs[1:], uhs, *uh_gates, rzs, *rz_gates, ns, sources)
     # Scratch for the GRU's temporaries, written with out= at each step.
     pre_rz, pre_n = np.empty((n_runs, 2 * hid, 1)), np.empty((n_runs, hid, 1))
-    # Array operands of 1.0: cheaper than the scalar on these shapes, same values.
-    one_rz = np.ones((n_runs, 2 * hid, 1))
-    one_h = one_rz[:, :hid]
+    # 1.0 as a 0-d array: as an operand it costs less than the scalar, same values.
+    ones = np.ones(())
 
     # The grammar as a table: per unit a depth decision (kind 0), then for
     # each of its layers a kernel (1) and an expansion (2). Each run keeps a
     # stack of the kinds it has still to decide; a depth choice pushes its
     # unit's layer kinds, and a run whose stack is empty retires.
     layer_kinds = [[2, 1] * depth for depth in space.depth_choices]
-    kind = [0] * n_runs  # each run's next kind, -1 once retired
+    kind = [0] * n_runs  # each run's next kind
     todo = [[0] * (space.n_units - 1) for _ in runs]
     chosen: list[list[int]] = [[] for _ in runs]  # each run's choice indices
-    everyone = tuple(runs)
     offsets = [k * n_tokens for k in runs]
     source = offsets[:]  # each run's next input row of wx_all
     archs = [None] * n_runs
@@ -551,49 +550,41 @@ def _rollout(
     while active:
         h_prev, h, uh, uh_rz, uh_n, rz, r, z, n, step_sources = next(steps)
         step_sources[...] = source
-        if n_runs == 1:
-            wx_rz, wx_n = wx_rows[source[0]]
-        else:
-            # Every source is in range, so "clip" clips nothing; unlike the
-            # default "raise", it writes into wx without a buffer.
-            wx_all.take(step_sources, axis=0, out=wx, mode="clip")
+        # Every source is in range, so "clip" clips nothing; unlike the
+        # default "raise", it writes into wx without a buffer.
+        wx_all.take(step_sources, axis=0, out=wx, mode="clip")
         matmul(u, h_prev, out=uh)
         # rz = 1 / (1 + exp(-(wx_rz + uh_rz + b_rz)))
         add(wx_rz, uh_rz, out=pre_rz)
         add(pre_rz, b_rz, out=pre_rz)
         np.negative(pre_rz, out=pre_rz)
         exp(pre_rz, out=pre_rz)
-        add(one_rz, pre_rz, out=pre_rz)
-        np.divide(one_rz, pre_rz, out=rz)
+        add(ones, pre_rz, out=pre_rz)
+        np.divide(ones, pre_rz, out=rz)
         # n = tanh(wx_n + r * uh_n + b_n)
         multiply(r, uh_n, out=pre_n)
         add(wx_n, pre_n, out=pre_n)
         add(pre_n, b_n, out=pre_n)
         tanh(pre_n, out=n)
         # h = (1 - z) * h_prev + z * n
-        subtract(one_h, z, out=pre_n)
+        subtract(ones, z, out=pre_n)
         multiply(pre_n, h_prev, out=pre_n)
         multiply(z, n, out=h)
         add(pre_n, h, out=h)
 
-        if kind.count(kind[0]) == n_runs:
-            # Every run decides the same kind: a group of all runs, which is
-            # not active itself, since retiring a run removes it from active.
-            groups = ((kind[0], everyone),)
-        else:
-            grouped: dict[int, list[int]] = {}
-            for k in active:
-                grouped.setdefault(kind[k], []).append(k)
-            groups = grouped.items()
-        for code, idx in groups:
+        # The runs still deciding, grouped by the kind each decides next.
+        groups: dict[int, list[int]] = {}
+        for k in active:
+            groups.setdefault(kind[k], []).append(k)
+        for code, idx in groups.items():
             head_w, head_b, rows, logits, all_cols = heads[code]
             # Every run's logits, also of runs at other kinds: a stacked
             # matmul gives each run the bits of its own product.
             add(matmul(head_w, h, out=logits), head_b, out=logits)
-            # Each run's logits form a column (one run: a plain 1-D row,
-            # whose reductions give numpy scalars, the cheapest case), so
-            # every reduction runs down axis 0 and gives the bits of that
-            # run's head alone.
+            # Each run's logits form a contiguous column (one run: a plain
+            # 1-D row, whose reductions give numpy scalars, the cheapest
+            # case), so every reduction runs down axis 0 and gives the bits
+            # of that run's head alone.
             full, one = len(idx) == n_runs, len(idx) == 1
             if one:
                 # A lone run's row goes straight into its record rows.
@@ -641,7 +632,6 @@ def _rollout(
                 if todo[k]:
                     kind[k] = todo[k].pop()
                 else:
-                    kind[k] = -1
                     archs[k] = _arch_from_choices(chosen[k], space)
                     active.remove(k)
         t += 1

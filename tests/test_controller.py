@@ -726,7 +726,11 @@ class TestRolloutRecord:
              for _ in range(rng.choice(space.depth_choices))]
             for _ in range(space.n_units)])
 
-    @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig()], ids=["toy", "default"])
+    # 12 kernels and 9 expansions: from 8 choices on, numpy sums a lone
+    # run's row pairwise, so the group's columns must be laid out to match.
+    WIDE = aa.SpaceConfig(kernel_choices=tuple(range(1, 24, 2)), expansion_choices=tuple(range(2, 11)))
+
+    @pytest.mark.parametrize("space", [TOY, aa.SpaceConfig(), WIDE], ids=["toy", "default", "wide"])
     @pytest.mark.parametrize("mode", ["sampled", "greedy", "forced"])
     def test_lockstep_rollout_equals_lone_rollouts(self, space, mode):
         # Four runs from one init plus small perturbations often decide the
